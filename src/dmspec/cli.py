@@ -17,7 +17,6 @@ import json
 import sys
 
 from . import ids, sampling, schwartzman, spectrum, svgplot, verify
-from .dynamics import enumerate_orbits
 from .errors import DmspecError, NotHyperbolic
 
 
@@ -67,34 +66,31 @@ def cmd_bands(args) -> int:
     max_period = int(params.get("max_period", 6))
     tol = float(params.get("tol", 1e-10))
     # a left-limit potential follows its orbit under the label "<point>-"
-    per_orbit = [(o.period, label, bands)
-                 for o in enumerate_orbits(max_period)
-                 for label, bands in spectrum.orbit_bands(o, f, tol=tol)]
+    per_period = spectrum.bands_by_period(f, max_period, tol)
     merged = spectrum.SpectrumApprox(
-        bands=spectrum.merge_bands([bands for _, _, bands in per_orbit], tol),
+        bands=spectrum.merge_bands(per_period, tol),
         max_period_used=max_period,
         tol=tol,
     )
     rows = []
     orbits_json = []
-    for period, label, bands in per_orbit:
-        orbits_json.append({
-            "period": period,
-            "point": label,
-            "bands": [[b.lo, b.hi] for b in bands],
-        })
-        for i, b in enumerate(bands):
-            rows.append(["orbit", period, label, i, _fmt(b.lo), _fmt(b.hi)])
+    for pb in per_period:
+        for i, label in enumerate(pb.labels):
+            bands = pb.bands(i)
+            orbits_json.append({
+                "period": pb.period,
+                "point": label,
+                "bands": [[b.lo, b.hi] for b in bands],
+            })
+            for j, b in enumerate(bands):
+                rows.append(["orbit", pb.period, label, j, _fmt(b.lo), _fmt(b.hi)])
     for i, b in enumerate(merged.bands):
         rows.append(["merged", max_period, "", i, _fmt(b.lo), _fmt(b.hi)])
     payload = {"orbits": orbits_json, "merged": merged.to_json()}
     _emit(args, payload, rows, ["source", "period", "point", "band_index", "lo", "hi"])
     if args.plot:
-        per_period = {}
-        for period, _, bands in per_orbit:
-            per_period.setdefault(period, []).append(bands)
-        per_period = {p: spectrum.merge_bands(v, tol) for p, v in per_period.items()}
-        svgplot.band_diagram(per_period, merged, args.plot)
+        per_period_merged = {pb.period: spectrum.merge_bands([pb], tol) for pb in per_period}
+        svgplot.band_diagram(per_period_merged, merged, args.plot)
     return 0
 
 
@@ -102,7 +98,7 @@ def cmd_spectrum(args) -> int:
     f, params = _load_config(args.config)
     max_period = int(params.get("max_period", 6))
     tol = float(params.get("tol", 1e-10))
-    s = spectrum.union_spectrum(f, max_period, tol=tol, threads=args.threads)
+    s = spectrum.union_spectrum(f, max_period, tol=tol)
     rows = [[i, _fmt(b.lo), _fmt(b.hi)] for i, b in enumerate(s.bands)]
     payload = s.to_json()
     payload["hull"] = list(s.hull)
@@ -117,7 +113,7 @@ def cmd_gaps(args) -> int:
     f, params = _load_config(args.config)
     max_period = int(params.get("max_period", 6))
     tol = float(params.get("tol", 1e-10))
-    s = spectrum.union_spectrum(f, max_period, tol=tol, threads=args.threads)
+    s = spectrum.union_spectrum(f, max_period, tol=tol)
     report = spectrum.gap_report(s, include_below_resolution=True)
     rows = []
     gaps_json = []
@@ -135,8 +131,7 @@ def cmd_ids(args) -> int:
     f, params = _load_config(args.config)
     seed = _seed_of(args, params)
     max_period = int(params.get("max_period", 6))
-    s = spectrum.union_spectrum(f, max_period, tol=float(params.get("tol", 1e-10)),
-                                threads=args.threads)
+    s = spectrum.union_spectrum(f, max_period, tol=float(params.get("tol", 1e-10)))
     grid = ids.default_energy_grid(s.hull, int(params.get("grid_points", 2001)))
     table = ids.ids_estimate(
         f, grid,
@@ -179,7 +174,8 @@ def cmd_rotation(args) -> int:
             rows.append([_fmt(E), "", "", "not_hyperbolic", ""])
             payload.append({"E": E, "verdict": "not_hyperbolic"})
             continue
-        verdict = schwartzman.integrality_check(est, tol=float(params.get("tol", 0.01)))
+        verdict = schwartzman.integrality_check(
+            est, tol=float(params.get("integrality_tol", 0.01)))
         rows.append([
             _fmt(E), _fmt(est.value), _fmt(est.stderr),
             verdict.verdict.value,
@@ -227,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("csv", "json"), default="json")
     common.add_argument("--plot", help="write an SVG figure to this path")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads; 0 means all cores")
+                        help="worker threads of the IDS estimate; 0 means all cores")
     parser = argparse.ArgumentParser(
         prog="dmspec",
         description="Spectra, density of states, and rotation numbers for "

@@ -21,6 +21,10 @@ from .errors import CapacityExceeded, InvalidParameter, MissingDigits
 # Exact numerators/denominators are kept within 126 bits so that one map step
 # (multiply by m) stays inside a signed 128-bit word.
 CAPACITY_BITS = 126
+# Orbit tables hold numerators as int64; see max_table_period.
+TABLE_LIMIT = 1 << 63
+#: candidates examined at once by orbit_table; bounds its memory
+ORBIT_BLOCK = 1 << 15
 
 
 def max_safe_period(m: int = 2) -> int:
@@ -103,15 +107,20 @@ def map_forward(point: CirclePoint, steps: int = 1, m: int = 2) -> CirclePoint:
     return CirclePoint(num, point.denominator)
 
 
-def enumerate_orbits(max_period: int, m: int = 2) -> list[PeriodicOrbit]:
-    """All periodic orbits of minimal period <= max_period, each listed once.
+def max_table_period(m: int = 2) -> int:
+    """Largest period p whose orbit table fits int64: m^(p+1) < 2^63.
 
-    Candidates are k/(m^p - 1) for k = 0 .. m^p - 2.  Orbits are deduplicated
-    by keeping only the representative whose starting numerator is the orbit
-    minimum, and filtered to minimal period exactly p at level p.  The point
-    1 = 0 read from the left is not a separate orbit: a step function's
-    left-limit potentials come from PeriodicOrbit.sided_potentials.
+    One map step multiplies a numerator below m^p - 1 by m, so every entry
+    and every intermediate product stays below m^(p+1).
     """
+    p = 1
+    while m ** (p + 2) < TABLE_LIMIT:
+        p += 1
+    return p
+
+
+def check_period(max_period: int, m: int = 2) -> None:
+    """Raise unless orbits up to max_period fit both capacity bounds."""
     if max_period < 1:
         raise InvalidParameter("max_period must be >= 1")
     safe = max_safe_period(m)
@@ -120,22 +129,56 @@ def enumerate_orbits(max_period: int, m: int = 2) -> list[PeriodicOrbit]:
             f"m^p - 1 exceeds {CAPACITY_BITS}-bit capacity for p = {max_period}; "
             f"max safe period for m = {m} is {safe}"
         )
+    if m ** (max_period + 1) >= TABLE_LIMIT:
+        raise CapacityExceeded(
+            f"m^(p+1) exceeds the int64 orbit table for p = {max_period}; "
+            f"max period for m = {m} is {max_table_period(m)}"
+        )
+
+
+def orbit_table(period: int, m: int = 2) -> np.ndarray:
+    """The orbits of minimal period exactly `period`, one int64 row each.
+
+    Row i holds k_i * m^j mod (m^p - 1) for j = 0 .. p-1, the numerators of
+    the orbit of k_i/(m^p - 1), where k_i is the orbit minimum; rows ascend
+    in k_i.  A candidate k survives only while every image k * m^j, j < p,
+    stays above k, which both picks the minimum of each orbit and drops
+    points of smaller period (whose image returns to k early).  Candidates
+    are taken ORBIT_BLOCK at a time, so memory stays bounded at any period.
+    """
+    check_period(period, m)
+    d = m ** period - 1
+    minima = []
+    for start in range(0, d, ORBIT_BLOCK):
+        k = np.arange(start, min(start + ORBIT_BLOCK, d), dtype=np.int64)
+        x = k
+        for _ in range(period - 1):
+            x = x * m % d
+            alive = x > k
+            k, x = k[alive], x[alive]
+        minima.append(k)
+    table = np.empty((sum(map(len, minima)), period), dtype=np.int64)
+    table[:, 0] = np.concatenate(minima)
+    for j in range(1, period):
+        table[:, j] = table[:, j - 1] * m % d
+    return table
+
+
+def enumerate_orbits(max_period: int, m: int = 2) -> list[PeriodicOrbit]:
+    """All periodic orbits of minimal period <= max_period, each listed once.
+
+    The orbits of period p are the rows of orbit_table(p, m), stored from
+    their smallest point k/(m^p - 1).  The point 1 = 0 read from the left is
+    not a separate orbit: a step function's left-limit potentials come from
+    PeriodicOrbit.sided_potentials.
+    """
+    check_period(max_period, m)
     orbits = []
     for p in range(1, max_period + 1):
         d = m ** p - 1
-        for k in range(d):
-            cycle = [k]
-            x = k * m % d
-            while x != k:
-                if x < k:
-                    break
-                cycle.append(x)
-                x = x * m % d
-            else:
-                if len(cycle) == p:
-                    points = tuple(CirclePoint(q, d) for q in cycle)
-                    orbits.append(PeriodicOrbit(period=p, points=points, map_base=m))
-    # the zero orbit appears as 0/(m-1); d may be 0 only if m = 1, excluded above
+        for row in orbit_table(p, m).tolist():
+            points = tuple(CirclePoint(q, d) for q in row)
+            orbits.append(PeriodicOrbit(period=p, points=points, map_base=m))
     return orbits
 
 

@@ -22,7 +22,7 @@ class DegenerateSingularValues(DmspecError, ArithmeticError):
 
 
 class RootBracketingFailure(DmspecError, RuntimeError):
-    """The band-edge scan grid failed to isolate the spectrum of a periodic orbit."""
+    """The discriminant scan of verify's band-edge oracle failed to isolate a periodic spectrum."""
 
 
 class EmptyGapGrid(DmspecError, ValueError):

@@ -55,6 +55,10 @@ class TrigPoly:
         """f(omega-); f is continuous, so this is f itself."""
         return self(omega)
 
+    def breakpoint_mask(self, omega) -> np.ndarray:
+        """Which points of omega are breakpoints, elementwise; f has none."""
+        return np.zeros(np.shape(omega), dtype=bool)
+
     def on_breakpoint(self, omega) -> bool:
         """Whether some point of omega is a breakpoint; f has none."""
         return False
@@ -110,10 +114,14 @@ class Step:
         out = np.asarray(self.values)[idx]
         return out if out.ndim else float(out)
 
+    def breakpoint_mask(self, omega) -> np.ndarray:
+        """Which points of omega are exactly a breakpoint, elementwise."""
+        w = np.mod(np.asarray(omega, dtype=float), 1.0)
+        return np.isin(w, self.breakpoints)
+
     def on_breakpoint(self, omega) -> bool:
         """Whether some point of omega is exactly a breakpoint."""
-        w = np.mod(np.asarray(omega, dtype=float), 1.0)
-        return bool(np.isin(w, self.breakpoints).any())
+        return bool(self.breakpoint_mask(omega).any())
 
     def sup_bound(self) -> float:
         return max(abs(v) for v in self.values)

@@ -1,27 +1,33 @@
 """Periodic band spectra and their union over periodic orbits.
 
-The spectrum of the operator over a period-p orbit is the level set
-{E : |disc(E)| <= 2} of the Floquet discriminant, a union of at most p closed
-bands.  Edges are located by bracketed bisection on |disc| - 2 over an
-adaptively refined Chebyshev scan grid; unions over many orbits approximate
-the almost-sure essential spectrum from inside.
+The spectrum of the operator over a period-p potential is the level set
+{E : |disc(E)| <= 2} of its Floquet discriminant, a union of at most p closed
+bands.  Its edges are the eigenvalues of the p x p periodic and antiperiodic
+Jacobi matrices: sorted together, band k runs from edge 2k to edge 2k+1.
+All potentials of one period are stacked and solved by batched symmetric
+eigenvalue calls; unions over many orbits approximate the almost-sure
+essential spectrum from inside.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import trace_over_cycle
-from .dynamics import PeriodicOrbit, enumerate_orbits
-from .errors import InvalidParameter, RootBracketingFailure
+from .dynamics import CirclePoint, PeriodicOrbit, check_period, orbit_table
+from .errors import InvalidParameter
 from .sampling import SamplingFunction
 
 #: merge tolerance and reporting resolution, as multiples of the edge tolerance
 MERGE_FACTOR = 10.0
 RESOLUTION_FACTOR = 100.0
+#: potentials per batched eigenvalue call; bounds the memory of the stacked
+#: (2, EIGEN_BLOCK, p, p) matrices
+EIGEN_BLOCK = 512
+#: a Newton step polishes an eigenvalue edge only if it is at most this many
+#: times the eigensolver's error bound p * eps * |H|
+POLISH_MARGIN = 64.0
 
 
 @dataclass(frozen=True)
@@ -68,7 +74,7 @@ class SpectrumApprox:
 
     @property
     def resolution(self) -> float:
-        """Gaps shorter than this are indistinguishable from bisection jitter."""
+        """Gaps shorter than this are below what the merge tolerance resolves."""
         return RESOLUTION_FACTOR * self.tol
 
     def covers(self, x: float, slack: float = 0.0) -> bool:
@@ -90,109 +96,136 @@ class SpectrumApprox:
         )
 
 
-def _bisect_boundary(disc, inner, outer, tol):
-    """Move each (inside, outside) bracket onto the |disc| = 2 boundary."""
-    inner = np.asarray(inner, dtype=float).copy()
-    outer = np.asarray(outer, dtype=float).copy()
-    while np.max(np.abs(outer - inner), initial=0.0) > tol:
-        mid = 0.5 * (inner + outer)
-        is_in = np.abs(disc(mid)) <= 2.0
-        inner = np.where(is_in, mid, inner)
-        outer = np.where(is_in, outer, mid)
-    return 0.5 * (inner + outer)
+@dataclass(frozen=True)
+class PeriodBands:
+    """Bands of every sided potential of one minimal period, in orbit order.
 
-
-def _interior_seed(disc, a, b, fa):
-    """A point with |disc| <= 2 inside (a, b), given a sign change of disc.
-
-    Bisection on the sign must pass through the band around the zero; the
-    band can be far narrower than the scan spacing, which is exactly the
-    case this rescues.
+    Potential i carries label labels[i] and the bands lo[j], hi[j] for
+    offsets[i] <= j < offsets[i + 1], ascending.
     """
-    lo, hi, flo = a, b, fa
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = float(disc(np.array([mid]))[0])
-        if abs(fm) <= 2.0:
-            return mid
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(lo)):
-            return None
-    return None
+
+    period: int
+    labels: list[str]
+    lo: np.ndarray
+    hi: np.ndarray
+    offsets: np.ndarray
+
+    def bands(self, i: int) -> list[Band]:
+        j0, j1 = self.offsets[i], self.offsets[i + 1]
+        return [Band(lo, hi) for lo, hi in zip(self.lo[j0:j1].tolist(), self.hi[j0:j1].tolist())]
 
 
-def _bands_from_disc(disc, degree, scan_lo, scan_hi, tol):
-    """Bands of {|disc| <= 2} inside [scan_lo, scan_hi] for a degree-p discriminant."""
-    K = max(64 * degree, 64)
-    j = np.arange(K)
-    nodes = 0.5 * (scan_lo + scan_hi) + 0.5 * (scan_hi - scan_lo) * np.cos(np.pi * j / (K - 1))
-    nodes = nodes[::-1]  # ascending
-    vals = disc(nodes)
-    inside = np.abs(vals) <= 2.0
-
-    inner_pts, outer_pts = [], []
-    # crossings of the |disc| = 2 boundary between adjacent nodes
-    flip = inside[:-1] != inside[1:]
-    for i in np.nonzero(flip)[0]:
-        if inside[i]:
-            inner_pts.append(nodes[i])
-            outer_pts.append(nodes[i + 1])
-        else:
-            inner_pts.append(nodes[i + 1])
-            outer_pts.append(nodes[i])
-    # narrow bands hiding between two outside nodes reveal a sign change of disc
-    hidden = (~inside[:-1]) & (~inside[1:]) & ((vals[:-1] < 0.0) != (vals[1:] < 0.0))
-    for i in np.nonzero(hidden)[0]:
-        seed = _interior_seed(disc, nodes[i], nodes[i + 1], vals[i])
-        if seed is None:
-            continue
-        inner_pts.extend([seed, seed])
-        outer_pts.extend([nodes[i], nodes[i + 1]])
-
-    if not inner_pts:
-        raise RootBracketingFailure(
-            f"scan grid of {K} Chebyshev nodes on [{scan_lo}, {scan_hi}] found no "
-            f"band of the degree-{degree} discriminant"
-        )
-    edges = np.sort(_bisect_boundary(disc, inner_pts, outer_pts, tol))
-
-    # classify the intervals between consecutive edges; midpoints alone are
-    # unreliable when tol exceeds a band's width, so the known interior
-    # points (inside nodes and rescue seeds) also witness their intervals
-    pts = np.concatenate([[scan_lo], edges, [scan_hi]])
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    mid_inside = np.abs(disc(mids)) <= 2.0
-    witness_idx = np.searchsorted(pts, np.sort(inner_pts)) - 1
-    mid_inside[witness_idx[(witness_idx >= 0) & (witness_idx < len(mids))]] = True
-    bands = []
-    for i in np.nonzero(mid_inside)[0]:
-        lo, hi = float(pts[i]), float(pts[i + 1])
-        if bands and lo - bands[-1][1] <= MERGE_FACTOR * tol:
-            bands[-1][1] = hi
-        else:
-            bands.append([lo, hi])
-    if not bands or len(bands) > degree:
-        raise RootBracketingFailure(
-            f"scan grid of {K} Chebyshev nodes on [{scan_lo}, {scan_hi}] isolated "
-            f"{len(bands)} bands for a degree-{degree} discriminant"
-        )
-    return [Band(lo, hi) for lo, hi in bands]
+def _edges(rows: np.ndarray) -> np.ndarray:
+    """Sorted periodic and antiperiodic eigenvalues of each row's Jacobi matrix, (n, 2p)."""
+    n, p = rows.shape
+    i = np.arange(p)
+    out = np.empty((n, 2 * p))
+    for start in range(0, n, EIGEN_BLOCK):
+        v = rows[start:start + EIGEN_BLOCK]
+        h = np.zeros((2, len(v), p, p))
+        h[:, :, i, i] = v
+        h[:, :, i[:-1], i[1:]] = 1.0
+        h[:, :, i[1:], i[:-1]] = 1.0
+        # the boundary phase +1 / -1 adds to both corner entries, which are
+        # the diagonal entry at p = 1 (v +- 2) and the hopping entry at p = 2
+        for phase, sign in enumerate((1.0, -1.0)):
+            h[phase, :, 0, p - 1] += sign
+            h[phase, :, p - 1, 0] += sign
+        ev = np.linalg.eigvalsh(h)
+        edges = np.sort(np.concatenate([ev[0], ev[1]], axis=1), axis=1)
+        out[start:start + len(v)] = _polish(v, edges)
+    return out
 
 
-def potential_bands(pots, bound: float, tol: float = 1e-10) -> list[Band]:
-    """Spectral bands of the periodic operator with one period pots, |pots| <= bound.
+def _polish(rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """One Newton step of |disc(E)| = 2 from each eigenvalue edge, kept only if short.
 
-    Edges are bisected to absolute tolerance tol; bands touching within
-    MERGE_FACTOR * tol are merged.
+    The eigenvalues are within about p * eps * |H| of the true edges.  Across
+    a narrow band |disc| runs from -2 to 2, so that error shows as a large
+    residual of |disc| - 2; the Newton step removes it.  A step longer than
+    POLISH_MARGIN times that error bound is no correction (near a closed gap
+    disc' vanishes) and is dropped.
+    """
+    p = rows.shape[1]
+    E = edges
+    a, b, c, d = np.ones_like(E), np.zeros_like(E), np.zeros_like(E), np.ones_like(E)
+    da, db, dc, dd = np.zeros_like(E), np.zeros_like(E), np.zeros_like(E), np.zeros_like(E)
+    for j in range(p):
+        t = E - rows[:, j:j + 1]
+        a, c, da, dc = t * a - c, a, a + t * da - dc, da
+        b, d, db, dd = t * b - d, b, b + t * db - dd, db
+    disc = a + d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = (disc - np.copysign(2.0, disc)) / (da + dd)
+    scale = 2.0 + np.abs(rows).max(axis=1, keepdims=True)
+    bound = POLISH_MARGIN * p * np.finfo(float).eps * scale
+    return np.sort(np.where(np.abs(step) <= bound, E - step, E), axis=1)
+
+
+def _row_bands(rows: np.ndarray, tol: float):
+    """Flat band edges of each row of potentials, and the band count of each row.
+
+    Neighbouring bands of one row that touch within MERGE_FACTOR * tol merge.
+    """
+    edges = _edges(rows)
+    lo, hi = edges[:, 0::2], edges[:, 1::2]
+    is_open = lo[:, 1:] - hi[:, :-1] > MERGE_FACTOR * tol
+    ones = np.ones((len(rows), 1), dtype=bool)
+    starts = np.hstack([ones, is_open])
+    ends = np.hstack([is_open, ones])
+    return lo[starts], hi[ends], starts.sum(axis=1)
+
+
+def period_potentials(f: SamplingFunction, period: int, m: int = 2):
+    """Labels and potentials (rows) of every sided potential of minimal period `period`.
+
+    f is called once on the whole orbit table.  Each orbit through a
+    breakpoint is followed by the further potentials of its
+    PeriodicOrbit.sided_potentials: its left-limit potential under label
+    "<point>-" when the left-limit values differ.
+    """
+    table = orbit_table(period, m)
+    d = m ** period - 1
+    points = table / d
+    rows = np.asarray(f(points), dtype=float).reshape(table.shape)
+    labels = []
+    for k in table[:, 0].tolist():
+        p0 = CirclePoint(k, d)
+        labels.append(f"{p0.numerator}/{p0.denominator}")
+    hits = np.flatnonzero(f.breakpoint_mask(points).any(axis=1))
+    for i in hits[::-1].tolist():
+        orbit = PeriodicOrbit(period, tuple(CirclePoint(q, d) for q in table[i].tolist()), m)
+        for label, pots in orbit.sided_potentials(f)[:0:-1]:
+            rows = np.insert(rows, i + 1, pots, axis=0)
+            labels.insert(i + 1, label)
+    return labels, rows
+
+
+def period_bands(f: SamplingFunction, period: int, tol: float = 1e-10, m: int = 2) -> PeriodBands:
+    """Bands of every sided potential of minimal period `period` (see period_potentials)."""
+    if tol <= 0.0:
+        raise InvalidParameter("tol must be positive")
+    labels, rows = period_potentials(f, period, m)
+    lo, hi, counts = _row_bands(rows, tol)
+    return PeriodBands(period, labels, lo, hi, np.concatenate([[0], np.cumsum(counts)]))
+
+
+def bands_by_period(f: SamplingFunction, max_period: int, tol: float = 1e-10,
+                    m: int = 2) -> list[PeriodBands]:
+    """period_bands for every period 1 .. max_period."""
+    check_period(max_period, m)
+    return [period_bands(f, p, tol, m) for p in range(1, max_period + 1)]
+
+
+def potential_bands(pots, tol: float = 1e-10) -> list[Band]:
+    """Spectral bands of the periodic operator with one period pots.
+
+    Bands touching within MERGE_FACTOR * tol are merged.
     """
     if tol <= 0.0:
         raise InvalidParameter("tol must be positive")
-    scan_lo, scan_hi = -2.0 - bound - 0.5, 2.0 + bound + 0.5
-    disc = lambda E: trace_over_cycle(pots, E)
-    return _bands_from_disc(disc, len(pots), scan_lo, scan_hi, tol)
+    lo, hi, _ = _row_bands(np.asarray(pots, dtype=float).reshape(1, -1), tol)
+    return [Band(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
 
 
 def periodic_bands(orbit: PeriodicOrbit, f: SamplingFunction, tol: float = 1e-10) -> list[Band]:
@@ -201,34 +234,26 @@ def periodic_bands(orbit: PeriodicOrbit, f: SamplingFunction, tol: float = 1e-10
     The potential is the right-continuous one, f(T^n w); orbit_bands also
     covers the left-limit potential of an orbit through a breakpoint.
     """
-    return potential_bands(orbit.potential_values(f), f.sup_bound(), tol=tol)
+    return potential_bands(orbit.potential_values(f), tol=tol)
 
 
 def orbit_bands(orbit: PeriodicOrbit, f: SamplingFunction,
                 tol: float = 1e-10) -> list[tuple[str, list[Band]]]:
     """Bands of every potential in orbit.sided_potentials(f), under its label."""
-    bound = f.sup_bound()
-    out = []
-    for label, pots in orbit.sided_potentials(f):
-        try:
-            out.append((label, potential_bands(pots, bound, tol=tol)))
-        except RootBracketingFailure as exc:
-            raise RootBracketingFailure(
-                f"orbit {label} (period {orbit.period}): {exc}"
-            ) from exc
-    return out
+    return [(label, potential_bands(pots, tol=tol)) for label, pots in orbit.sided_potentials(f)]
 
 
-def merge_bands(band_lists, tol: float) -> list[Band]:
-    """Union of band intervals, closing gaps up to MERGE_FACTOR * tol."""
-    flat = sorted((b.lo, b.hi) for bands in band_lists for b in bands)
-    merged: list[list[float]] = []
-    for lo, hi in flat:
-        if merged and lo - merged[-1][1] <= MERGE_FACTOR * tol:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return [Band(lo, hi) for lo, hi in merged]
+def merge_bands(per_period, tol: float) -> list[Band]:
+    """Union of the bands of several PeriodBands, closing gaps up to MERGE_FACTOR * tol."""
+    lo = np.concatenate([pb.lo for pb in per_period])
+    hi = np.concatenate([pb.hi for pb in per_period])
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    # sorted by lo, a band opens a new group when it starts beyond the reach
+    # of every band before it
+    reach = np.maximum.accumulate(hi)
+    first = np.flatnonzero(np.concatenate([[True], lo[1:] - reach[:-1] > MERGE_FACTOR * tol]))
+    return [Band(a, b) for a, b in zip(lo[first].tolist(), np.maximum.reduceat(hi, first).tolist())]
 
 
 def union_spectrum(
@@ -236,28 +261,19 @@ def union_spectrum(
     max_period: int,
     tol: float = 1e-10,
     m: int = 2,
-    threads: int = 1,
 ) -> SpectrumApprox:
     """Union of periodic bands over all orbits of minimal period <= max_period.
 
     Each orbit contributes the bands of its right-continuous potential and,
     when it passes through a breakpoint of a step function, of its
-    left-limit potential too (see orbit_bands).  Both lie in the hull, so the
-    union approximates the almost-sure spectrum from inside; for
+    left-limit potential too (see period_potentials).  Both lie in the hull,
+    so the union approximates the almost-sure spectrum from inside; for
     5 * chi_[0,1/2) the left limit at the fixed point 0 is the free potential
     and supplies the band [-2, 2] from period 1 on.
     """
-    orbits = enumerate_orbits(max_period, m=m)
-    bands_of = lambda orbit: orbit_bands(orbit, f, tol=tol)
-    if threads == 1:
-        per_orbit = [bands_of(o) for o in orbits]
-    else:
-        workers = threads if threads > 0 else None
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_orbit = list(pool.map(bands_of, orbits))
-    band_lists = [bands for sided in per_orbit for _, bands in sided]
+    per_period = bands_by_period(f, max_period, tol, m)
     return SpectrumApprox(
-        bands=merge_bands(band_lists, tol), max_period_used=max_period, tol=tol
+        bands=merge_bands(per_period, tol), max_period_used=max_period, tol=tol
     )
 
 
@@ -266,8 +282,8 @@ def gap_report(
 ) -> list[tuple[tuple[float, float], float]]:
     """Interior gaps sorted by length, longest first.
 
-    Gaps shorter than the approximation's resolution are bisection artifacts
-    and are excluded unless explicitly requested.
+    Gaps shorter than the approximation's resolution are below what its
+    merge tolerance resolves and are excluded unless explicitly requested.
     """
     gaps = [(g, g[1] - g[0]) for g in s.gaps]
     if not include_below_resolution:

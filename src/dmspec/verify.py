@@ -1,9 +1,9 @@
 """End-to-end verification checks shared by the CLI and the acceptance suite.
 
 Every check returns a dict with name, passed, and detail, and is independent
-of the code path it validates: band edges are checked against dense
-eigenvalue computations, Sturm counts against a dense solver, winding rates
-against density-of-states complements.
+of the code path it validates: eigenvalue band edges are checked against a
+bisection of the Floquet discriminant, Sturm counts against a dense solver,
+winding rates against density-of-states complements.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from . import cocycle, ids, schwartzman, spectrum
 from .dynamics import BackwardDigits, enumerate_orbits
-from .errors import DmspecError
+from .errors import DmspecError, RootBracketingFailure
 from .sampling import SamplingFunction
 
 
@@ -37,35 +37,109 @@ class VerifyScale:
     threads: int = 1
 
 
-def floquet_edge_oracle(pots, merge_gap: float = 1e-9) -> list[spectrum.Band]:
-    """Band edges from the p x p periodic and antiperiodic eigenproblems.
+def _bisect_boundary(disc, inner, outer, tol):
+    """Move each (inside, outside) bracket onto the |disc| = 2 boundary."""
+    inner = np.asarray(inner, dtype=float).copy()
+    outer = np.asarray(outer, dtype=float).copy()
+    while np.max(np.abs(outer - inner), initial=0.0) > tol:
+        mid = 0.5 * (inner + outer)
+        is_in = np.abs(disc(mid)) <= 2.0
+        inner = np.where(is_in, mid, inner)
+        outer = np.where(is_in, outer, mid)
+    return 0.5 * (inner + outer)
 
-    This is the standard Floquet edge characterization, computed by a dense
-    symmetric eigensolver, independent of the discriminant bisection path.
+
+def _interior_seed(disc, a, b, fa):
+    """A point with |disc| <= 2 inside (a, b), given a sign change of disc.
+
+    Bisection on the sign must pass through the band around the zero; the
+    band can be far narrower than the scan spacing, which is exactly the
+    case this rescues.
     """
-    pots = [float(v) for v in pots]
-    p = len(pots)
-    if p == 1:
-        return [spectrum.Band(pots[0] - 2.0, pots[0] + 2.0)]
-    H = np.diag(pots) + np.diag(np.ones(p - 1), 1) + np.diag(np.ones(p - 1), -1)
-    Hp = H.copy()
-    Ha = H.copy()
-    if p == 2:
-        # the corner coincides with the hopping entry: phases add
-        Hp[0, 1] = Hp[1, 0] = 2.0
-        Ha[0, 1] = Ha[1, 0] = 0.0
-    else:
-        Hp[0, p - 1] = Hp[p - 1, 0] = 1.0
-        Ha[0, p - 1] = Ha[p - 1, 0] = -1.0
-    edges = np.sort(np.concatenate([np.linalg.eigvalsh(Hp), np.linalg.eigvalsh(Ha)]))
+    lo, hi, flo = a, b, fa
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = float(disc(np.array([mid]))[0])
+        if abs(fm) <= 2.0:
+            return mid
+        if (fm < 0.0) == (flo < 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+        if hi - lo <= 1e-15 * max(1.0, abs(lo)):
+            return None
+    return None
+
+
+def _bands_from_disc(disc, degree, scan_lo, scan_hi, tol):
+    """Bands of {|disc| <= 2} inside [scan_lo, scan_hi] for a degree-p discriminant."""
+    K = max(64 * degree, 64)
+    j = np.arange(K)
+    nodes = 0.5 * (scan_lo + scan_hi) + 0.5 * (scan_hi - scan_lo) * np.cos(np.pi * j / (K - 1))
+    nodes = nodes[::-1]  # ascending
+    vals = disc(nodes)
+    inside = np.abs(vals) <= 2.0
+
+    inner_pts, outer_pts = [], []
+    # crossings of the |disc| = 2 boundary between adjacent nodes
+    flip = inside[:-1] != inside[1:]
+    for i in np.nonzero(flip)[0]:
+        if inside[i]:
+            inner_pts.append(nodes[i])
+            outer_pts.append(nodes[i + 1])
+        else:
+            inner_pts.append(nodes[i + 1])
+            outer_pts.append(nodes[i])
+    # narrow bands hiding between two outside nodes reveal a sign change of disc
+    hidden = (~inside[:-1]) & (~inside[1:]) & ((vals[:-1] < 0.0) != (vals[1:] < 0.0))
+    for i in np.nonzero(hidden)[0]:
+        seed = _interior_seed(disc, nodes[i], nodes[i + 1], vals[i])
+        if seed is None:
+            continue
+        inner_pts.extend([seed, seed])
+        outer_pts.extend([nodes[i], nodes[i + 1]])
+
+    if not inner_pts:
+        raise RootBracketingFailure(
+            f"scan grid of {K} Chebyshev nodes on [{scan_lo}, {scan_hi}] found no "
+            f"band of the degree-{degree} discriminant"
+        )
+    edges = np.sort(_bisect_boundary(disc, inner_pts, outer_pts, tol))
+
+    # classify the intervals between consecutive edges; midpoints alone are
+    # unreliable when tol exceeds a band's width, so the known interior
+    # points (inside nodes and rescue seeds) also witness their intervals
+    pts = np.concatenate([[scan_lo], edges, [scan_hi]])
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    mid_inside = np.abs(disc(mids)) <= 2.0
+    witness_idx = np.searchsorted(pts, np.sort(inner_pts)) - 1
+    mid_inside[witness_idx[(witness_idx >= 0) & (witness_idx < len(mids))]] = True
     bands = []
-    for i in range(p):
-        lo, hi = float(edges[2 * i]), float(edges[2 * i + 1])
-        if bands and lo - bands[-1][1] <= merge_gap:
-            bands[-1][1] = max(bands[-1][1], hi)
+    for i in np.nonzero(mid_inside)[0]:
+        lo, hi = float(pts[i]), float(pts[i + 1])
+        if bands and lo - bands[-1][1] <= spectrum.MERGE_FACTOR * tol:
+            bands[-1][1] = hi
         else:
             bands.append([lo, hi])
+    if not bands or len(bands) > degree:
+        raise RootBracketingFailure(
+            f"scan grid of {K} Chebyshev nodes on [{scan_lo}, {scan_hi}] isolated "
+            f"{len(bands)} bands for a degree-{degree} discriminant"
+        )
     return [spectrum.Band(lo, hi) for lo, hi in bands]
+
+
+def discriminant_bands(pots, bound: float, tol: float = 1e-10) -> list[spectrum.Band]:
+    """Bands of {|disc| <= 2} for one period pots with |pots| <= bound.
+
+    The oracle of the eigenvalue engine: a Chebyshev scan of the Floquet
+    discriminant with a sign-change rescue for narrow bands, then bracketed
+    bisection of each edge to absolute tolerance tol.  It can miss bands
+    narrower than its rescue resolves, at periods of 9 and more.
+    """
+    scan_lo, scan_hi = -2.0 - bound - 0.5, 2.0 + bound + 0.5
+    disc = lambda E: cocycle.trace_over_cycle(pots, E)
+    return _bands_from_disc(disc, len(pots), scan_lo, scan_hi, tol)
 
 
 def dense_eigen_count(values, E: float) -> int:
@@ -142,29 +216,52 @@ def check_sturm_counts(seed: int = 0, cases: int = 20, max_size: int = 64) -> di
 
 def check_band_edge_oracle(f: SamplingFunction, max_period: int = 8,
                            tol: float = 1e-6, band_tol: float = 1e-10) -> dict:
-    # every sided potential is checked, so the left-limit bands of orbits
-    # through a breakpoint meet the same bound as the right-continuous ones
+    # the eigenvalue engine against the discriminant bisection on every
+    # sided potential, taken per orbit from PeriodicOrbit.sided_potentials;
+    # the discriminant at every engine edge; and the period-1 union against
+    # its closed form from f(0) and f(0-), which sees a dropped left limit
     def run():
-        worst = 0.0
-        left_count = 0
-        for orbit in enumerate_orbits(max_period):
-            sided = orbit.sided_potentials(f)
-            left_count += len(sided) - 1
-            for label, pots in sided:
-                primary = spectrum.potential_bands(pots, f.sup_bound(), tol=band_tol)
-                oracle = floquet_edge_oracle(pots, merge_gap=spectrum.MERGE_FACTOR * band_tol)
-                if len(primary) != len(oracle):
-                    return False, (
-                        f"orbit {label}: {len(primary)} bands vs oracle {len(oracle)}"
-                    )
-                for bp, bo in zip(primary, oracle):
-                    worst = max(worst, abs(bp.lo - bo.lo), abs(bp.hi - bo.hi))
-        detail = f"max edge deviation {worst:.2e} over periods <= {max_period}"
+        bound = f.sup_bound()
+        oracle = [(o.period, label, pots) for o in enumerate_orbits(max_period)
+                  for label, pots in o.sided_potentials(f)]
+        engine = [(pb.period, label, pb.bands(i))
+                  for pb in spectrum.bands_by_period(f, max_period, tol=band_tol)
+                  for i, label in enumerate(pb.labels)]
+        if [x[:2] for x in engine] != [x[:2] for x in oracle]:
+            differ = sorted({x[1] for x in oracle} ^ {x[1] for x in engine})
+            return False, f"engine and orbit potentials differ: {differ[:5]}"
+        worst = residual = 0.0
+        for (_, label, pots), (_, _, primary) in zip(oracle, engine):
+            ref = discriminant_bands(pots, bound, tol=band_tol)
+            if len(primary) != len(ref):
+                return False, f"orbit {label}: {len(primary)} bands vs oracle {len(ref)}"
+            for bp, bo in zip(primary, ref):
+                worst = max(worst, abs(bp.lo - bo.lo), abs(bp.hi - bo.hi))
+            edges = [x for b in primary for x in (b.lo, b.hi)]
+            disc = cocycle.trace_over_cycle(pots, edges)
+            residual = max(residual, float(np.max(np.abs(np.abs(disc) - 2.0))))
+        closed = _period_one_closed_form(f)
+        union = [(b.lo, b.hi) for b in spectrum.union_spectrum(f, 1, tol=band_tol).bands]
+        if len(union) != len(closed):
+            return False, f"period-1 union {union} vs closed form {closed}"
+        closed_dev = max(abs(a - b) for u, c in zip(union, closed) for a, b in zip(u, c))
+        left_count = sum(label.endswith("-") for _, label, _ in oracle)
+        detail = (f"max edge deviation {worst:.2e}, max ||disc| - 2| {residual:.2e} "
+                  f"over periods <= {max_period}")
         if left_count:
             detail += f", incl. {left_count} left-limit potential(s)"
-        return worst < tol, detail
+        detail += f"; period-1 union vs closed form {closed_dev:.2e}"
+        return max(worst, residual, closed_dev) < tol, detail
 
     return _check("band_edges_vs_eigen_oracle", run)
+
+
+def _period_one_closed_form(f: SamplingFunction) -> list[tuple[float, float]]:
+    """The period-1 band union [f(0) - 2, f(0) + 2] u [f(0-) - 2, f(0-) + 2]."""
+    v0, v1 = sorted((float(f(0.0)), float(f.left_limit(0.0))))
+    if v1 - v0 <= 4.0:
+        return [(v0 - 2.0, v1 + 2.0)]
+    return [(v0 - 2.0, v0 + 2.0), (v1 - 2.0, v1 + 2.0)]
 
 
 def check_determinants(f: SamplingFunction, hull, seed: int = 0) -> dict:
@@ -225,7 +322,7 @@ def check_containment(f: SamplingFunction, scale: VerifyScale) -> dict:
         center = float(f(0.0))
         lo, hi = center - 2.0, center + 2.0
         for period in range(1, scale.max_period + 1):
-            s = spectrum.union_spectrum(f, period, tol=scale.band_tol, threads=scale.threads)
+            s = spectrum.union_spectrum(f, period, tol=scale.band_tol)
             if not covers_interval(s, lo, hi, 1e-6):
                 return False, f"union at max_period={period} misses [{lo}, {hi}]"
         return True, f"[{lo:.3f}, {hi:.3f}] covered at every max_period 1..{scale.max_period}"
@@ -237,7 +334,7 @@ def check_gap_shrinkage(f: SamplingFunction, scale: VerifyScale) -> dict:
     def run():
         maxgaps = []
         for period in scale.shrink_periods:
-            s = spectrum.union_spectrum(f, period, tol=scale.band_tol, threads=scale.threads)
+            s = spectrum.union_spectrum(f, period, tol=scale.band_tol)
             report = spectrum.gap_report(s)
             maxgaps.append(report[0][1] if report else 0.0)
         seq = ", ".join(f"{g:.3g}" for g in maxgaps)
@@ -251,8 +348,7 @@ def check_gap_shrinkage(f: SamplingFunction, scale: VerifyScale) -> dict:
 
 def check_gap_labelling(f: SamplingFunction, scale: VerifyScale, seed: int = 0) -> dict:
     def run():
-        s = spectrum.union_spectrum(f, scale.max_period, tol=scale.band_tol,
-                                    threads=scale.threads)
+        s = spectrum.union_spectrum(f, scale.max_period, tol=scale.band_tol)
         grid = ids.default_energy_grid(s.hull, scale.grid_points)
         table = ids.ids_estimate(f, grid, scale.truncation_size, scale.sample_count,
                                  seed=seed, threads=scale.threads)
@@ -279,8 +375,7 @@ def check_gap_labelling(f: SamplingFunction, scale: VerifyScale, seed: int = 0) 
 
 def check_disconnection(f: SamplingFunction, scale: VerifyScale, seed: int = 0) -> dict:
     def run():
-        coarse = spectrum.union_spectrum(f, scale.max_period, tol=scale.coarse_tol,
-                                         threads=scale.threads)
+        coarse = spectrum.union_spectrum(f, scale.max_period, tol=scale.coarse_tol)
         # gaps surviving the coarse merge are genuine at that scale; the
         # below-resolution filter of gap_report is meant for fine tolerances
         if len(coarse.bands) < 2:
@@ -312,8 +407,7 @@ def run_verification(f: SamplingFunction, scale: VerifyScale | None = None,
                      seed: int = 0) -> dict:
     """The full check battery for one sampling function."""
     scale = scale or VerifyScale()
-    base = spectrum.union_spectrum(f, min(scale.max_period, 8), tol=scale.band_tol,
-                                   threads=scale.threads)
+    base = spectrum.union_spectrum(f, min(scale.max_period, 8), tol=scale.band_tol)
     hull = base.hull
     checks = [
         check_sturm_counts(seed=seed),

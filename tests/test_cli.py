@@ -7,6 +7,7 @@ import io
 import json
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,7 @@ def write_config(tmp_path, obj, name="config.json"):
     return str(path)
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BERNOULLI_CFG = {"type": "step", "breaks": [0.0, 0.5], "values": [5.0, 0.0],
                  "command": {"max_period": 4}}
 COSINE_CFG = {"type": "trigpoly", "const": 0.0, "cos": [1.0], "sin": [],
@@ -177,6 +179,19 @@ class TestRotation:
         code, _ = run_cli(["rotation"])
         assert code == 2
 
+    def test_band_tol_leaves_integrality_alone(self, tmp_path):
+        # "tol" is the band tolerance; the verdicts read "integrality_tol"
+        base = json.loads((CONFIGS / "cosine-half.json").read_text(encoding="utf-8"))
+        verdicts = {}
+        for key, value in (("tol", 1e-10), ("integrality_tol", 1e-10)):
+            cfg = json.loads(json.dumps(base))
+            cfg["command"][key] = value
+            code, out = run_cli(["rotation", "--config", write_config(tmp_path, cfg)])
+            assert code == 0
+            verdicts[key] = [(r["verdict"], r["integer"]) for r in json.loads(out)["rotation"]]
+        assert verdicts["tol"] == [("integer", 0), ("integer", 1)]
+        assert verdicts["integrality_tol"] == [("inconclusive", None)] * 2
+
 
 class TestVerify:
     def test_small_scale_free_config(self, tmp_path):
@@ -221,3 +236,10 @@ class TestErrors:
         cfg = write_config(tmp_path, {"type": "mystery"})
         code, _ = run_cli(["bands", "--config", cfg])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["bands", "spectrum"])
+    def test_period_over_table_capacity(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, {**BERNOULLI_CFG, "command": {"max_period": 62}})
+        code, _ = run_cli([command, "--config", cfg])
+        assert code == 2
+        assert "max period for m = 2 is 61" in capsys.readouterr().err

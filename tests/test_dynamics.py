@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,25 @@ from dmspec import (
     max_safe_period,
     solenoid_forward,
 )
+from dmspec.dynamics import max_table_period, orbit_table
+
+
+def loop_orbit_table(p, m=2):
+    """The per-point enumeration that orbit_table replaced, as integer rows."""
+    d = m**p - 1
+    rows = []
+    for k in range(d):
+        cycle = [k]
+        x = k * m % d
+        while x != k:
+            if x < k:
+                break
+            cycle.append(x)
+            x = x * m % d
+        else:
+            if len(cycle) == p:
+                rows.append(cycle)
+    return rows
 
 
 def brute_force_orbits(max_period, m=2):
@@ -135,6 +155,20 @@ class TestEnumerateOrbits:
         assert max_safe_period(2) == 126
         with pytest.raises(CapacityExceeded, match="126"):
             enumerate_orbits(127)
+
+    def test_int64_table_guard(self):
+        # m^(p+1) must stay below 2^63; the guard raises before any table
+        assert max_table_period(2) == 61 and max_table_period(3) == 38
+        for fn in (enumerate_orbits, orbit_table):
+            with pytest.raises(CapacityExceeded, match="int64.*max period for m = 2 is 61"):
+                fn(62)
+
+    @pytest.mark.parametrize("m,max_period", [(2, 12), (3, 12)])
+    def test_table_matches_loop(self, m, max_period):
+        for p in range(1, max_period + 1):
+            table = orbit_table(p, m)
+            assert table.dtype == np.int64 and table.shape[1] == p
+            assert table.tolist() == loop_orbit_table(p, m)
 
 
 class TestBackwardExtension:

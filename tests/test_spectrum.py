@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmspec import (
     Band,
-    RootBracketingFailure,
     SpectrumApprox,
     TrigPoly,
     bernoulli,
@@ -17,14 +20,16 @@ from dmspec import (
     periodic_bands,
     union_spectrum,
 )
-from dmspec.spectrum import _bands_from_disc, orbit_bands
+from dmspec import spectrum
+from dmspec.spectrum import RESOLUTION_FACTOR, orbit_bands, period_bands, potential_bands
 
 FREE = TrigPoly()
 
 
 def eigen_band_oracle(pots, merge_gap=1e-9):
     """Floquet band edges as eigenvalues of the p x p matrices with corner
-    phases 0 and pi; independent of the bisection path under test."""
+    phases 0 and pi, one matrix at a time; independent of the batched
+    engine under test."""
     pots = [float(v) for v in pots]
     p = len(pots)
     if p == 1:
@@ -94,8 +99,8 @@ class TestPeriodicBands:
             assert bands[0].hi == pytest.approx(2.0, abs=1e-9)
 
     def test_narrow_band_found(self):
-        # strong Bernoulli coupling makes slivers far narrower than the scan
-        # spacing; the sign-change rescue must still isolate them
+        # strong Bernoulli coupling makes very narrow bands; at tol = 1e-12
+        # none may be lost or merged with a neighbour
         f = bernoulli(5.0)
         for orbit in enumerate_orbits(6):
             bands = periodic_bands(orbit, f, tol=1e-12)
@@ -116,10 +121,78 @@ class TestPeriodicBands:
         for orbit in enumerate_orbits(4):
             assert len(orbit_bands(orbit, cosine(0.5))) == 1
 
-    def test_bracketing_failure_reported(self):
-        disc = lambda E: np.asarray(E) ** 2 + 3.0  # never within [-2, 2]
-        with pytest.raises(RootBracketingFailure, match="no band"):
-            _bands_from_disc(disc, 2, -5.0, 5.0, 1e-10)
+    def test_narrow_bands_at_period_twelve(self):
+        # the discriminant scan found 8 of these 12 bands, missing the two
+        # slivers near 6.5 and closing the gaps near -0.2 and 3.71
+        pb = period_bands(bernoulli(5.0), 12)
+        bands = pb.bands(pb.labels.index("109/1365"))
+        assert len(bands) == 12
+        for lo, hi in ((6.4933, 6.4953), (6.5038, 6.5057)):
+            assert any(abs(b.lo - lo) < 1e-4 and abs(b.hi - hi) < 1e-4 for b in bands)
+
+    def test_dense_eigenvalues_at_period_twelve(self):
+        # the scan was 4.48 off in Hausdorff distance on this orbit
+        f = bernoulli(5.0)
+        orbit = next(o for o in enumerate_orbits(12) if o.label() == "103/455")
+        oracle = eigen_band_oracle(orbit.potential_values(f))
+        pb = period_bands(f, 12)
+        bands = pb.bands(pb.labels.index("103/455"))
+        assert len(bands) == len(oracle)
+        for b, (lo, hi) in zip(bands, oracle):
+            assert abs(b.lo - lo) < 1e-6 and abs(b.hi - hi) < 1e-6
+
+    def test_period_bands_match_orbit_bands(self, monkeypatch):
+        # the batched period engine and the one-orbit path give the same
+        # labels and bands, left-limit potentials included, across blocks
+        monkeypatch.setattr(spectrum, "EIGEN_BLOCK", 4)
+        f = bernoulli(5.0)
+        for p in range(1, 7):
+            pb = period_bands(f, p)
+            sided = [x for o in enumerate_orbits(p) if o.period == p
+                     for x in orbit_bands(o, f)]
+            assert pb.labels == [label for label, _ in sided]
+            for i, (_, bands) in enumerate(sided):
+                got = pb.bands(i)
+                assert len(got) == len(bands)
+                for a, b in zip(got, bands):
+                    assert abs(a.lo - b.lo) < 1e-12 and abs(a.hi - b.hi) < 1e-12
+
+
+def exact_disc(pots, energies):
+    """Floquet discriminant in exact rational arithmetic at float energies.
+
+    Near a nearly closed gap |disc| - 2 can be below the rounding of a float
+    transfer product, so the property below evaluates it exactly.
+    """
+    out = []
+    for E in energies:
+        E = Fraction(E)
+        a, b, c, d = Fraction(1), Fraction(0), Fraction(0), Fraction(1)
+        for v in pots:
+            t = E - Fraction(v)
+            a, c = t * a - c, a
+            b, d = t * b - d, b
+        out.append(a + d)
+    return out
+
+
+class TestDiscriminantProperty:
+    # the edges are eigenvalues; the discriminant must sit at +-2 there,
+    # within 2 inside every band and beyond 2 inside every resolved gap
+    @given(pots=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=10))
+    @settings(max_examples=200, deadline=None)
+    def test_edges_bands_and_gaps(self, pots):
+        bands = potential_bands(pots)
+        edges = [x for b in bands for x in (b.lo, b.hi)]
+        assert max(abs(abs(D) - 2) for D in exact_disc(pots, edges)) <= 1e-6
+        mids = [0.5 * (b.lo + b.hi) for b in bands]
+        # a band may hold a merged gap narrower than MERGE_FACTOR * tol, where
+        # |disc| exceeds 2 by far less than the edge bound
+        assert all(abs(D) <= 2 + 1e-6 for D in exact_disc(pots, mids))
+        resolution = RESOLUTION_FACTOR * 1e-10
+        gap_mids = [0.5 * (a.hi + b.lo) for a, b in zip(bands, bands[1:])
+                    if b.lo - a.hi > resolution]
+        assert all(abs(D) > 2 for D in exact_disc(pots, gap_mids))
 
 
 class TestUnionSpectrum:
@@ -153,12 +226,6 @@ class TestUnionSpectrum:
         for band in small.bands:
             for x in np.linspace(band.lo, band.hi, 7):
                 assert big.covers(float(x), slack=1e-8)
-
-    def test_threads_deterministic(self):
-        f = bernoulli(5.0)
-        a = union_spectrum(f, 6, threads=1)
-        b = union_spectrum(f, 6, threads=4)
-        assert [(x.lo, x.hi) for x in a.bands] == [(x.lo, x.hi) for x in b.bands]
 
 
 class TestGapReport:
