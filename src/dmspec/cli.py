@@ -2,7 +2,8 @@
 
 Subcommands: bands, spectrum, gaps, ids, rotation, verify.  A JSON config
 supplies the sampling function (sampling-module schema) plus a "command"
-object with numeric parameters; flags override seed, output format and paths.
+object whose keys are the fields of verify.Params; flags override seed,
+energies, output format and paths.
 Outputs are deterministic for a fixed config: CSV (RFC 4180) or JSON, plus
 optional SVG figures.  Exit codes: 0 success, 1 verification failure, 2 usage
 or configuration error.
@@ -14,7 +15,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
+from dataclasses import replace
 
 from . import ids, sampling, schwartzman, spectrum, svgplot, verify
 from .errors import DmspecError, NotHyperbolic
@@ -24,17 +27,32 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _load_config(path: str | None):
-    if path is None:
-        return sampling.TrigPoly(), {}
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise DmspecError("config must be a JSON object")
-    params = obj.pop("command", {})
-    if not isinstance(params, dict):
-        raise DmspecError("'command' must be a JSON object")
-    return sampling.from_json(obj), params
+def _load_config(args, defaults: verify.Params = verify.Params()):
+    """The sampling function and the parameters of args.config, with --seed and --energies."""
+    f, params = sampling.TrigPoly(), defaults
+    if args.config is not None:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise DmspecError("config must be a JSON object")
+        params = defaults.updated(obj.pop("command", {}))
+        f = sampling.from_json(obj)
+    if args.seed is not None:
+        params = replace(params, seed=args.seed)
+    if getattr(args, "energies", None) is not None:
+        params = replace(params, energies=args.energies)
+    return f, params
+
+
+def _energy_list(text: str) -> tuple[float, ...]:
+    """The --energies value: comma-separated finite numbers."""
+    try:
+        energies = tuple(float(x) for x in text.split(","))
+    except ValueError:
+        energies = (math.nan,)
+    if not all(map(math.isfinite, energies)):
+        raise argparse.ArgumentTypeError(f"want comma-separated finite numbers, got {text!r}")
+    return energies
 
 
 def _emit(args, payload_json, rows, header):
@@ -55,16 +73,9 @@ def _emit(args, payload_json, rows, header):
         sys.stdout.write(text)
 
 
-def _seed_of(args, params) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(params.get("seed", 0))
-
-
 def cmd_bands(args) -> int:
-    f, params = _load_config(args.config)
-    max_period = int(params.get("max_period", 6))
-    tol = float(params.get("tol", 1e-10))
+    f, params = _load_config(args)
+    max_period, tol = params.max_period, params.tol
     # a left-limit potential follows its orbit under the label "<point>-"
     per_period = spectrum.bands_by_period(f, max_period, tol)
     merged = spectrum.SpectrumApprox(
@@ -95,10 +106,8 @@ def cmd_bands(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    f, params = _load_config(args.config)
-    max_period = int(params.get("max_period", 6))
-    tol = float(params.get("tol", 1e-10))
-    s = spectrum.union_spectrum(f, max_period, tol=tol)
+    f, params = _load_config(args)
+    s = spectrum.union_spectrum(f, params.max_period, tol=params.tol)
     rows = [[i, _fmt(b.lo), _fmt(b.hi)] for i, b in enumerate(s.bands)]
     payload = s.to_json()
     payload["hull"] = list(s.hull)
@@ -110,10 +119,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_gaps(args) -> int:
-    f, params = _load_config(args.config)
-    max_period = int(params.get("max_period", 6))
-    tol = float(params.get("tol", 1e-10))
-    s = spectrum.union_spectrum(f, max_period, tol=tol)
+    f, params = _load_config(args)
+    s = spectrum.union_spectrum(f, params.max_period, tol=params.tol)
     report = spectrum.gap_report(s, include_below_resolution=True)
     rows = []
     gaps_json = []
@@ -128,18 +135,11 @@ def cmd_gaps(args) -> int:
 
 
 def cmd_ids(args) -> int:
-    f, params = _load_config(args.config)
-    seed = _seed_of(args, params)
-    max_period = int(params.get("max_period", 6))
-    s = spectrum.union_spectrum(f, max_period, tol=float(params.get("tol", 1e-10)))
-    grid = ids.default_energy_grid(s.hull, int(params.get("grid_points", 2001)))
-    table = ids.ids_estimate(
-        f, grid,
-        truncation_size=int(params.get("N", 512)),
-        sample_count=int(params.get("M", 64)),
-        seed=seed,
-        threads=args.threads,
-    )
+    f, params = _load_config(args)
+    s = spectrum.union_spectrum(f, params.max_period, tol=params.tol)
+    grid = ids.default_energy_grid(s.hull, params.grid_points)
+    table = ids.ids_estimate(f, grid, truncation_size=params.N, sample_count=params.M,
+                             seed=params.seed)
     rows = [[_fmt(e), _fmt(k)] for e, k in zip(table.energies, table.k_values)]
     payload = table.to_json()
     payload["tolerance"] = table.tolerance
@@ -150,32 +150,21 @@ def cmd_ids(args) -> int:
 
 
 def cmd_rotation(args) -> int:
-    f, params = _load_config(args.config)
-    seed = _seed_of(args, params)
-    if args.energies:
-        energies = [float(x) for x in args.energies.split(",")]
-    else:
-        energies = [float(x) for x in params.get("energies", [])]
-    if not energies:
+    f, params = _load_config(args)
+    if not params.energies:
         raise DmspecError("rotation requires energies (config command.energies or --energies)")
     rows = []
     payload = []
-    for E in energies:
+    for E in params.energies:
         try:
             est = schwartzman.rotation_number(
-                f, E,
-                omega_samples=int(params.get("omega_samples", 32)),
-                steps=int(params.get("steps", 2000)),
-                substeps=int(params.get("substeps", 64)),
-                seed=seed,
-                depth=int(params.get("depth", 60)),
-            )
+                f, E, omega_samples=params.omega_samples, steps=params.steps,
+                substeps=params.substeps, seed=params.seed, depth=params.depth)
         except NotHyperbolic:
             rows.append([_fmt(E), "", "", "not_hyperbolic", ""])
             payload.append({"E": E, "verdict": "not_hyperbolic"})
             continue
-        verdict = schwartzman.integrality_check(
-            est, tol=float(params.get("integrality_tol", 0.01)))
+        verdict = schwartzman.integrality_check(est, tol=params.integrality_tol)
         rows.append([
             _fmt(E), _fmt(est.value), _fmt(est.stderr),
             verdict.verdict.value,
@@ -192,24 +181,8 @@ def cmd_rotation(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    f, params = _load_config(args.config)
-    seed = _seed_of(args, params)
-    scale = verify.VerifyScale(
-        max_period=int(params.get("max_period", 10)),
-        shrink_periods=tuple(params.get("shrink_periods", (4, 6, 8, 10, 12))),
-        band_tol=float(params.get("tol", 1e-10)),
-        coarse_tol=float(params.get("coarse_tol", 0.02)),
-        truncation_size=int(params.get("N", 512)),
-        sample_count=int(params.get("M", 64)),
-        grid_points=int(params.get("grid_points", 2001)),
-        steps=int(params.get("steps", 2000)),
-        omega_samples=int(params.get("omega_samples", 32)),
-        substeps=int(params.get("substeps", 64)),
-        depth=int(params.get("depth", 60)),
-        oracle_max_period=int(params.get("oracle_max_period", 8)),
-        threads=args.threads,
-    )
-    report = verify.run_verification(f, scale, seed=seed)
+    f, params = _load_config(args, verify.VERIFY_DEFAULTS)
+    report = verify.run_verification(f, params)
     rows = [[c["name"], str(c["passed"]).lower(), c["detail"]] for c in report["checks"]]
     _emit(args, report, rows, ["check", "passed", "detail"])
     return 0 if report["all_passed"] else 1
@@ -222,8 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output file (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="json")
     common.add_argument("--plot", help="write an SVG figure to this path")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads of the IDS estimate; 0 means all cores")
     parser = argparse.ArgumentParser(
         prog="dmspec",
         description="Spectra, density of states, and rotation numbers for "
@@ -240,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="integrated density of states table").set_defaults(fn=cmd_ids)
     rot = sub.add_parser("rotation", parents=[common],
                          help="rotation numbers with integrality verdicts")
-    rot.add_argument("--energies", help="comma-separated energies (overrides config)")
+    rot.add_argument("--energies", type=_energy_list,
+                     help="comma-separated energies (overrides config)")
     rot.set_defaults(fn=cmd_rotation)
     sub.add_parser("verify", parents=[common],
                    help="run the verification suite").set_defaults(fn=cmd_verify)

@@ -15,12 +15,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import BackwardDigits, PeriodicOrbit
+from .dynamics import BackwardDigits, PeriodicOrbit, enumerate_orbits
 from .errors import DegenerateSingularValues, InvalidParameter
-from .sampling import SamplingFunction, forward_orbit
+from .sampling import SamplingFunction, forward_orbit, random_orbit
 
 #: singular values closer than this admit no contracted direction
 DEGENERACY_GAP = 1e-9
+#: most_contracted_direction's bound on its depth vs depth/2 direction distance
+DIRECTION_CONV_TOL = 1e-8
+#: dichotomy_test's bound on the same distance, which decays like
+#: exp(-rate * depth); 1e-5 at the default depth of 60 resolves rates down to
+#: about 0.2 (the free case at |E| = 2.05) while leaving in-band energies
+#: undetected
+DICHOTOMY_CONV_TOL = 1e-5
+#: dichotomy_test's bound on the invariance residual of A(w) L(w) against L(T w)
+INVARIANCE_TOL = 1e-6
+#: the smallest norm-growth exponent dichotomy_test accepts as hyperbolic
+RATE_FLOOR = 1e-3
+#: dichotomy_test probes every periodic point of minimal period up to this
+PROBE_PERIODS = 8
 
 
 def step_matrix(E: float, v: float) -> np.ndarray:
@@ -176,14 +189,14 @@ def most_contracted_direction(
     depth: int,
     digits: BackwardDigits | None = None,
     m: int = 2,
-    conv_tol: float = 1e-8,
 ) -> tuple[Direction, bool]:
     """Direction most contracted by the depth-step product at omega.
 
     Returns (direction, converged); converged compares the answers at depth
-    and depth // 2 in projective distance.  The result depends only on the
-    forward orbit of omega; an optional BackwardDigits argument is accepted
-    for solenoid-point anchors and has no effect on the value.
+    and depth // 2 in projective distance against DIRECTION_CONV_TOL.  The
+    result depends only on the forward orbit of omega; an optional
+    BackwardDigits argument is accepted for solenoid-point anchors and has no
+    effect on the value.
     """
     del digits  # forward products never read the backward fiber
     if depth < 2:
@@ -197,7 +210,7 @@ def most_contracted_direction(
             f"less than {DEGENERACY_GAP}; no contracted direction"
         )
     angles_half = snaps[half][0]
-    converged = bool(_projective_distance(angles[0], angles_half[0]) < conv_tol)
+    converged = bool(_projective_distance(angles[0], angles_half[0]) < DIRECTION_CONV_TOL)
     return Direction(float(angles[0])), converged
 
 
@@ -219,29 +232,21 @@ def dichotomy_test(
     depth: int = 60,
     seed: int = 0,
     m: int = 2,
-    conv_tol: float = 1e-5,
-    invariance_tol: float = 1e-6,
-    rate_floor: float = 1e-3,
-    probe_periods: int = 8,
 ) -> DichotomyReport:
     """Sample-based exponential-dichotomy check at energy E.
 
     Draws sample_count uniform circle points, computes most-contracted
     directions of depth-step products at each point and its image, and
-    declares hyperbolicity iff every sample converges, the directions satisfy
-    the invariance identity A(w) L(w) = L(T w) within invariance_tol, and the
-    minimal norm-growth exponent clears rate_floor.  The report always
+    declares hyperbolicity iff every sample converges (its depth and depth/2
+    direction estimates agree within DICHOTOMY_CONV_TOL), the directions
+    satisfy the invariance identity A(w) L(w) = L(T w) within INVARIANCE_TOL,
+    and the minimal norm-growth exponent clears RATE_FLOOR.  The report always
     carries the verdict; nothing is raised for a negative answer.
-
-    conv_tol bounds the projective distance between the depth and depth/2
-    direction estimates, which decays like exp(-rate * depth); 1e-5 at the
-    default depth of 60 resolves rates down to about 0.2 (the free case at
-    |E| = 2.05) while leaving in-band energies undetected.
 
     Uniform draws alone cannot refute hyperbolicity at energies where the
     almost-sure exponent is positive inside the spectrum (the section exists
     a.e. but is not continuous), so the sample set also probes the periodic
-    points of minimal period <= probe_periods: the dichotomy must be uniform
+    points of minimal period <= PROBE_PERIODS: the dichotomy must be uniform
     over the whole support, and on a periodic orbit whose band contains E the
     monodromy is elliptic and the direction estimates never settle.  The
     probes are the orbits' sided potentials (PeriodicOrbit.sided_potentials),
@@ -249,17 +254,14 @@ def dichotomy_test(
     """
     if sample_count < 1 or depth < 8:
         raise InvalidParameter("need sample_count >= 1 and depth >= 8")
-    from .dynamics import enumerate_orbits
-    from .sampling import random_orbit
 
     rng = np.random.default_rng(seed)
     orbits = np.stack([random_orbit(rng, depth + 1, m=m) for _ in range(sample_count)])
     rows = list(np.asarray(f(orbits), dtype=float))
-    if probe_periods > 0:
-        for orbit in enumerate_orbits(probe_periods, m=m):
-            reps = depth // orbit.period + 2
-            for _, cycle in orbit.sided_potentials(f):
-                rows.append(np.asarray((cycle * reps)[: depth + 1]))
+    for orbit in enumerate_orbits(PROBE_PERIODS, m=m):
+        reps = depth // orbit.period + 2
+        for _, cycle in orbit.sided_potentials(f):
+            rows.append(np.asarray((cycle * reps)[: depth + 1]))
     pots = np.stack(rows)
     total = pots.shape[0]
 
@@ -274,7 +276,7 @@ def dichotomy_test(
 
     half_angles = snaps[half][0]
     conv = (
-        _projective_distance(angles, half_angles) < conv_tol
+        _projective_distance(angles, half_angles) < DICHOTOMY_CONV_TOL
     ).reshape(2, total).all(axis=0)
 
     # invariance residual: angle of A(w) L(w) against L(T w)
@@ -289,8 +291,8 @@ def dichotomy_test(
     is_hyperbolic = bool(
         not degenerate
         and conv.all()
-        and (residuals < invariance_tol).all()
-        and growth_rate >= rate_floor
+        and (residuals < INVARIANCE_TOL).all()
+        and growth_rate >= RATE_FLOOR
     )
 
     # prefactor estimate: sup over checkpoints of sigma_min(A^k) e^{c k}

@@ -9,7 +9,6 @@ over independent random potentials estimates k(E).
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,33 +89,21 @@ def ids_estimate(
     sample_count: int = 64,
     seed: int = 0,
     m: int = 2,
-    threads: int = 1,
 ) -> IDSTable:
     """Monte Carlo k(E) over an energy grid.
 
     Every sample draws a fresh uniformly distributed point and counts
     eigenvalues of its length-N potential window at all grid energies, so each
     sample's contribution is nondecreasing in E and the average is too.
-    Deterministic in the seed; the reduction runs in fixed sample order.
+    Deterministic in the seed.
     """
     if truncation_size < 16 or sample_count < 1:
         raise InvalidParameter("need truncation_size >= 16 and sample_count >= 1")
     energies = np.sort(np.asarray(energies, dtype=float))
-    seeds = np.random.SeedSequence(seed).spawn(sample_count)
-
-    def one_sample(ss):
-        orbit = random_orbit(np.random.default_rng(ss), truncation_size, m=m)
-        return _sturm_counts(np.asarray(f(orbit), dtype=float), energies)
-
-    if threads == 1:
-        counts = [one_sample(ss) for ss in seeds]
-    else:
-        workers = threads if threads > 0 else None
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(one_sample, seeds))
     total = np.zeros(len(energies), dtype=np.int64)
-    for c in counts:
-        total += c
+    for ss in np.random.SeedSequence(seed).spawn(sample_count):
+        orbit = random_orbit(np.random.default_rng(ss), truncation_size, m=m)
+        total += _sturm_counts(np.asarray(f(orbit), dtype=float), energies)
     k = total / float(sample_count * truncation_size)
     return IDSTable(
         energies=energies,

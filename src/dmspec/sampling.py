@@ -9,6 +9,7 @@ f(omega-), which differ from f only on the breakpoints of a step function.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,6 +40,8 @@ class TrigPoly:
     def __post_init__(self):
         object.__setattr__(self, "cos_coeffs", tuple(float(c) for c in self.cos_coeffs))
         object.__setattr__(self, "sin_coeffs", tuple(float(c) for c in self.sin_coeffs))
+        if not all(map(math.isfinite, (self.constant, *self.cos_coeffs, *self.sin_coeffs))):
+            raise InvalidParameter("trigpoly coefficients must be finite")
 
     def __call__(self, omega):
         w = np.mod(np.asarray(omega, dtype=float), 1.0)
@@ -90,6 +93,8 @@ class Step:
         vals = tuple(float(v) for v in self.values)
         if len(bp) != len(vals) or not bp:
             raise InvalidParameter("breakpoints and values must have equal positive length")
+        if not all(map(math.isfinite, bp + vals)):
+            raise InvalidParameter("breakpoints and values must be finite")
         if bp[0] != 0.0:
             raise InvalidParameter("first breakpoint must be 0")
         if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])) or bp[-1] >= 1.0:
@@ -143,23 +148,48 @@ def bernoulli(lam: float) -> Step:
     return Step(breakpoints=(0.0, 0.5), values=(lam, 0.0))
 
 
+#: the keys of each sampling type in the JSON schema
+JSON_KEYS = {"trigpoly": ("type", "const", "cos", "sin"), "step": ("type", "breaks", "values")}
+
+
+def _number(name: str, x, kind: type = float):
+    """x as a finite number of the given kind, int or float; a bool is neither."""
+    if (isinstance(x, bool) or not isinstance(x, int if kind is int else (int, float))
+            or not math.isfinite(x)):
+        what = "an integer" if kind is int else "a finite number"
+        raise InvalidParameter(f"{name} must be {what}, got {x!r}")
+    return kind(x)
+
+
+def _numbers(name: str, xs, kind: type = float) -> tuple:
+    """The JSON list xs as a tuple of finite numbers of the given kind."""
+    if not isinstance(xs, list):
+        raise InvalidParameter(f"{name} must be a list, got {xs!r}")
+    return tuple(_number(f"{name} entry", x, kind) for x in xs)
+
+
 def from_json(obj: dict) -> SamplingFunction:
-    """Parse the sampling-function JSON schema."""
+    """Parse the sampling-function JSON schema; unknown keys and non-finite numbers raise."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise InvalidParameter("sampling spec must be an object with a 'type' field")
     kind = obj["type"]
+    if not isinstance(kind, str) or kind not in JSON_KEYS:
+        raise InvalidParameter(f"unknown sampling type {kind!r}")
+    unknown = sorted(set(obj) - set(JSON_KEYS[kind]))
+    if unknown:
+        raise InvalidParameter(
+            f"unknown {kind} key(s) {', '.join(unknown)}; valid keys: {', '.join(JSON_KEYS[kind])}")
     if kind == "trigpoly":
         return TrigPoly(
-            constant=float(obj.get("const", 0.0)),
-            cos_coeffs=tuple(obj.get("cos", ())),
-            sin_coeffs=tuple(obj.get("sin", ())),
+            constant=_number("const", obj.get("const", 0.0)),
+            cos_coeffs=_numbers("cos", obj.get("cos", [])),
+            sin_coeffs=_numbers("sin", obj.get("sin", [])),
         )
-    if kind == "step":
-        try:
-            return Step(breakpoints=tuple(obj["breaks"]), values=tuple(obj["values"]))
-        except KeyError as exc:
-            raise InvalidParameter(f"step spec missing field {exc}") from exc
-    raise InvalidParameter(f"unknown sampling type {kind!r}")
+    try:
+        return Step(breakpoints=_numbers("breaks", obj["breaks"]),
+                    values=_numbers("values", obj["values"]))
+    except KeyError as exc:
+        raise InvalidParameter(f"step spec missing field {exc}") from exc
 
 
 @dataclass(frozen=True)

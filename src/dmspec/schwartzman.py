@@ -119,25 +119,19 @@ def rotation_number(
     substeps: int = 64,
     seed: int = 0,
     depth: int = 60,
-    re_anchor_every: int = 1,
     m: int = 2,
-    pretest_samples: int = 200,
 ) -> RotationEstimate:
     """Winding rate of the stable section along random forward orbits.
 
     The direction followed at each site is the freshly computed stable
-    direction re-anchored every re_anchor_every steps (matrix-propagated in
-    between).  Forward propagation repels from the stable section at twice
-    the hyperbolicity rate, so the default re-anchors at every step, which by
-    the invariance identity reproduces the section exactly; larger values
-    trade accuracy for fewer direction solves and are reported through the
-    re-anchoring residual diagnostic.
+    direction.  Forward propagation repels from the stable section at twice
+    the hyperbolicity rate, so every step is re-anchored rather than
+    propagated; by the invariance identity that reproduces the section
+    exactly, and the re-anchoring residual diagnostic reports how closely.
     """
-    if steps < 1 or omega_samples < 1 or re_anchor_every < 1:
-        raise InvalidParameter("steps, omega_samples, re_anchor_every must be >= 1")
-    report = dichotomy_test(
-        f, E, sample_count=pretest_samples, depth=depth, seed=seed, m=m
-    )
+    if steps < 1 or omega_samples < 1:
+        raise InvalidParameter("steps and omega_samples must be >= 1")
+    report = dichotomy_test(f, E, depth=depth, seed=seed, m=m)
     if not report.is_hyperbolic:
         raise NotHyperbolic(
             f"E = {E} failed the dichotomy pretest "
@@ -155,34 +149,10 @@ def rotation_number(
         windows = np.lib.stride_tricks.sliding_window_view(pots, depth)[: steps + 1]
         _, anchor_angles, _, _ = _stable_core(E, windows)
 
-        if re_anchor_every == 1:
-            xs = np.cos(anchor_angles[:steps])
-            ys = np.sin(anchor_angles[:steps])
-            tx = (E - pots[:steps]) * xs - ys
-            ty = xs
-            prop_angles = np.arctan2(ty, tx)
-            resid = _projective_distance(prop_angles, anchor_angles[1 : steps + 1])
-        else:
-            k = re_anchor_every
-            anchor_sites = np.arange(0, steps, k)
-            bx = np.cos(anchor_angles[anchor_sites])
-            by = np.sin(anchor_angles[anchor_sites])
-            xs = np.empty(steps)
-            ys = np.empty(steps)
-            for j in range(k):
-                sites = anchor_sites + j
-                live = sites < steps
-                xs[sites[live]] = bx[live]
-                ys[sites[live]] = by[live]
-                t = np.where(live, E - pots[np.minimum(sites, steps - 1)], 0.0)
-                nbx = np.where(live, t * bx - by, bx)
-                nby = np.where(live, bx, by)
-                norm = np.hypot(nbx, nby)
-                bx, by = nbx / norm, nby / norm
-            end_angles = np.arctan2(by, bx)
-            next_sites = np.minimum(anchor_sites + k, steps)
-            resid = _projective_distance(end_angles, anchor_angles[next_sites])
-
+        xs = np.cos(anchor_angles[:steps])
+        ys = np.sin(anchor_angles[:steps])
+        prop_angles = np.arctan2(xs, (E - pots[:steps]) * xs - ys)
+        resid = _projective_distance(prop_angles, anchor_angles[1 : steps + 1])
         residual_max = max(residual_max, float(np.max(resid, initial=0.0)))
         deltas = _winding_core(E, pots[:steps], xs, ys, substeps)
         deltas_summary.append((deltas / PI).mean())
@@ -202,7 +172,6 @@ def rotation_number(
             "max": float(per_step.max()),
         },
         diagnostics={
-            "re_anchor_every": re_anchor_every,
             "max_reanchor_residual": residual_max,
             "growth_rate": report.growth_rate,
             "substeps": substeps,

@@ -8,33 +8,64 @@ winding rates against density-of-states complements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import cocycle, ids, schwartzman, spectrum
-from .dynamics import BackwardDigits, enumerate_orbits
-from .errors import DmspecError, RootBracketingFailure
-from .sampling import SamplingFunction
+from .dynamics import BackwardDigits, check_period, enumerate_orbits
+from .errors import DmspecError, InvalidParameter, RootBracketingFailure
+from .sampling import SamplingFunction, _number, _numbers, forward_orbit
 
 
-@dataclass
-class VerifyScale:
-    """Resolution knobs for the verification run."""
+@dataclass(frozen=True)
+class Params:
+    """The "command" object of a config, one field per key, read by every subcommand.
 
-    max_period: int = 10
-    shrink_periods: tuple[int, ...] = (4, 6, 8, 10, 12)
-    band_tol: float = 1e-10
-    coarse_tol: float = 0.02
-    truncation_size: int = 512
-    sample_count: int = 64
+    The defaults are those of bands, spectrum, gaps, ids and rotation; verify
+    starts from VERIFY_DEFAULTS.  Ranges are checked where the values are used.
+    """
+
+    max_period: int = 6
+    tol: float = 1e-10  # band edge and merge tolerance
+    coarse_tol: float = 0.02  # merge tolerance of the disconnection check
+    N: int = 512  # IDS truncation size
+    M: int = 64  # IDS sample count
     grid_points: int = 2001
     steps: int = 2000
     omega_samples: int = 32
     substeps: int = 64
     depth: int = 60
     oracle_max_period: int = 8
-    threads: int = 1
+    shrink_periods: tuple[int, ...] = (4, 6, 8, 10, 12)
+    energies: tuple[float, ...] = ()
+    integrality_tol: float = 0.01
+    seed: int = 0
+
+    def updated(self, command) -> "Params":
+        """These parameters with the keys of a config's "command" object replaced.
+
+        An unknown key, a value of the wrong type and a non-finite number
+        raise InvalidParameter naming the key.
+        """
+        if not isinstance(command, dict):
+            raise InvalidParameter("'command' must be a JSON object")
+        kinds = {f.name: f.type for f in fields(self)}
+        unknown = sorted(set(command) - set(kinds))
+        if unknown:
+            raise InvalidParameter(f"unknown command key(s) {', '.join(unknown)}; "
+                                   f"valid keys: {', '.join(kinds)}")
+        values = {}
+        for key, value in command.items():
+            kind = kinds[key]  # a string: "int", "float", "tuple[int, ...]", ...
+            elem = int if "int" in kind else float
+            parse = _numbers if kind.startswith("tuple") else _number
+            values[key] = parse(f"command.{key}", value, elem)
+        return replace(self, **values)
+
+
+#: verify's parameters without a config: a deeper max_period than the rest
+VERIFY_DEFAULTS = Params(max_period=10)
 
 
 def _bisect_boundary(disc, inner, outer, tol):
@@ -269,8 +300,6 @@ def check_determinants(f: SamplingFunction, hull, seed: int = 0) -> dict:
     # |P|^2 * n * eps, so each trial grows n only while the entries stay
     # within the scale where 1e-9 * n is resolvable at all
     def run():
-        from dmspec.sampling import forward_orbit
-
         rng = np.random.default_rng(seed)
         worst = 0.0
         energies = [float(rng.uniform(hull[0], hull[1])) for _ in range(24)]
@@ -317,47 +346,52 @@ def check_digit_independence(f: SamplingFunction, hull, depth: int = 60) -> dict
     return _check("backward_digit_independence", run)
 
 
-def check_containment(f: SamplingFunction, scale: VerifyScale) -> dict:
+def _union(per_period, period: int, tol: float) -> spectrum.SpectrumApprox:
+    """union_spectrum(f, period, tol) from bands_by_period(f, P, tol') with P >= period, tol' <= tol."""
+    check_period(period)
+    return spectrum.SpectrumApprox(spectrum.merge_bands(per_period[:period], tol),
+                                   max_period_used=period, tol=tol)
+
+
+def check_containment(f: SamplingFunction, per_period, params: Params) -> dict:
     def run():
         center = float(f(0.0))
         lo, hi = center - 2.0, center + 2.0
-        for period in range(1, scale.max_period + 1):
-            s = spectrum.union_spectrum(f, period, tol=scale.band_tol)
+        for period in range(1, params.max_period + 1):
+            s = _union(per_period, period, params.tol)
             if not covers_interval(s, lo, hi, 1e-6):
                 return False, f"union at max_period={period} misses [{lo}, {hi}]"
-        return True, f"[{lo:.3f}, {hi:.3f}] covered at every max_period 1..{scale.max_period}"
+        return True, f"[{lo:.3f}, {hi:.3f}] covered at every max_period 1..{params.max_period}"
 
     return _check("fixed_point_containment", run)
 
 
-def check_gap_shrinkage(f: SamplingFunction, scale: VerifyScale) -> dict:
+def check_gap_shrinkage(per_period, params: Params) -> dict:
     def run():
         maxgaps = []
-        for period in scale.shrink_periods:
-            s = spectrum.union_spectrum(f, period, tol=scale.band_tol)
-            report = spectrum.gap_report(s)
+        for period in params.shrink_periods:
+            report = spectrum.gap_report(_union(per_period, period, params.tol))
             maxgaps.append(report[0][1] if report else 0.0)
         seq = ", ".join(f"{g:.3g}" for g in maxgaps)
         nonincreasing = all(b <= a + 1e-12 for a, b in zip(maxgaps, maxgaps[1:]))
-        resolution = spectrum.RESOLUTION_FACTOR * scale.band_tol
+        resolution = spectrum.RESOLUTION_FACTOR * params.tol
         halved = maxgaps[-1] <= 0.5 * maxgaps[0] or maxgaps[0] < resolution
-        return nonincreasing and halved, f"max interior gaps over periods {scale.shrink_periods}: {seq}"
+        return nonincreasing and halved, f"max interior gaps over periods {params.shrink_periods}: {seq}"
 
     return _check("gap_shrinkage", run)
 
 
-def check_gap_labelling(f: SamplingFunction, scale: VerifyScale, seed: int = 0) -> dict:
+def check_gap_labelling(f: SamplingFunction, per_period, params: Params) -> dict:
     def run():
-        s = spectrum.union_spectrum(f, scale.max_period, tol=scale.band_tol)
-        grid = ids.default_energy_grid(s.hull, scale.grid_points)
-        table = ids.ids_estimate(f, grid, scale.truncation_size, scale.sample_count,
-                                 seed=seed, threads=scale.threads)
+        s = _union(per_period, params.max_period, params.tol)
+        grid = ids.default_energy_grid(s.hull, params.grid_points)
+        table = ids.ids_estimate(f, grid, params.N, params.M, seed=params.seed)
         details = []
         ok = True
         for E, expected in ((s.hull[0] - 0.5, 1), (s.hull[1] + 0.5, 0)):
             est = schwartzman.rotation_number(
-                f, E, omega_samples=scale.omega_samples, steps=scale.steps,
-                substeps=scale.substeps, seed=seed, depth=scale.depth)
+                f, E, omega_samples=params.omega_samples, steps=params.steps,
+                substeps=params.substeps, seed=params.seed, depth=params.depth)
             k = table.value_at(E)
             verdict = schwartzman.integrality_check(est)
             match = abs(est.value - (1.0 - k)) < 0.03
@@ -373,25 +407,24 @@ def check_gap_labelling(f: SamplingFunction, scale: VerifyScale, seed: int = 0) 
     return _check("gap_labelling_integrality", run)
 
 
-def check_disconnection(f: SamplingFunction, scale: VerifyScale, seed: int = 0) -> dict:
+def check_disconnection(f: SamplingFunction, per_period, params: Params) -> dict:
     def run():
-        coarse = spectrum.union_spectrum(f, scale.max_period, tol=scale.coarse_tol)
+        coarse = _union(per_period, params.max_period, params.coarse_tol)
         # gaps surviving the coarse merge are genuine at that scale; the
         # below-resolution filter of gap_report is meant for fine tolerances
         if len(coarse.bands) < 2:
-            return False, f"no interior gap found at max_period={scale.max_period}"
+            return False, f"no interior gap found at max_period={params.max_period}"
         g0, g1 = max(coarse.gaps, key=lambda g: g[1] - g[0])
         width = g1 - g0
         pad = 0.05 * width
         gap = (g0 + pad, g1 - pad)
-        grid = ids.default_energy_grid(coarse.hull, scale.grid_points)
-        table = ids.ids_estimate(f, grid, scale.truncation_size, scale.sample_count,
-                                 seed=seed, threads=scale.threads)
+        grid = ids.default_energy_grid(coarse.hull, params.grid_points)
+        table = ids.ids_estimate(f, grid, params.N, params.M, seed=params.seed)
         label = ids.gap_label(table, gap)
         mid = 0.5 * (gap[0] + gap[1])
         est = schwartzman.rotation_number(
-            f, mid, omega_samples=scale.omega_samples, steps=scale.steps,
-            substeps=scale.substeps, seed=seed, depth=scale.depth)
+            f, mid, omega_samples=params.omega_samples, steps=params.steps,
+            substeps=params.substeps, seed=params.seed, depth=params.depth)
         verdict = schwartzman.integrality_check(est)
         consistent = abs(est.value - (1.0 - label)) < 0.03
         passed = len(coarse.bands) >= 2 and consistent
@@ -403,23 +436,29 @@ def check_disconnection(f: SamplingFunction, scale: VerifyScale, seed: int = 0) 
     return _check("disconnection_and_gap_label", run)
 
 
-def run_verification(f: SamplingFunction, scale: VerifyScale | None = None,
-                     seed: int = 0) -> dict:
-    """The full check battery for one sampling function."""
-    scale = scale or VerifyScale()
-    base = spectrum.union_spectrum(f, min(scale.max_period, 8), tol=scale.band_tol)
-    hull = base.hull
+def run_verification(f: SamplingFunction, params: Params = VERIFY_DEFAULTS) -> dict:
+    """The full check battery for one sampling function.
+
+    The bands of every period are found once, at params.tol, and every union
+    below merges a prefix of them.  check_band_edge_oracle finds its own,
+    since the engine is what it checks.
+    """
+    periods = params.max_period
+    if f.continuous:
+        periods = max((periods, *params.shrink_periods))
+    per_period = spectrum.bands_by_period(f, periods, params.tol)
+    hull = _union(per_period, min(params.max_period, 8), params.tol).hull
     checks = [
-        check_sturm_counts(seed=seed),
-        check_band_edge_oracle(f, max_period=scale.oracle_max_period, band_tol=scale.band_tol),
-        check_determinants(f, hull, seed=seed),
-        check_invariance(f, hull, seed=seed, depth=scale.depth),
-        check_digit_independence(f, hull, depth=scale.depth),
+        check_sturm_counts(seed=params.seed),
+        check_band_edge_oracle(f, max_period=params.oracle_max_period, band_tol=params.tol),
+        check_determinants(f, hull, seed=params.seed),
+        check_invariance(f, hull, seed=params.seed, depth=params.depth),
+        check_digit_independence(f, hull, depth=params.depth),
     ]
     if f.continuous:
-        checks.append(check_containment(f, scale))
-        checks.append(check_gap_shrinkage(f, scale))
-        checks.append(check_gap_labelling(f, scale, seed=seed))
+        checks.append(check_containment(f, per_period, params))
+        checks.append(check_gap_shrinkage(per_period, params))
+        checks.append(check_gap_labelling(f, per_period, params))
     else:
-        checks.append(check_disconnection(f, scale, seed=seed))
+        checks.append(check_disconnection(f, per_period, params))
     return {"checks": checks, "all_passed": all(c["passed"] for c in checks)}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
@@ -11,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from dmspec.cli import main
+from dmspec import sampling
+from dmspec.cli import _load_config, main
+from dmspec.verify import VERIFY_DEFAULTS, Params
 
 
 def run_cli(argv):
@@ -27,7 +30,8 @@ def write_config(tmp_path, obj, name="config.json"):
     return str(path)
 
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 BERNOULLI_CFG = {"type": "step", "breaks": [0.0, 0.5], "values": [5.0, 0.0],
                  "command": {"max_period": 4}}
 COSINE_CFG = {"type": "trigpoly", "const": 0.0, "cos": [1.0], "sin": [],
@@ -243,3 +247,75 @@ class TestErrors:
         code, _ = run_cli([command, "--config", cfg])
         assert code == 2
         assert "max period for m = 2 is 61" in capsys.readouterr().err
+
+
+class TestConfigSchema:
+    KEYS = ("max_period tol coarse_tol N M grid_points steps omega_samples substeps "
+            "depth oracle_max_period shrink_periods energies integrality_tol seed").split()
+
+    def test_fields_are_the_config_keys(self):
+        assert sorted(Params.__dataclass_fields__) == sorted(self.KEYS)
+        assert Params().max_period == 6 and VERIFY_DEFAULTS.max_period == 10
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+    def test_shipped_configs_parse(self, path):
+        f, params = _load_config(argparse.Namespace(config=str(path), seed=None))
+        assert params.max_period == 10 and params.energies
+
+    def test_readme_example_parses(self, tmp_path):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        blocks = [b.split("```")[0] for b in readme.split("```json\n")[1:]]
+        [example] = [json.loads(b) for b in blocks if '"command"' in b]
+        args = argparse.Namespace(config=write_config(tmp_path, example), seed=None)
+        f, params = _load_config(args)
+        assert f == sampling.cosine(0.5)
+        assert params.seed == 7 and params.energies == (3.5, -3.0)
+
+    def test_values_are_typed(self):
+        params = Params().updated({"tol": 1, "shrink_periods": [2, 3], "energies": [1, 2.5]})
+        assert params.tol == 1.0 and isinstance(params.tol, float)
+        assert params.shrink_periods == (2, 3) and params.energies == (1.0, 2.5)
+
+    @pytest.mark.parametrize("command", ["bands", "verify"])
+    def test_unknown_key_lists_valid_keys(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, {**COSINE_CFG, "command": {"max_perod": 40}})
+        code, out = run_cli([command, "--config", cfg])
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert "max_perod" in err
+        assert all(key in err for key in self.KEYS)
+
+    @pytest.mark.parametrize("key, value", [
+        ("N", "abc"), ("max_period", 6.5), ("seed", True), ("tol", float("nan")),
+        ("energies", 3.5), ("energies", [3.5, float("inf")]), ("shrink_periods", [4, "6"]),
+    ])
+    def test_bad_value_names_key(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, {**COSINE_CFG, "command": {key: value}})
+        code, _ = run_cli(["ids", "--config", cfg])
+        assert code == 2
+        assert f"command.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [
+        {"type": "trigpoly", "cos": [float("nan")]},
+        {"type": "trigpoly", "cos": ["1"]},
+        {"type": "trigpoly", "coss": [1.0]},
+        {"type": "step", "breaks": [0.0, 0.5], "values": [5.0, float("inf")]},
+    ])
+    def test_bad_sampling_spec_exits_2(self, tmp_path, capsys, spec):
+        cfg = write_config(tmp_path, {**spec, "command": {"max_period": 2}})
+        code, _ = run_cli(["spectrum", "--config", cfg])
+        assert code == 2
+        assert "dmspec: error:" in capsys.readouterr().err
+
+    def test_threads_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["ids", "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("energies", ["a,b", "nan", "3.5,inf", ""])
+    def test_bad_energies_flag(self, capsys, energies):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["rotation", "--energies", energies])
+        assert exc.value.code == 2
+        assert "--energies" in capsys.readouterr().err

@@ -116,13 +116,6 @@ class TestIdsEstimate:
         b = ids_estimate(FREE, grid, truncation_size=64, sample_count=8, seed=9)
         assert np.array_equal(a.k_values, b.k_values)
 
-    def test_threads_deterministic(self):
-        grid = np.linspace(-4, 4, 31)
-        f = cosine(0.5)
-        a = ids_estimate(f, grid, truncation_size=64, sample_count=8, seed=2, threads=1)
-        b = ids_estimate(f, grid, truncation_size=64, sample_count=8, seed=2, threads=4)
-        assert np.array_equal(a.k_values, b.k_values)
-
     def test_limits_outside_hull(self):
         f = cosine(0.5)
         grid = default_energy_grid((-2.5, 3.0), 201)

@@ -207,6 +207,44 @@ class TestJson:
         with pytest.raises(InvalidParameter):
             sampling.from_json([1, 2, 3])
 
+    @pytest.mark.parametrize("obj", [
+        {"type": "trigpoly", "const": 0.0, "coss": [1.0]},
+        {"type": "step", "breaks": [0.0], "values": [1.0], "cos": []},
+    ])
+    def test_rejects_unknown_keys(self, obj):
+        with pytest.raises(InvalidParameter, match="valid keys"):
+            sampling.from_json(obj)
+
+    @pytest.mark.parametrize("obj", [
+        {"type": "trigpoly", "const": "1.0"},
+        {"type": "trigpoly", "cos": ["a"]},
+        {"type": "trigpoly", "sin": [True]},
+        {"type": "trigpoly", "cos": 1.0},
+        {"type": "trigpoly", "cos": [float("nan")]},
+        {"type": "step", "breaks": [0.0, "0.5"], "values": [5.0, 0.0]},
+        {"type": "step", "breaks": [0.0, 0.5], "values": [5.0, None]},
+        {"type": "step", "breaks": [0.0, 0.5], "values": [float("inf"), 0.0]},
+    ])
+    def test_rejects_non_numeric_and_non_finite(self, obj):
+        with pytest.raises(InvalidParameter):
+            sampling.from_json(obj)
+
+
+class TestFinite:
+    @pytest.mark.parametrize("args", [
+        (float("nan"),), (0.0, (1.0, float("inf"))), (0.0, (), (float("-inf"),)),
+    ])
+    def test_trigpoly_rejects_non_finite(self, args):
+        with pytest.raises(InvalidParameter, match="finite"):
+            TrigPoly(*args)
+
+    @pytest.mark.parametrize("breaks, values", [
+        ((0.0, float("nan")), (1.0, 0.0)), ((0.0, 0.5), (1.0, float("nan"))),
+    ])
+    def test_step_rejects_non_finite(self, breaks, values):
+        with pytest.raises(InvalidParameter, match="finite"):
+            Step(breaks, values)
+
 
 def _exact_orbit(x: Fraction, count: int):
     out = []

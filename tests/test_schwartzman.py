@@ -140,14 +140,6 @@ class TestRotationNumber:
         b = rotation_number(cosine(0.5), 3.5, omega_samples=4, steps=300, seed=5)
         assert a.value == b.value and a.stderr == b.stderr
 
-    def test_coarser_reanchoring_agrees_for_weak_rates(self):
-        # at a mild rate the 10-step blocks stay below the escape horizon
-        f = cosine(0.5)
-        fine = rotation_number(f, 3.5, omega_samples=4, steps=400, seed=6)
-        coarse = rotation_number(f, 3.5, omega_samples=4, steps=400, seed=6,
-                                 re_anchor_every=10)
-        assert coarse.value == pytest.approx(fine.value, abs=0.02)
-
     def test_consistency_with_ids_complement(self):
         from dmspec import ids_estimate
 

@@ -5,8 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dmspec import PeriodicOrbit, RootBracketingFailure, bernoulli, cosine
-from dmspec.verify import _bands_from_disc, check_band_edge_oracle, discriminant_bands
+from dmspec import PeriodicOrbit, RootBracketingFailure, bernoulli, cosine, union_spectrum
+from dmspec.spectrum import bands_by_period
+from dmspec.verify import (
+    Params,
+    _bands_from_disc,
+    _union,
+    check_band_edge_oracle,
+    check_gap_shrinkage,
+    discriminant_bands,
+)
 
 
 class TestDiscriminantOracle:
@@ -38,3 +46,19 @@ class TestBandEdgeCheck:
         res = check_band_edge_oracle(bernoulli(5.0))
         assert not res["passed"]
         assert "closed form" in res["detail"]
+
+
+class TestBandReuse:
+    @pytest.mark.parametrize("f", [cosine(0.5), bernoulli(5.0)], ids=["cos-0.5", "bernoulli-5"])
+    def test_prefix_merges_equal_union_spectrum(self, f):
+        # run_verification merges prefixes of one bands_by_period call, at
+        # the band tolerance and at the coarse one, in place of union_spectrum
+        per_period = bands_by_period(f, 9, 1e-10)
+        for p in range(1, 10):
+            assert _union(per_period, p, 1e-10).bands == union_spectrum(f, p).bands
+        assert _union(per_period, 9, 0.02).bands == union_spectrum(f, 9, tol=0.02).bands
+
+    def test_bad_shrink_period_fails_its_check(self):
+        per_period = bands_by_period(cosine(0.5), 4, 1e-10)
+        res = check_gap_shrinkage(per_period, Params(shrink_periods=(2, 0)))
+        assert not res["passed"] and "max_period must be >= 1" in res["detail"]
