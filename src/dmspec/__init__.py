@@ -35,7 +35,6 @@ from .errors import (
     LiftingAmbiguity,
     MissingDigits,
     NotHyperbolic,
-    RootBracketingFailure,
 )
 from .ids import IDSTable, eigen_count, gap_label, ids_estimate
 from .sampling import (
@@ -65,7 +64,7 @@ __all__ = [
     "DegenerateSingularValues", "DichotomyReport", "Direction", "DmspecError",
     "EmptyGapGrid", "IDSTable", "IntegralityResult", "InvalidParameter",
     "LiftingAmbiguity", "MissingDigits", "NotHyperbolic", "PeriodicOrbit",
-    "Potential", "RootBracketingFailure", "RotationEstimate",
+    "Potential", "RotationEstimate",
     "SamplingFunction", "SpectrumApprox", "Step", "TrigPoly", "Verdict",
     "argument_winding_step", "bernoulli", "cocycle_product", "cosine",
     "dichotomy_test", "discriminant", "eigen_count", "enumerate_orbits",

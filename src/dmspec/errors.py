@@ -21,10 +21,6 @@ class DegenerateSingularValues(DmspecError, ArithmeticError):
     """The transfer product has no contracting direction (singular values equal)."""
 
 
-class RootBracketingFailure(DmspecError, RuntimeError):
-    """The discriminant scan of verify's band-edge oracle failed to isolate a periodic spectrum."""
-
-
 class EmptyGapGrid(DmspecError, ValueError):
     """No energy grid point falls inside the requested gap."""
 

@@ -64,7 +64,8 @@ def _sturm_counts(values: np.ndarray, energies: np.ndarray) -> np.ndarray:
 
     d_1 = V_1 - E, d_i = V_i - E - 1/d_{i-1}; the count of negative pivots
     equals the count of eigenvalues below E (Sylvester inertia).  Zero pivots
-    take the ZERO_PIVOT convention.
+    take the ZERO_PIVOT convention.  Each values[i] may be an array that
+    broadcasts against energies, e.g. one column of sites per row of E.
     """
     E = np.asarray(energies, dtype=float)
     d = np.full_like(E, np.inf)  # so the first step has no 1/d term

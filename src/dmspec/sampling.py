@@ -66,10 +66,6 @@ class TrigPoly:
         """Whether some point of omega is a breakpoint; f has none."""
         return False
 
-    def sup_bound(self) -> float:
-        """Upper bound for sup|f| from the coefficient sums."""
-        return abs(self.constant) + sum(map(abs, self.cos_coeffs)) + sum(map(abs, self.sin_coeffs))
-
     def to_json(self) -> dict:
         return {
             "type": "trigpoly",
@@ -127,9 +123,6 @@ class Step:
     def on_breakpoint(self, omega) -> bool:
         """Whether some point of omega is exactly a breakpoint."""
         return bool(self.breakpoint_mask(omega).any())
-
-    def sup_bound(self) -> float:
-        return max(abs(v) for v in self.values)
 
     def to_json(self) -> dict:
         return {"type": "step", "breaks": list(self.breakpoints), "values": list(self.values)}

@@ -1,9 +1,10 @@
 """End-to-end verification checks shared by the CLI and the acceptance suite.
 
 Every check returns a dict with name, passed, and detail, and is independent
-of the code path it validates: eigenvalue band edges are checked against a
-bisection of the Floquet discriminant, Sturm counts against a dense solver,
-winding rates against density-of-states complements.
+of the code path it validates: eigenvalue band edges are certified on the
+orbit potentials by the Floquet discriminant and the interlacing Dirichlet
+eigenvalues, Sturm counts are checked against a dense solver, winding rates
+against density-of-states complements.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import cocycle, ids, schwartzman, spectrum
 from .dynamics import BackwardDigits, check_period, enumerate_orbits
-from .errors import DmspecError, InvalidParameter, RootBracketingFailure
+from .errors import DmspecError, InvalidParameter
 from .sampling import SamplingFunction, _number, _numbers, forward_orbit
 
 
@@ -36,11 +37,14 @@ class Params:
     omega_samples: int = 32
     substeps: int = 64
     depth: int = 60
-    oracle_max_period: int = 8
     shrink_periods: tuple[int, ...] = (4, 6, 8, 10, 12)
     energies: tuple[float, ...] = ()
     integrality_tol: float = 0.01
     seed: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidParameter(f"seed must be >= 0, got {self.seed} (command.seed or --seed)")
 
     def updated(self, command) -> "Params":
         """These parameters with the keys of a config's "command" object replaced.
@@ -66,111 +70,6 @@ class Params:
 
 #: verify's parameters without a config: a deeper max_period than the rest
 VERIFY_DEFAULTS = Params(max_period=10)
-
-
-def _bisect_boundary(disc, inner, outer, tol):
-    """Move each (inside, outside) bracket onto the |disc| = 2 boundary."""
-    inner = np.asarray(inner, dtype=float).copy()
-    outer = np.asarray(outer, dtype=float).copy()
-    while np.max(np.abs(outer - inner), initial=0.0) > tol:
-        mid = 0.5 * (inner + outer)
-        is_in = np.abs(disc(mid)) <= 2.0
-        inner = np.where(is_in, mid, inner)
-        outer = np.where(is_in, outer, mid)
-    return 0.5 * (inner + outer)
-
-
-def _interior_seed(disc, a, b, fa):
-    """A point with |disc| <= 2 inside (a, b), given a sign change of disc.
-
-    Bisection on the sign must pass through the band around the zero; the
-    band can be far narrower than the scan spacing, which is exactly the
-    case this rescues.
-    """
-    lo, hi, flo = a, b, fa
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = float(disc(np.array([mid]))[0])
-        if abs(fm) <= 2.0:
-            return mid
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(lo)):
-            return None
-    return None
-
-
-def _bands_from_disc(disc, degree, scan_lo, scan_hi, tol):
-    """Bands of {|disc| <= 2} inside [scan_lo, scan_hi] for a degree-p discriminant."""
-    K = max(64 * degree, 64)
-    j = np.arange(K)
-    nodes = 0.5 * (scan_lo + scan_hi) + 0.5 * (scan_hi - scan_lo) * np.cos(np.pi * j / (K - 1))
-    nodes = nodes[::-1]  # ascending
-    vals = disc(nodes)
-    inside = np.abs(vals) <= 2.0
-
-    inner_pts, outer_pts = [], []
-    # crossings of the |disc| = 2 boundary between adjacent nodes
-    flip = inside[:-1] != inside[1:]
-    for i in np.nonzero(flip)[0]:
-        if inside[i]:
-            inner_pts.append(nodes[i])
-            outer_pts.append(nodes[i + 1])
-        else:
-            inner_pts.append(nodes[i + 1])
-            outer_pts.append(nodes[i])
-    # narrow bands hiding between two outside nodes reveal a sign change of disc
-    hidden = (~inside[:-1]) & (~inside[1:]) & ((vals[:-1] < 0.0) != (vals[1:] < 0.0))
-    for i in np.nonzero(hidden)[0]:
-        seed = _interior_seed(disc, nodes[i], nodes[i + 1], vals[i])
-        if seed is None:
-            continue
-        inner_pts.extend([seed, seed])
-        outer_pts.extend([nodes[i], nodes[i + 1]])
-
-    if not inner_pts:
-        raise RootBracketingFailure(
-            f"scan grid of {K} Chebyshev nodes on [{scan_lo}, {scan_hi}] found no "
-            f"band of the degree-{degree} discriminant"
-        )
-    edges = np.sort(_bisect_boundary(disc, inner_pts, outer_pts, tol))
-
-    # classify the intervals between consecutive edges; midpoints alone are
-    # unreliable when tol exceeds a band's width, so the known interior
-    # points (inside nodes and rescue seeds) also witness their intervals
-    pts = np.concatenate([[scan_lo], edges, [scan_hi]])
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    mid_inside = np.abs(disc(mids)) <= 2.0
-    witness_idx = np.searchsorted(pts, np.sort(inner_pts)) - 1
-    mid_inside[witness_idx[(witness_idx >= 0) & (witness_idx < len(mids))]] = True
-    bands = []
-    for i in np.nonzero(mid_inside)[0]:
-        lo, hi = float(pts[i]), float(pts[i + 1])
-        if bands and lo - bands[-1][1] <= spectrum.MERGE_FACTOR * tol:
-            bands[-1][1] = hi
-        else:
-            bands.append([lo, hi])
-    if not bands or len(bands) > degree:
-        raise RootBracketingFailure(
-            f"scan grid of {K} Chebyshev nodes on [{scan_lo}, {scan_hi}] isolated "
-            f"{len(bands)} bands for a degree-{degree} discriminant"
-        )
-    return [spectrum.Band(lo, hi) for lo, hi in bands]
-
-
-def discriminant_bands(pots, bound: float, tol: float = 1e-10) -> list[spectrum.Band]:
-    """Bands of {|disc| <= 2} for one period pots with |pots| <= bound.
-
-    The oracle of the eigenvalue engine: a Chebyshev scan of the Floquet
-    discriminant with a sign-change rescue for narrow bands, then bracketed
-    bisection of each edge to absolute tolerance tol.  It can miss bands
-    narrower than its rescue resolves, at periods of 9 and more.
-    """
-    scan_lo, scan_hi = -2.0 - bound - 0.5, 2.0 + bound + 0.5
-    disc = lambda E: cocycle.trace_over_cycle(pots, E)
-    return _bands_from_disc(disc, len(pots), scan_lo, scan_hi, tol)
 
 
 def dense_eigen_count(values, E: float) -> int:
@@ -245,44 +144,99 @@ def check_sturm_counts(seed: int = 0, cases: int = 20, max_size: int = 64) -> di
     return _check("sturm_vs_dense", run)
 
 
+def _discriminant(rows: np.ndarray, E: np.ndarray):
+    """disc(E) and disc'(E) of each row of potentials (n, p) at its own energies (n, k).
+
+    u, w are the rows of the transfer product and du, dw their E-derivatives.
+    """
+    u = np.stack([np.ones_like(E), np.zeros_like(E)])
+    w = u[::-1].copy()
+    du, dw = np.zeros_like(u), np.zeros_like(u)
+    for v in rows.T:
+        t = E - v[:, None]
+        u, w, du, dw = t * u - w, u, u + t * du - dw, du
+    return u[0] + w[1], du[0] + dw[1]
+
+
+def _certify(labels, pots: np.ndarray, edges: np.ndarray, tol: float, band_tol: float):
+    """The first fault of the edges (n, 2p) of the potentials (n, p) or None, and the worst edge error.
+
+    Band k is (edges[2k], edges[2k+1]), and the edges ascend.  The true edges
+    are the roots of disc = +-2, signed +, -, -, +, +, ... from the top down.
+    An edge's error is its Newton step |disc - want| / |disc'| to a root of
+    its sign, so a wrong sign shows as about half its band's width; across a
+    gap narrower than MERGE_FACTOR * band_tol, merged in every output and
+    where disc' vanishes, it is |disc - want|.  The p - 1 Dirichlet
+    eigenvalues of sites 1 .. p-1 lie one in each closed gap (Teschl, Jacobi
+    Operators and Completely Integrable Nonlinear Lattices, AMS 2000, ch. 7),
+    so k of them lie below the midpoint of band k.  The +2 and the -2 edges
+    are the periodic and the antiperiodic eigenvalues, each set summing to
+    the trace sum(v) (+-2 at p = 1); a repeated edge hiding a gap misses it.
+    """
+    p = pots.shape[1]
+    want = np.where((np.arange(2 * p)[::-1] + 1) // 2 % 2 == 0, 2.0, -2.0)
+    disc, slope = _discriminant(pots, edges)
+    mids = 0.5 * (edges[:, 0::2] + edges[:, 1::2])
+    below = ids._sturm_counts(pots[:, 1:].T[:, :, None], mids)
+    merged = np.zeros(edges.shape, dtype=bool)
+    merged[:, 1:-1:2] = merged[:, 2::2] = (
+        edges[:, 2::2] - edges[:, 1:-1:2] <= spectrum.MERGE_FACTOR * band_tol)
+    miss = np.abs(disc - want)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        error = np.where(merged, miss, miss / np.abs(slope))
+    sums = np.stack([edges[:, want > 0].sum(axis=1), edges[:, want < 0].sum(axis=1)], axis=1)
+    trace = pots.sum(axis=1, keepdims=True) + (np.array([2.0, -2.0]) if p == 1 else 0.0)
+    faults = (
+        (np.diff(edges, axis=1) < 0.0, lambda i, j: f"edges {j} and {j + 1} out of order"),
+        (below != np.arange(p), lambda i, k: (
+            f"{below[i, k]} Dirichlet eigenvalues below the midpoint of band {k}, want {k}")),
+        (~(error < tol), lambda i, j: (
+            f"disc {disc[i, j]:.9g} at edge {j}, want {want[j]:+.0f}: off by {error[i, j]:.2e}")),
+        (~(np.abs(sums - trace) < p * tol), lambda i, j: (
+            f"the {'+-'[j]}2 edges sum to {sums[i, j]:.9g}, want the trace {trace[i, j]:.9g}")),
+    )
+    worst = float(error.max())
+    for bad, why in faults:
+        rows = np.flatnonzero(bad.any(axis=1))
+        if rows.size:
+            return f"orbit {labels[rows[0]]}: {why(rows[0], np.argmax(bad[rows[0]]))}", worst
+    return None, worst
+
+
 def check_band_edge_oracle(f: SamplingFunction, max_period: int = 8,
                            tol: float = 1e-6, band_tol: float = 1e-10) -> dict:
-    # the eigenvalue engine against the discriminant bisection on every
-    # sided potential, taken per orbit from PeriodicOrbit.sided_potentials;
-    # the discriminant at every engine edge; and the period-1 union against
-    # its closed form from f(0) and f(0-), which sees a dropped left limit
+    # the engine's unmerged edges certified on the potentials of
+    # PeriodicOrbit.sided_potentials, and the period-1 union against its
+    # closed form from f(0) and f(0-), which sees a dropped left limit
     def run():
-        bound = f.sup_bound()
         oracle = [(o.period, label, pots) for o in enumerate_orbits(max_period)
                   for label, pots in o.sided_potentials(f)]
-        engine = [(pb.period, label, pb.bands(i))
-                  for pb in spectrum.bands_by_period(f, max_period, tol=band_tol)
-                  for i, label in enumerate(pb.labels)]
-        if [x[:2] for x in engine] != [x[:2] for x in oracle]:
-            differ = sorted({x[1] for x in oracle} ^ {x[1] for x in engine})
+        engine = [spectrum.period_potentials(f, p) for p in range(1, max_period + 1)]
+        engine_labels = [(p, label) for p, (labels, _) in enumerate(engine, 1) for label in labels]
+        if engine_labels != [x[:2] for x in oracle]:
+            differ = sorted({x[1] for x in oracle} ^ {x[1] for x in engine_labels})
             return False, f"engine and orbit potentials differ: {differ[:5]}"
-        worst = residual = 0.0
-        for (_, label, pots), (_, _, primary) in zip(oracle, engine):
-            ref = discriminant_bands(pots, bound, tol=band_tol)
-            if len(primary) != len(ref):
-                return False, f"orbit {label}: {len(primary)} bands vs oracle {len(ref)}"
-            for bp, bo in zip(primary, ref):
-                worst = max(worst, abs(bp.lo - bo.lo), abs(bp.hi - bo.hi))
-            edges = [x for b in primary for x in (b.lo, b.hi)]
-            disc = cocycle.trace_over_cycle(pots, edges)
-            residual = max(residual, float(np.max(np.abs(np.abs(disc) - 2.0))))
+        worst, start = 0.0, 0
+        for labels, rows in engine:
+            pots = np.array([x[2] for x in oracle[start:start + len(labels)]])
+            start += len(labels)
+            fault, error = _certify(labels, pots, spectrum._edges(rows), tol, band_tol)
+            if fault:
+                return False, fault
+            worst = max(worst, error)
         closed = _period_one_closed_form(f)
         union = [(b.lo, b.hi) for b in spectrum.union_spectrum(f, 1, tol=band_tol).bands]
         if len(union) != len(closed):
             return False, f"period-1 union {union} vs closed form {closed}"
         closed_dev = max(abs(a - b) for u, c in zip(union, closed) for a, b in zip(u, c))
         left_count = sum(label.endswith("-") for _, label, _ in oracle)
-        detail = (f"max edge deviation {worst:.2e}, max ||disc| - 2| {residual:.2e} "
-                  f"over periods <= {max_period}")
+        detail = (f"{len(oracle)} potentials of periods <= {max_period}: Dirichlet interlacing, "
+                  f"disc signs and trace sums hold, max edge error {worst:.2e} "
+                  f"(||disc| - 2| / |disc'|)")
         if left_count:
             detail += f", incl. {left_count} left-limit potential(s)"
         detail += f"; period-1 union vs closed form {closed_dev:.2e}"
-        return max(worst, residual, closed_dev) < tol, detail
+        return closed_dev < tol, detail
 
     return _check("band_edges_vs_eigen_oracle", run)
 
@@ -440,17 +394,22 @@ def run_verification(f: SamplingFunction, params: Params = VERIFY_DEFAULTS) -> d
     """The full check battery for one sampling function.
 
     The bands of every period are found once, at params.tol, and every union
-    below merges a prefix of them.  check_band_edge_oracle finds its own,
-    since the engine is what it checks.
+    below merges a prefix of them.  check_band_edge_oracle certifies the
+    engine's edges of every period up to params.max_period on its own
+    potentials, since the engine is what it checks.  A continuous f needs at
+    least one shrink period; without one this raises InvalidParameter.
     """
     periods = params.max_period
     if f.continuous:
+        if not params.shrink_periods:
+            raise InvalidParameter("command.shrink_periods must name at least one period "
+                                   "for a continuous f")
         periods = max((periods, *params.shrink_periods))
     per_period = spectrum.bands_by_period(f, periods, params.tol)
     hull = _union(per_period, min(params.max_period, 8), params.tol).hull
     checks = [
         check_sturm_counts(seed=params.seed),
-        check_band_edge_oracle(f, max_period=params.oracle_max_period, band_tol=params.tol),
+        check_band_edge_oracle(f, max_period=params.max_period, band_tol=params.tol),
         check_determinants(f, hull, seed=params.seed),
         check_invariance(f, hull, seed=params.seed, depth=params.depth),
         check_digit_independence(f, hull, depth=params.depth),

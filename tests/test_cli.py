@@ -203,7 +203,7 @@ class TestVerify:
             "type": "trigpoly", "const": 0.0, "cos": [], "sin": [],
             "command": {"max_period": 4, "shrink_periods": [2, 3, 4],
                         "N": 64, "M": 8, "grid_points": 201, "steps": 300,
-                        "omega_samples": 4, "oracle_max_period": 4},
+                        "omega_samples": 4},
         })
         code, out = run_cli(["verify", "--config", cfg, "--format", "json"])
         payload = json.loads(out)
@@ -216,13 +216,34 @@ class TestVerify:
         cfg = write_config(tmp_path, {
             "type": "step", "breaks": [0.0], "values": [0.0],
             "command": {"max_period": 3, "N": 64, "M": 8, "grid_points": 101,
-                        "steps": 200, "omega_samples": 4, "oracle_max_period": 3},
+                        "steps": 200, "omega_samples": 4},
         })
         code, out = run_cli(["verify", "--config", cfg, "--format", "json"])
         assert code == 1
         payload = json.loads(out)
         failed = [c["name"] for c in payload["checks"] if not c["passed"]]
         assert "disconnection_and_gap_label" in failed
+
+    def test_strong_coupling_passes(self, tmp_path):
+        # 6 cos at period 8: orbit 1/17 has the band [-6.1378, -6.1331],
+        # narrower than a scan of the discriminant resolves
+        cfg = write_config(tmp_path, {
+            "type": "trigpoly", "const": 0.0, "cos": [6.0], "sin": [],
+            "command": {"max_period": 8, "shrink_periods": [4, 6, 8],
+                        "N": 64, "M": 8, "grid_points": 201, "steps": 300,
+                        "omega_samples": 4},
+        })
+        code, out = run_cli(["verify", "--config", cfg, "--format", "json"])
+        payload = json.loads(out)
+        assert payload["all_passed"], [c for c in payload["checks"] if not c["passed"]]
+        assert code == 0
+
+    def test_empty_shrink_periods_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**COSINE_CFG, "command": {"shrink_periods": [],
+                                                                "max_period": 3}})
+        code, out = run_cli(["verify", "--config", cfg])
+        assert code == 2 and out == ""
+        assert "command.shrink_periods" in capsys.readouterr().err
 
 
 class TestErrors:
@@ -251,7 +272,7 @@ class TestErrors:
 
 class TestConfigSchema:
     KEYS = ("max_period tol coarse_tol N M grid_points steps omega_samples substeps "
-            "depth oracle_max_period shrink_periods energies integrality_tol seed").split()
+            "depth shrink_periods energies integrality_tol seed").split()
 
     def test_fields_are_the_config_keys(self):
         assert sorted(Params.__dataclass_fields__) == sorted(self.KEYS)
@@ -286,7 +307,7 @@ class TestConfigSchema:
         assert all(key in err for key in self.KEYS)
 
     @pytest.mark.parametrize("key, value", [
-        ("N", "abc"), ("max_period", 6.5), ("seed", True), ("tol", float("nan")),
+        ("N", "abc"), ("max_period", 6.5), ("seed", True), ("seed", -1), ("tol", float("nan")),
         ("energies", 3.5), ("energies", [3.5, float("inf")]), ("shrink_periods", [4, "6"]),
     ])
     def test_bad_value_names_key(self, tmp_path, capsys, key, value):
@@ -306,6 +327,13 @@ class TestConfigSchema:
         code, _ = run_cli(["spectrum", "--config", cfg])
         assert code == 2
         assert "dmspec: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["ids"], ["rotation", "--energies", "3.0"], ["verify"]],
+                             ids=lambda argv: argv[0])
+    def test_negative_seed_flag_exits_2(self, capsys, argv):
+        code, out = run_cli([*argv, "--seed", "-1"])
+        assert code == 2 and out == ""
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_threads_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,32 +1,18 @@
-"""The band-edge check of verify: its discriminant oracle and the faults it sees."""
+"""The band-edge check of verify: its certificate and the faults it sees."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from dmspec import PeriodicOrbit, RootBracketingFailure, bernoulli, cosine, union_spectrum
+from dmspec import PeriodicOrbit, bernoulli, cosine, spectrum, union_spectrum
 from dmspec.spectrum import bands_by_period
-from dmspec.verify import (
-    Params,
-    _bands_from_disc,
-    _union,
-    check_band_edge_oracle,
-    check_gap_shrinkage,
-    discriminant_bands,
-)
+from dmspec.verify import Params, _union, check_band_edge_oracle, check_gap_shrinkage
 
 
-class TestDiscriminantOracle:
-    def test_bracketing_failure_reported(self):
-        disc = lambda E: np.asarray(E) ** 2 + 3.0  # never within [-2, 2]
-        with pytest.raises(RootBracketingFailure, match="no band"):
-            _bands_from_disc(disc, 2, -5.0, 5.0, 1e-10)
-
-    def test_constant_potential(self):
-        [band] = discriminant_bands([1.5, 1.5, 1.5], bound=1.5)
-        assert band.lo == pytest.approx(-0.5, abs=1e-9)
-        assert band.hi == pytest.approx(3.5, abs=1e-9)
+def _faulty_edges(monkeypatch, fault):
+    """Make spectrum._edges return fault(its edges), a copy to change."""
+    original = spectrum._edges
+    monkeypatch.setattr(spectrum, "_edges", lambda rows: fault(original(rows).copy()))
 
 
 class TestBandEdgeCheck:
@@ -35,6 +21,55 @@ class TestBandEdgeCheck:
         res = check_band_edge_oracle(f, max_period=6)
         assert res["passed"], res["detail"]
         assert "||disc| - 2|" in res["detail"] and "closed form" in res["detail"]
+
+    @pytest.mark.parametrize("f", [cosine(3.0), cosine(1e-3)], ids=["cos-3", "cos-1e-3"])
+    def test_passes_at_strong_and_weak_coupling(self, f):
+        # a narrow band of 1/17 at 6 cos, and the narrow gaps of 1/7 at
+        # 2e-3 cos, are below what a scan of the discriminant resolves
+        res = check_band_edge_oracle(f, max_period=8)
+        assert res["passed"], res["detail"]
+        assert "70 potentials of periods <= 8" in res["detail"]
+
+    def test_sees_a_shifted_top_edge(self, monkeypatch):
+        def shift(edges):
+            edges[:, -1] += 1e-5
+            return edges
+
+        _faulty_edges(monkeypatch, shift)
+        res = check_band_edge_oracle(cosine(0.5))
+        assert not res["passed"]
+        assert res["detail"].startswith("orbit 0/1: ") and "off by 1.00e-05" in res["detail"]
+
+    def test_sees_swapped_edges(self, monkeypatch):
+        # bands (e0, e2) and (e1, e3) overlap, and merging them closes gap 0
+        def swap(edges):
+            if edges.shape[1] > 2:
+                edges[:, [1, 2]] = edges[:, [2, 1]]
+            return edges
+
+        _faulty_edges(monkeypatch, swap)
+        res = check_band_edge_oracle(cosine(0.5))
+        assert not res["passed"]
+        assert res["detail"].startswith("orbit 1/3: ") and "out of order" in res["detail"]
+
+    @pytest.mark.parametrize("f, seen_by", [
+        (cosine(0.5), "1 Dirichlet eigenvalues below the midpoint of band 0, want 0"),
+        (cosine(1e-3), "want the trace"),
+    ], ids=["cos-0.5", "cos-1e-3"])
+    def test_sees_a_repeated_edge_hiding_a_gap(self, monkeypatch, f, seen_by):
+        # edge 1 replaced by edge 2: band 0 swallows the gap above it while
+        # every edge stays a root of the right sign; at 2e-3 cos the gap is
+        # too narrow to move band 0's midpoint past the gap's Dirichlet
+        # eigenvalue, and only the trace sum sees it
+        def repeat(edges):
+            if edges.shape[1] > 2:
+                edges[:, 1] = edges[:, 2]
+            return edges
+
+        _faulty_edges(monkeypatch, repeat)
+        res = check_band_edge_oracle(f, max_period=3)
+        assert not res["passed"]
+        assert res["detail"].startswith("orbit 1/7: ") and seen_by in res["detail"]
 
     def test_sees_a_dropped_left_limit(self, monkeypatch):
         # bernoulli-five without its left-limit potential f(0-) = 0: the
