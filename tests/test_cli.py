@@ -307,8 +307,9 @@ class TestConfigSchema:
         assert all(key in err for key in self.KEYS)
 
     @pytest.mark.parametrize("key, value", [
-        ("N", "abc"), ("max_period", 6.5), ("seed", True), ("seed", -1), ("tol", float("nan")),
+        ("N", "abc"), ("max_period", 6.5), ("seed", True), ("tol", float("nan")),
         ("energies", 3.5), ("energies", [3.5, float("inf")]), ("shrink_periods", [4, "6"]),
+        ("seed", -1),
     ])
     def test_bad_value_names_key(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, {**COSINE_CFG, "command": {key: value}})
