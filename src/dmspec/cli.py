@@ -159,7 +159,7 @@ def cmd_rotation(args) -> int:
         try:
             est = schwartzman.rotation_number(
                 f, E, omega_samples=params.omega_samples, steps=params.steps,
-                substeps=params.substeps, seed=params.seed, depth=params.depth)
+                seed=params.seed, depth=params.depth)
         except NotHyperbolic:
             rows.append([_fmt(E), "", "", "not_hyperbolic", ""])
             payload.append({"E": E, "verdict": "not_hyperbolic"})
@@ -174,6 +174,7 @@ def cmd_rotation(args) -> int:
             "E": E, "value": est.value, "stderr": est.stderr,
             "steps": est.steps_used, "omega_samples": est.omega_samples,
             "verdict": verdict.verdict.value, "integer": verdict.integer,
+            **est.diagnostics,
         })
     _emit(args, {"rotation": payload}, rows,
           ["E", "value", "stderr", "verdict", "integer"])

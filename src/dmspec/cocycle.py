@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import BackwardDigits, PeriodicOrbit, enumerate_orbits
+from .dynamics import BackwardDigits, PeriodicOrbit
 from .errors import DegenerateSingularValues, InvalidParameter
 from .sampling import SamplingFunction, forward_orbit, random_orbit
+from .spectrum import period_potentials
 
 #: singular values closer than this admit no contracted direction
 DEGENERACY_GAP = 1e-9
@@ -249,20 +250,25 @@ def dichotomy_test(
     points of minimal period <= PROBE_PERIODS: the dichotomy must be uniform
     over the whole support, and on a periodic orbit whose band contains E the
     monodromy is elliptic and the direction estimates never settle.  The
-    probes are the orbits' sided potentials (PeriodicOrbit.sided_potentials),
-    the same set whose bands make up union_spectrum.
+    probes are the rows of spectrum.period_potentials, each tiled to depth + 1
+    sites: the same potentials whose bands make up union_spectrum.
+
+    So True certifies contraction at a rate >= RATE_FLOOR, with settled and
+    invariant directions, on the samples and every probe; not uniform
+    hyperbolicity.  An energy in the spectrum but in no band of period <=
+    PROBE_PERIODS, where the dichotomy fails only non-uniformly, passes (e.g.
+    the gap midpoints of the period-8 union of cosine(3.0)); for continuous f
+    its non-integer rotation number shows it is in the spectrum.
     """
     if sample_count < 1 or depth < 8:
         raise InvalidParameter("need sample_count >= 1 and depth >= 8")
 
     rng = np.random.default_rng(seed)
     orbits = np.stack([random_orbit(rng, depth + 1, m=m) for _ in range(sample_count)])
-    rows = list(np.asarray(f(orbits), dtype=float))
-    for orbit in enumerate_orbits(PROBE_PERIODS, m=m):
-        reps = depth // orbit.period + 2
-        for _, cycle in orbit.sided_potentials(f):
-            rows.append(np.asarray((cycle * reps)[: depth + 1]))
-    pots = np.stack(rows)
+    rows = [np.asarray(f(orbits), dtype=float)]
+    for p in range(1, PROBE_PERIODS + 1):
+        rows.append(np.tile(period_potentials(f, p, m)[1], depth // p + 2)[:, : depth + 1])
+    pots = np.concatenate(rows)
     total = pots.shape[0]
 
     half = depth // 2

@@ -18,6 +18,11 @@ from .sampling import Potential, SamplingFunction, random_orbit
 
 #: pivot substituted for an exact zero in the Sturm recursion (counted negative)
 ZERO_PIVOT = -1e-300
+#: ids_estimate runs its M samples in one recursion while the (M, G) state has
+#: at most this many entries; past about 2^16 the per-sample loop is faster (on
+#: 2 cores at M = 64, N = 512: G = 512 in 0.08 s batched, 0.26 s looped; G = 2001
+#: in 0.54 s batched, 0.40 s looped)
+BATCH_ENTRIES = 2 ** 15
 
 
 @dataclass
@@ -96,15 +101,19 @@ def ids_estimate(
     Every sample draws a fresh uniformly distributed point and counts
     eigenvalues of its length-N potential window at all grid energies, so each
     sample's contribution is nondecreasing in E and the average is too.
-    Deterministic in the seed.
+    Deterministic in the seed.  The count is elementwise in E, so k at an
+    energy does not depend on the other energies asked for.
     """
     if truncation_size < 16 or sample_count < 1:
         raise InvalidParameter("need truncation_size >= 16 and sample_count >= 1")
     energies = np.sort(np.asarray(energies, dtype=float))
-    total = np.zeros(len(energies), dtype=np.int64)
-    for ss in np.random.SeedSequence(seed).spawn(sample_count):
-        orbit = random_orbit(np.random.default_rng(ss), truncation_size, m=m)
-        total += _sturm_counts(np.asarray(f(orbit), dtype=float), energies)
+    rows = [np.asarray(f(random_orbit(np.random.default_rng(ss), truncation_size, m=m)), dtype=float)
+            for ss in np.random.SeedSequence(seed).spawn(sample_count)]
+    if sample_count * len(energies) <= BATCH_ENTRIES:
+        grid = np.broadcast_to(energies, (sample_count, len(energies)))
+        total = _sturm_counts(np.stack(rows, axis=1)[:, :, None], grid).sum(axis=0)
+    else:
+        total = sum(_sturm_counts(v, energies) for v in rows)
     k = total / float(sample_count * truncation_size)
     return IDSTable(
         energies=energies,

@@ -174,6 +174,16 @@ class TestRotation:
         assert rows[0]["verdict"] == "integer" and rows[0]["integer"] == 0
         assert rows[1]["verdict"] == "integer" and rows[1]["integer"] == 1
 
+    def test_payload_carries_the_evidence(self):
+        argv = ["rotation", "--energies", "3.0", "--format", "json"]
+        code, out = run_cli(argv)
+        assert code == 0
+        [row] = json.loads(out)["rotation"]
+        assert row["winding_method"] == "closed_form"
+        assert row["winding_oracle_dev"] < 1e-12 and row["max_reanchor_residual"] < 1e-12
+        assert row["growth_rate"] == pytest.approx(0.9624, abs=0.01)  # log((3 + 5^0.5) / 2)
+        assert run_cli(argv)[1] == out
+
     def test_inside_spectrum_flagged(self):
         code, out = run_cli(["rotation", "--energies", "0.0", "--format", "json"])
         assert code == 0
@@ -271,7 +281,7 @@ class TestErrors:
 
 
 class TestConfigSchema:
-    KEYS = ("max_period tol coarse_tol N M grid_points steps omega_samples substeps "
+    KEYS = ("max_period tol coarse_tol N M grid_points steps omega_samples "
             "depth shrink_periods energies integrality_tol seed").split()
 
     def test_fields_are_the_config_keys(self):
@@ -335,6 +345,13 @@ class TestConfigSchema:
         code, out = run_cli([*argv, "--seed", "-1"])
         assert code == 2 and out == ""
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_substeps_key_is_gone(self, tmp_path, capsys):
+        # the winding increments have a closed form; only its oracle has substeps
+        cfg = write_config(tmp_path, {**COSINE_CFG, "command": {"substeps": 64}})
+        code, _ = run_cli(["rotation", "--config", cfg, "--energies", "3.5"])
+        assert code == 2
+        assert "unknown command key(s) substeps" in capsys.readouterr().err
 
     def test_threads_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -209,6 +209,17 @@ class TestDichotomy:
         assert rep.is_hyperbolic
         assert rep.diagnostics["max_invariance_residual"] < 1e-6
 
+    @pytest.mark.parametrize("f", [cosine(0.5), bernoulli(5.0)], ids=["cos-0.5", "bernoulli-5"])
+    def test_probes_are_the_sided_potentials(self, f):
+        # one probe per sided potential of every orbit of period <= PROBE_PERIODS,
+        # left limits included
+        from dmspec.cocycle import PROBE_PERIODS
+
+        rep = dichotomy_test(f, 9.0, sample_count=5, depth=40, seed=1)
+        expected = sum(len(o.sided_potentials(f)) for o in enumerate_orbits(PROBE_PERIODS))
+        assert rep.diagnostics["probe_count"] == expected
+        assert rep.is_hyperbolic
+
     def test_stable_directions_recorded(self):
         rep = dichotomy_test(FREE, 3.0, sample_count=10, depth=40, seed=3)
         assert len(rep.stable_direction_at) == 10

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmspec import (
     EmptyGapGrid,
@@ -15,6 +17,7 @@ from dmspec import (
     gap_label,
     ids_estimate,
 )
+from dmspec import ids
 from dmspec.ids import default_energy_grid
 from dmspec.sampling import random_orbit
 
@@ -156,6 +159,43 @@ class TestIdsEstimate:
             hi = table.value_at(E + h)
             if hi - lo > 5.0 * table.tolerance:
                 assert s.covers(float(E), slack=h)
+
+
+class TestEnergySubsets:
+    # the Sturm count is elementwise in E, so k at an energy is the same
+    # whichever other energies are asked for, batched or looped
+    def test_subsets_equal_the_full_grid_across_the_batch_switch(self):
+        M = 64
+        edge = ids.BATCH_ENTRIES // M  # up to this many energies run batched
+        grid = np.linspace(-4.0, 4.0, 2 * edge + 1)
+        f = cosine(0.7)
+        full = ids_estimate(f, grid, truncation_size=16, sample_count=M, seed=5)
+        for pick in (slice(0, edge), slice(0, edge + 1), [3], [0, edge, 2 * edge],
+                     slice(edge - 20, edge + 20)):
+            part = ids_estimate(f, grid[pick], truncation_size=16, sample_count=M, seed=5)
+            assert np.array_equal(part.k_values, full.k_values[pick])
+
+    def test_batched_equals_looped(self, monkeypatch):
+        grid = np.linspace(-4.0, 9.0, 301)
+        batched = ids_estimate(bernoulli(5.0), grid, truncation_size=64, sample_count=8, seed=2)
+        monkeypatch.setattr(ids, "BATCH_ENTRIES", 0)
+        looped = ids_estimate(bernoulli(5.0), grid, truncation_size=64, sample_count=8, seed=2)
+        assert np.array_equal(batched.k_values, looped.k_values)
+
+    def test_no_energies(self):
+        assert ids_estimate(FREE, [], truncation_size=16, sample_count=2).k_values.shape == (0,)
+
+
+class TestIdsProperties:
+    @given(c=st.floats(-6.0, 6.0), step=st.booleans(), seed=st.integers(0, 2 ** 16),
+           points=st.integers(2, 400))
+    @settings(max_examples=40, deadline=None)
+    def test_nondecreasing(self, c, step, seed, points):
+        f = bernoulli(c) if step else cosine(c / 4)
+        grid = np.linspace(-6.0, 6.0, points)
+        table = ids_estimate(f, grid, truncation_size=64, sample_count=4, seed=seed)
+        assert np.all(np.diff(table.k_values) >= 0.0)
+        assert table.k_values[0] >= 0.0 and table.k_values[-1] <= 1.0
 
 
 class TestGapLabel:

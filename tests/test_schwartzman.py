@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmspec import (
     Direction,
@@ -16,11 +18,15 @@ from dmspec import (
     argument_winding_step,
     bernoulli,
     cosine,
+    ids_estimate,
     integrality_check,
     most_contracted_direction,
     rotation_number,
+    schwartzman,
 )
-from dmspec.schwartzman import _winding_core
+from dmspec.cocycle import _projective_distance, _stable_core
+from dmspec.sampling import random_orbit
+from dmspec.schwartzman import _stable_sweep, _winding_closed, _winding_core
 
 FREE = TrigPoly()
 
@@ -101,6 +107,84 @@ class TestWindingStep:
             assert min(mismatch, math.pi - mismatch) < 1e-9
 
 
+class TestClosedFormWinding:
+    @given(E=st.floats(-30.0, 30.0), v=st.floats(-10.0, 10.0), angle=st.floats(0.0, math.pi))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_substep_lift(self, E, v, angle):
+        # 512 substeps keep every sub-increment of |E - v| <= 40 below a quarter turn
+        x, y = math.cos(angle), math.sin(angle)
+        lift = _winding_core(E, [v], [x], [y], 512)[0]
+        assert _winding_closed(E, v, x, y) == pytest.approx(lift, abs=1e-12)
+
+    def test_scale_and_sign_invariant(self):
+        x, y = 0.3, -0.7
+        assert _winding_closed(2.5, 0.4, -3 * x, -3 * y) == pytest.approx(
+            _winding_closed(2.5, 0.4, x, y), abs=1e-15)
+
+
+class TestStableSweep:
+    @pytest.mark.parametrize("f, E", [(FREE, 3.0), (cosine(0.5), 3.5), (cosine(0.5), -3.0),
+                                      (bernoulli(5.0), 2.5), (cosine(3.0), 0.323)],
+                             ids=["free-3", "cos-3.5", "cos--3", "bernoulli-2.5", "cos3-0.323"])
+    def test_matches_the_windowed_core(self, f, E):
+        rng = np.random.default_rng(11)
+        pots = np.stack([f(random_orbit(rng, 361)) for _ in range(4)])
+        x, y = _stable_sweep(E, pots, 60)
+        windows = np.lib.stride_tricks.sliding_window_view(pots, 60, axis=1)[:, : x.shape[1]]
+        _, angles, _, _ = _stable_core(E, windows.reshape(-1, 60))
+        assert _projective_distance(np.arctan2(y, x).ravel(), angles).max() < 1e-12
+
+    @pytest.mark.parametrize("site", [100, 128], ids=["off-stride", "on-stride"])
+    def test_one_perturbed_angle_shows_in_the_residual(self, monkeypatch, site):
+        sweep = schwartzman._stable_sweep
+
+        def perturbed(E, pots, depth):
+            x, y = sweep(E, pots, depth)
+            a = math.atan2(y[1, site], x[1, site]) + 1e-4
+            x[1, site], y[1, site] = math.cos(a), math.sin(a)
+            return x, y
+
+        monkeypatch.setattr(schwartzman, "_stable_sweep", perturbed)
+        est = rotation_number(cosine(0.5), 3.5, omega_samples=4, steps=300, seed=3)
+        assert est.diagnostics["max_reanchor_residual"] > 1e-6
+
+    def test_an_invariant_unstable_section_shows_in_the_residual(self, monkeypatch):
+        # a forward sweep is invariant too, but follows the unstable section:
+        # only the windowed directions at the strided sites tell it apart
+        def forward(E, pots, depth):
+            t = E - pots
+            x, y = np.ones((2, pots.shape[0], pots.shape[1] - depth))
+            for n in range(1, x.shape[1]):
+                a, b = t[:, n - 1] * x[:, n - 1] - y[:, n - 1], x[:, n - 1]
+                r = np.hypot(a, b)
+                x[:, n], y[:, n] = a / r, b / r
+            return x, y
+
+        monkeypatch.setattr(schwartzman, "_stable_sweep", forward)
+        est = rotation_number(cosine(0.5), 3.5, omega_samples=4, steps=300, seed=3)
+        assert est.diagnostics["max_reanchor_residual"] > 1e-6
+
+    def test_diagnostics(self):
+        est = rotation_number(bernoulli(5.0), 2.5, omega_samples=4, steps=300, seed=1)
+        assert est.diagnostics["winding_method"] == "closed_form"
+        assert est.diagnostics["winding_oracle_dev"] < 1e-12
+        assert est.diagnostics["max_reanchor_residual"] < 1e-12
+        assert est.diagnostics["growth_rate"] > 0.1
+
+    def test_oracle_substeps_grow_with_the_energy(self, monkeypatch):
+        # on the scaling half the image of (1, 2.1) at E - v = 100 passes
+        # the origin at lam = 0.021, too fast for 64 substeps to lift; the
+        # image of a stable direction passes it near lam = 1, where the
+        # ramp is flat
+        def steep(E, pots, depth):
+            shape = (pots.shape[0], pots.shape[1] - depth)
+            return np.full(shape, 1.0), np.full(shape, 2.1)
+
+        monkeypatch.setattr(schwartzman, "_stable_sweep", steep)
+        est = rotation_number(FREE, 100.0, omega_samples=2, steps=200, seed=0)
+        assert est.diagnostics["winding_oracle_dev"] < 1e-12
+
+
 class TestRotationNumber:
     def test_free_above_spectrum(self):
         est = rotation_number(FREE, 3.0, omega_samples=8, steps=400, seed=0)
@@ -160,6 +244,30 @@ class TestRotationNumber:
             verdict = integrality_check(est)
             assert verdict.verdict is Verdict.INTEGER, (E, est.value)
             assert verdict.integer in (0, 1)
+
+
+class TestGapLabelProperty:
+    # in a gap the rotation number is 1 - k (Johnson and Moser, Comm. Math.
+    # Phys. 84, 1982): outside the hull for cosine coupling, and inside the
+    # gap (2, c - 2) of c * chi_[0, 1/2), label 1/2
+    @given(lam=st.floats(0.0, 1.5), side=st.sampled_from([-1.0, 1.0]),
+           margin=st.floats(0.3, 2.0), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=15, deadline=None)
+    def test_outside_the_hull(self, lam, side, margin, seed):
+        E = side * (2.0 + 2.0 * lam + margin)  # cosine(lam) is 2 lam cos 2 pi w
+        self._agree(cosine(lam), E, seed)
+
+    @given(c=st.floats(5.0, 8.0), u=st.floats(-0.4, 0.4), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=15, deadline=None)
+    def test_inside_the_bernoulli_gap(self, c, u, seed):
+        self._agree(bernoulli(c), c / 2 + u * (c / 2 - 2.0), seed)
+
+    @staticmethod
+    def _agree(f, E, seed):
+        # the rotation number's stderr is about 0.005 here; 0.03 is six of them
+        k = ids_estimate(f, [E], truncation_size=512, sample_count=16, seed=seed).k_values[0]
+        est = rotation_number(f, E, omega_samples=8, steps=1000, seed=seed)
+        assert abs(est.value - (1.0 - k)) < 0.03, (E, est.value, k)
 
 
 class TestIntegralityCheck:

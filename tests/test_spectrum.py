@@ -228,6 +228,18 @@ class TestUnionSpectrum:
                 assert big.covers(float(x), slack=1e-8)
 
 
+class TestUnionProperty:
+    # the union over periods <= P + 1 contains the union over periods <= P
+    @given(c=st.floats(-3.0, 3.0), step=st.booleans(), P=st.integers(1, 7))
+    @settings(max_examples=30, deadline=None)
+    def test_monotone_in_max_period(self, c, step, P):
+        f = bernoulli(2 * c) if step else cosine(c / 2)
+        small, big = union_spectrum(f, P), union_spectrum(f, P + 1)
+        for band in small.bands:
+            for x in np.linspace(band.lo, band.hi, 5):
+                assert big.covers(float(x), slack=1e-8)
+
+
 class TestGapReport:
     def test_single_band_no_gaps(self):
         s = SpectrumApprox(bands=[Band(-2.0, 2.0)], max_period_used=3)

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from dmspec import PeriodicOrbit, bernoulli, cosine, spectrum, union_spectrum
+from dmspec import PeriodicOrbit, bernoulli, cosine, schwartzman, spectrum, union_spectrum
 from dmspec.spectrum import bands_by_period
-from dmspec.verify import Params, _union, check_band_edge_oracle, check_gap_shrinkage
+from dmspec.verify import (
+    Params,
+    _union,
+    check_band_edge_oracle,
+    check_disconnection,
+    check_gap_labelling,
+    check_gap_shrinkage,
+)
 
 
 def _faulty_edges(monkeypatch, fault):
@@ -97,3 +105,36 @@ class TestBandReuse:
         per_period = bands_by_period(cosine(0.5), 4, 1e-10)
         res = check_gap_shrinkage(per_period, Params(shrink_periods=(2, 0)))
         assert not res["passed"] and "max_period must be >= 1" in res["detail"]
+
+
+class TestRotationEvidence:
+    # the gap checks fail when a rotation number's section or winding loses
+    # its independent evidence, and name which one
+    SMALL = Params(max_period=4, N=64, M=8, grid_points=201, steps=300, omega_samples=4)
+    CHECKS = [(cosine(0.5), check_gap_labelling), (bernoulli(5.0), check_disconnection)]
+
+    @pytest.mark.parametrize("f, check", CHECKS, ids=["labelling", "disconnection"])
+    def test_passes(self, f, check):
+        res = check(f, bands_by_period(f, 4, 1e-10), self.SMALL)
+        assert res["passed"], res["detail"]
+        assert "winding_oracle_dev" not in res["detail"]
+
+    @pytest.mark.parametrize("f, check", CHECKS, ids=["labelling", "disconnection"])
+    def test_sees_a_winding_off_its_oracle(self, monkeypatch, f, check):
+        closed = schwartzman._winding_closed
+        monkeypatch.setattr(schwartzman, "_winding_closed", lambda *a: closed(*a) + 1e-6)
+        res = check(f, bands_by_period(f, 4, 1e-10), self.SMALL)
+        assert not res["passed"] and "winding_oracle_dev 1.00e-06" in res["detail"]
+
+    @pytest.mark.parametrize("f, check", CHECKS, ids=["labelling", "disconnection"])
+    def test_sees_a_section_off_the_windowed_directions(self, monkeypatch, f, check):
+        sweep = schwartzman._stable_sweep
+
+        def rotated(E, pots, depth):
+            x, y = sweep(E, pots, depth)
+            c, s = np.cos(1e-3), np.sin(1e-3)
+            return c * x - s * y, s * x + c * y
+
+        monkeypatch.setattr(schwartzman, "_stable_sweep", rotated)
+        res = check(f, bands_by_period(f, 4, 1e-10), self.SMALL)
+        assert not res["passed"] and "max_reanchor_residual" in res["detail"]
