@@ -30,4 +30,4 @@ class NotHyperbolic(DmspecError, RuntimeError):
 
 
 class LiftingAmbiguity(DmspecError, RuntimeError):
-    """A winding sub-increment reached pi/2; raise substeps to lift unambiguously."""
+    """A winding sub-increment of the substep lift came near pi/2, so folding cannot lift it."""

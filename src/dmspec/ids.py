@@ -18,10 +18,8 @@ from .sampling import Potential, SamplingFunction, random_orbit
 
 #: pivot substituted for an exact zero in the Sturm recursion (counted negative)
 ZERO_PIVOT = -1e-300
-#: ids_estimate runs its M samples in one recursion while the (M, G) state has
-#: at most this many entries; past about 2^16 the per-sample loop is faster (on
-#: 2 cores at M = 64, N = 512: G = 512 in 0.08 s batched, 0.26 s looped; G = 2001
-#: in 0.54 s batched, 0.40 s looped)
+#: ids_estimate runs its M samples in one Sturm recursion over chunks of
+#: energies whose (M, chunk) state has at most this many entries
 BATCH_ENTRIES = 2 ** 15
 
 
@@ -109,11 +107,10 @@ def ids_estimate(
     energies = np.sort(np.asarray(energies, dtype=float))
     rows = [np.asarray(f(random_orbit(np.random.default_rng(ss), truncation_size, m=m)), dtype=float)
             for ss in np.random.SeedSequence(seed).spawn(sample_count)]
-    if sample_count * len(energies) <= BATCH_ENTRIES:
-        grid = np.broadcast_to(energies, (sample_count, len(energies)))
-        total = _sturm_counts(np.stack(rows, axis=1)[:, :, None], grid).sum(axis=0)
-    else:
-        total = sum(_sturm_counts(v, energies) for v in rows)
+    cols = np.stack(rows, axis=1)[:, :, None]
+    chunk = max(1, BATCH_ENTRIES // sample_count)
+    total = np.concatenate([_sturm_counts(cols, np.broadcast_to(e, (sample_count, len(e)))).sum(axis=0)
+                            for e in np.split(energies, range(chunk, len(energies), chunk))])
     k = total / float(sample_count * truncation_size)
     return IDSTable(
         energies=energies,

@@ -88,11 +88,11 @@ def _winding_core(E, pots, x, y, substeps):
 
     d = np.diff(angles, axis=1)
     d = PI / 2 - np.mod(PI / 2 - d, PI)
-    if np.any(np.abs(d) >= AMBIGUITY_FRACTION * PI / 2):
-        raise LiftingAmbiguity(
-            f"a winding sub-increment approached pi/2 with {substeps} substeps; "
-            f"increase substeps"
-        )
+    bad = np.argwhere(np.abs(d) >= AMBIGUITY_FRACTION * PI / 2)
+    if len(bad):
+        n, j = bad[0]
+        raise LiftingAmbiguity(f"winding sub-increment {d[n, j]:.3f} at site {n}, substep {j + 1} "
+                               f"of {substeps}, is past {AMBIGUITY_FRACTION} pi/2: the lift is ambiguous")
     return d.sum(axis=1)
 
 

@@ -41,28 +41,10 @@ from dmspec.verify import (
     check_band_edge_oracle,
     check_sturm_counts,
     covers_interval,
+    hausdorff_to_intervals,
 )
 
 FREE = TrigPoly()
-
-
-def hausdorff_to_intervals(bands, targets) -> float:
-    """Hausdorff distance between a band union and a union of closed intervals.
-
-    Both sides are sampled at 2000 points per unit length, at least 2 per interval.
-    """
-    def points(intervals):
-        return np.concatenate([np.linspace(lo, hi, max(int((hi - lo) * 2000), 2))
-                               for lo, hi in intervals])
-
-    def distance(x, intervals):
-        lo, hi = np.asarray(intervals).T
-        d = np.minimum(np.abs(x[:, None] - lo), np.abs(x[:, None] - hi))
-        d[(lo <= x[:, None]) & (x[:, None] <= hi)] = 0.0
-        return d.min(axis=1)
-
-    bands = [(b.lo, b.hi) for b in bands]
-    return float(max(distance(points(targets), bands).max(), distance(points(bands), targets).max()))
 
 
 def report(name, ok, elapsed, limit, detail=""):

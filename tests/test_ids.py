@@ -163,10 +163,10 @@ class TestIdsEstimate:
 
 class TestEnergySubsets:
     # the Sturm count is elementwise in E, so k at an energy is the same
-    # whichever other energies are asked for, batched or looped
-    def test_subsets_equal_the_full_grid_across_the_batch_switch(self):
+    # whichever other energies are asked for, in whichever chunk
+    def test_subsets_equal_the_full_grid_across_a_chunk_boundary(self):
         M = 64
-        edge = ids.BATCH_ENTRIES // M  # up to this many energies run batched
+        edge = ids.BATCH_ENTRIES // M  # energies per chunk
         grid = np.linspace(-4.0, 4.0, 2 * edge + 1)
         f = cosine(0.7)
         full = ids_estimate(f, grid, truncation_size=16, sample_count=M, seed=5)
@@ -174,13 +174,6 @@ class TestEnergySubsets:
                      slice(edge - 20, edge + 20)):
             part = ids_estimate(f, grid[pick], truncation_size=16, sample_count=M, seed=5)
             assert np.array_equal(part.k_values, full.k_values[pick])
-
-    def test_batched_equals_looped(self, monkeypatch):
-        grid = np.linspace(-4.0, 9.0, 301)
-        batched = ids_estimate(bernoulli(5.0), grid, truncation_size=64, sample_count=8, seed=2)
-        monkeypatch.setattr(ids, "BATCH_ENTRIES", 0)
-        looped = ids_estimate(bernoulli(5.0), grid, truncation_size=64, sample_count=8, seed=2)
-        assert np.array_equal(batched.k_values, looped.k_values)
 
     def test_no_energies(self):
         assert ids_estimate(FREE, [], truncation_size=16, sample_count=2).k_values.shape == (0,)
