@@ -83,21 +83,22 @@ def cmd_bands(args) -> int:
         max_period_used=max_period,
         tol=tol,
     )
-    rows = []
-    orbits_json = []
+    # each potential's band edges, sliced from its period's lo, hi arrays
+    orbits = []
     for pb in per_period:
-        for i, label in enumerate(pb.labels):
-            bands = pb.bands(i)
-            orbits_json.append({
-                "period": pb.period,
-                "point": label,
-                "bands": [[b.lo, b.hi] for b in bands],
-            })
-            for j, b in enumerate(bands):
-                rows.append(["orbit", pb.period, label, j, _fmt(b.lo), _fmt(b.hi)])
-    for i, b in enumerate(merged.bands):
-        rows.append(["merged", max_period, "", i, _fmt(b.lo), _fmt(b.hi)])
-    payload = {"orbits": orbits_json, "merged": merged.to_json()}
+        lo, hi, off = pb.lo.tolist(), pb.hi.tolist(), pb.offsets.tolist()
+        orbits += [(pb.period, label, lo[j0:j1], hi[j0:j1])
+                   for label, j0, j1 in zip(pb.labels, off, off[1:])]
+    payload, rows = None, []  # only the requested format is built
+    if args.format == "json":
+        payload = {"orbits": [{"period": p, "point": label, "bands": [list(b) for b in zip(lo, hi)]}
+                              for p, label, lo, hi in orbits],
+                   "merged": merged.to_json()}
+    else:
+        rows = [["orbit", p, label, j, _fmt(a), _fmt(b)]
+                for p, label, lo, hi in orbits for j, (a, b) in enumerate(zip(lo, hi))]
+        rows += [["merged", max_period, "", i, _fmt(b.lo), _fmt(b.hi)]
+                 for i, b in enumerate(merged.bands)]
     _emit(args, payload, rows, ["source", "period", "point", "band_index", "lo", "hi"])
     if args.plot:
         per_period_merged = {pb.period: spectrum.merge_bands([pb], tol) for pb in per_period}

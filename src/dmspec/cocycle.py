@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import BackwardDigits, PeriodicOrbit
 from .errors import DegenerateSingularValues, InvalidParameter
-from .sampling import SamplingFunction, forward_orbit, random_orbit
+from .sampling import SamplingFunction, forward_orbit, random_orbits
 from .spectrum import period_potentials
 
 #: singular values closer than this admit no contracted direction
@@ -263,8 +263,7 @@ def dichotomy_test(
     if sample_count < 1 or depth < 8:
         raise InvalidParameter("need sample_count >= 1 and depth >= 8")
 
-    rng = np.random.default_rng(seed)
-    orbits = np.stack([random_orbit(rng, depth + 1, m=m) for _ in range(sample_count)])
+    orbits = random_orbits(np.random.default_rng(seed), sample_count, depth + 1, m)
     rows = [np.asarray(f(orbits), dtype=float)]
     for p in range(1, PROBE_PERIODS + 1):
         rows.append(np.tile(period_potentials(f, p, m)[1], depth // p + 2)[:, : depth + 1])

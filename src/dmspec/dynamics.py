@@ -73,8 +73,8 @@ class PeriodicOrbit:
     map_base: int = 2
 
     def potential_values(self, f) -> list[float]:
-        """Sampling-function values along the orbit, starting at points[0]."""
-        return [float(f(p.as_float())) for p in self.points]
+        """Sampling-function values along the orbit, starting at points[0]; f is called once."""
+        return np.asarray(f([p.as_float() for p in self.points]), dtype=float).tolist()
 
     def sided_potentials(self, f) -> list[tuple[str, list[float]]]:
         """The periodic potentials of the hull that this orbit carries, labelled.
@@ -88,8 +88,9 @@ class PeriodicOrbit:
         """
         right = self.potential_values(f)
         out = [(self.label(), right)]
-        if f.on_breakpoint([p.as_float() for p in self.points]):
-            left = [float(f.left_limit(p.as_float())) for p in self.points]
+        w = [p.as_float() for p in self.points]
+        if f.on_breakpoint(w):
+            left = np.asarray(f.left_limit(w), dtype=float).tolist()
             if left != right:
                 out.append((self.label() + "-", left))
         return out
@@ -123,11 +124,12 @@ def check_period(max_period: int, m: int = 2) -> None:
     """Raise unless orbits up to max_period fit both capacity bounds."""
     if max_period < 1:
         raise InvalidParameter("max_period must be >= 1")
-    safe = max_safe_period(m)
-    if max_period > safe:
+    # tested directly, as max_safe_period loops; with m >= 2 every p above
+    # CAPACITY_BITS exceeds, which spares computing a huge power
+    if max_period > CAPACITY_BITS or m ** max_period - 1 > 1 << CAPACITY_BITS:
         raise CapacityExceeded(
             f"m^p - 1 exceeds {CAPACITY_BITS}-bit capacity for p = {max_period}; "
-            f"max safe period for m = {m} is {safe}"
+            f"max safe period for m = {m} is {max_safe_period(m)}"
         )
     if m ** (max_period + 1) >= TABLE_LIMIT:
         raise CapacityExceeded(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyGapGrid, InvalidParameter
-from .sampling import Potential, SamplingFunction, random_orbit
+from .sampling import Potential, SamplingFunction, spawned_orbits
 
 #: pivot substituted for an exact zero in the Sturm recursion (counted negative)
 ZERO_PIVOT = -1e-300
@@ -105,9 +105,7 @@ def ids_estimate(
     if truncation_size < 16 or sample_count < 1:
         raise InvalidParameter("need truncation_size >= 16 and sample_count >= 1")
     energies = np.sort(np.asarray(energies, dtype=float))
-    rows = [np.asarray(f(random_orbit(np.random.default_rng(ss), truncation_size, m=m)), dtype=float)
-            for ss in np.random.SeedSequence(seed).spawn(sample_count)]
-    cols = np.stack(rows, axis=1)[:, :, None]
+    cols = np.asarray(f(spawned_orbits(seed, sample_count, truncation_size, m)), dtype=float).T[:, :, None]
     chunk = max(1, BATCH_ENTRIES // sample_count)
     total = np.concatenate([_sturm_counts(cols, np.broadcast_to(e, (sample_count, len(e)))).sum(axis=0)
                             for e in np.split(energies, range(chunk, len(energies), chunk))])

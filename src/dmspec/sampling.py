@@ -210,34 +210,46 @@ class Potential:
         return len(self.values)
 
 
-def _bits_to_orbit(bits: np.ndarray, count: int) -> np.ndarray:
-    """Orbit values from a binary digit stream: w_k = 0.b_{k+1} b_{k+2} ...
+def _window(digits: np.ndarray, count: int, m: int = 2) -> np.ndarray:
+    """Orbit values from base-m digit streams on the last axis: w_k = 0.d_{k+1} d_{k+2} ...
 
-    Each value reads a 53-bit window, so consecutive points share the bits the
-    doubling map says they must share.
+    Each value reads a 53-digit window, so consecutive points share the
+    digits the m-fold map says they must share.  Leading axes are batch axes.
+    For m = 2 a window sums distinct powers 2^-1 .. 2^-53, exactly in any
+    order; otherwise Horner's rule runs from each window's last digit to its
+    first, one vector step per digit over the whole batch.
     """
-    windows = np.lib.stride_tricks.sliding_window_view(bits, _MANTISSA_BITS)[:count]
-    return windows @ _POWERS
+    if m == 2:
+        bits = np.asarray(digits, dtype=float)
+        windows = np.lib.stride_tricks.sliding_window_view(bits, _MANTISSA_BITS, axis=-1)
+        return windows[..., :count, :] @ _POWERS
+    x = np.zeros(digits.shape[:-1] + (count,))
+    for j in range(_MANTISSA_BITS - 1, -1, -1):
+        x = (x + digits[..., j:j + count]) / m
+    return x
+
+
+def random_orbits(rng: np.random.Generator, samples: int, count: int, m: int = 2) -> np.ndarray:
+    """Forward orbits of `samples` fresh uniform points, one row of length count each.
+
+    Each point is an i.i.d. uniform base-m digit stream (the digits of a
+    Lebesgue-random point) read through _window, which keeps the exact joint
+    law of the orbit without mantissa exhaustion.  Row i equals the i-th of
+    `samples` successive random_orbit calls, and rng ends in the same state.
+    """
+    return _window(rng.integers(0, m, size=(samples, count + _MANTISSA_BITS), dtype=np.int64), count, m)
 
 
 def random_orbit(rng: np.random.Generator, count: int, m: int = 2) -> np.ndarray:
-    """Forward orbit of a fresh uniformly distributed point, of length count.
+    """Forward orbit of a fresh uniformly distributed point, of length count (see random_orbits)."""
+    return random_orbits(rng, 1, count, m)[0]
 
-    For m = 2 the orbit is realized directly from an i.i.d. fair bit stream
-    (the binary digits of a Lebesgue-random point); the window construction
-    keeps the exact joint law of the doubling map without mantissa exhaustion.
-    """
-    if m == 2:
-        bits = rng.integers(0, 2, size=count + _MANTISSA_BITS, dtype=np.int64).astype(float)
-        return _bits_to_orbit(bits, count)
-    digits = rng.integers(0, m, size=count + _MANTISSA_BITS, dtype=np.int64)
-    out = np.empty(count)
-    for k in range(count):
-        x = 0.0
-        for j in range(_MANTISSA_BITS - 1, -1, -1):
-            x = (x + digits[k + j]) / m
-        out[k] = x
-    return out
+
+def spawned_orbits(seed: int, samples: int, count: int, m: int = 2) -> np.ndarray:
+    """random_orbit of one generator per child of SeedSequence(seed).spawn(samples), as rows."""
+    digits = [np.random.default_rng(ss).integers(0, m, size=count + _MANTISSA_BITS, dtype=np.int64)
+              for ss in np.random.SeedSequence(seed).spawn(samples)]
+    return _window(np.stack(digits), count, m)
 
 
 def forward_orbit(omega, count: int, m: int = 2) -> np.ndarray:
@@ -277,8 +289,7 @@ def forward_orbit(omega, count: int, m: int = 2) -> np.ndarray:
         lead = [(mant >> (_MANTISSA_BITS - 1 - j)) & 1 for j in range(_MANTISSA_BITS)]
         seed = struct.unpack("<Q", struct.pack("<d", x))[0]
         tail = np.random.default_rng(seed).integers(0, 2, size=count, dtype=np.int64)
-        bits = np.concatenate([np.asarray(lead, dtype=float), tail.astype(float)])
-        return _bits_to_orbit(bits, count)
+        return _window(np.concatenate([lead, tail]), count)
     # for m > 2 the float is treated as the exact dyadic rational it is;
     # exact iteration never collapses since m and 2 are coprime in the digits
     return forward_orbit(Fraction(x), count, m=m)

@@ -27,7 +27,7 @@ from .cocycle import (
     step_matrix,
 )
 from .errors import InvalidParameter, LiftingAmbiguity, NotHyperbolic
-from .sampling import SamplingFunction, random_orbit
+from .sampling import SamplingFunction, spawned_orbits
 
 PI = math.pi
 
@@ -172,9 +172,7 @@ def rotation_number(
             f"rotation number are undefined inside the spectrum"
         )
 
-    pots = np.stack([
-        np.asarray(f(random_orbit(np.random.default_rng(ss), steps + depth + 1, m=m)), dtype=float)
-        for ss in np.random.SeedSequence(seed).spawn(omega_samples)])
+    pots = np.asarray(f(spawned_orbits(seed, omega_samples, steps + depth + 1, m)), dtype=float)
     x, y = _stable_sweep(E, pots, depth)
     deltas = _winding_closed(E, pots[:, :steps], x[:, :steps], y[:, :steps])
     values = deltas.sum(axis=1) / (PI * steps)

@@ -144,17 +144,18 @@ def check_sturm_counts(seed: int = 0, cases: int = 20, max_size: int = 64) -> di
 
 
 def _discriminant(rows: np.ndarray, E: np.ndarray):
-    """disc(E) and disc'(E) of each row of potentials (n, p) at its own energies (n, k).
+    """disc, disc' and disc'' of each row of potentials (n, p) at its own energies (n, k).
 
-    u, w are the rows of the transfer product and du, dw their E-derivatives.
+    u, w are the rows of the transfer product, du, dw their E-derivatives
+    and ddu, ddw their second derivatives.
     """
     u = np.stack([np.ones_like(E), np.zeros_like(E)])
     w = u[::-1].copy()
-    du, dw = np.zeros_like(u), np.zeros_like(u)
+    du, dw, ddu, ddw = (np.zeros_like(u) for _ in range(4))
     for v in rows.T:
         t = E - v[:, None]
-        u, w, du, dw = t * u - w, u, u + t * du - dw, du
-    return u[0] + w[1], du[0] + dw[1]
+        u, w, du, dw, ddu, ddw = t * u - w, u, u + t * du - dw, du, 2 * du + t * ddu - ddw, ddu
+    return u[0] + w[1], du[0] + dw[1], ddu[0] + ddw[1]
 
 
 def _certify(labels, pots: np.ndarray, edges: np.ndarray, tol: float, band_tol: float):
@@ -162,19 +163,21 @@ def _certify(labels, pots: np.ndarray, edges: np.ndarray, tol: float, band_tol: 
 
     Band k is (edges[2k], edges[2k+1]), and the edges ascend.  The true edges
     are the roots of disc = +-2, signed +, -, -, +, +, ... from the top down.
-    An edge's error is its Newton step |disc - want| / |disc'| to a root of
-    its sign, so a wrong sign shows as about half its band's width; across a
-    gap narrower than MERGE_FACTOR * band_tol, merged in every output and
-    where disc' vanishes, it is |disc - want|.  The p - 1 Dirichlet
-    eigenvalues of sites 1 .. p-1 lie one in each closed gap (Teschl, Jacobi
-    Operators and Completely Integrable Nonlinear Lattices, AMS 2000, ch. 7),
-    so k of them lie below the midpoint of band k.  The +2 and the -2 edges
+    An edge's error, in energy units, is its Newton step |disc - want| /
+    |disc'| to a root of its sign, so a wrong sign shows as about half its
+    band's width.  Across a gap narrower than MERGE_FACTOR * band_tol, merged
+    in every output, disc - want has a double root where disc' vanishes, so
+    the error is the second-order step sqrt(2 |disc - want| / |disc''|).
+    The p - 1 Dirichlet eigenvalues of sites 1 .. p-1 lie one in each closed
+    gap (Teschl, Jacobi Operators and Completely Integrable Nonlinear
+    Lattices, AMS 2000, ch. 7), so k of them lie below the midpoint of band
+    k.  The +2 and the -2 edges
     are the periodic and the antiperiodic eigenvalues, each set summing to
     the trace sum(v) (+-2 at p = 1); a repeated edge hiding a gap misses it.
     """
     p = pots.shape[1]
     want = np.where((np.arange(2 * p)[::-1] + 1) // 2 % 2 == 0, 2.0, -2.0)
-    disc, slope = _discriminant(pots, edges)
+    disc, slope, curvature = _discriminant(pots, edges)
     mids = 0.5 * (edges[:, 0::2] + edges[:, 1::2])
     below = ids._sturm_counts(pots[:, 1:].T[:, :, None], mids)
     merged = np.zeros(edges.shape, dtype=bool)
@@ -182,7 +185,7 @@ def _certify(labels, pots: np.ndarray, edges: np.ndarray, tol: float, band_tol: 
         edges[:, 2::2] - edges[:, 1:-1:2] <= spectrum.MERGE_FACTOR * band_tol)
     miss = np.abs(disc - want)
     with np.errstate(divide="ignore", invalid="ignore"):
-        error = np.where(merged, miss, miss / np.abs(slope))
+        error = np.where(merged, np.sqrt(2.0 * miss / np.abs(curvature)), miss / np.abs(slope))
     sums = np.stack([edges[:, want > 0].sum(axis=1), edges[:, want < 0].sum(axis=1)], axis=1)
     trace = pots.sum(axis=1, keepdims=True) + (np.array([2.0, -2.0]) if p == 1 else 0.0)
     faults = (
@@ -231,7 +234,7 @@ def check_band_edge_oracle(f: SamplingFunction, max_period: int = 8,
         left_count = sum(label.endswith("-") for _, label, _ in oracle)
         detail = (f"{len(oracle)} potentials of periods <= {max_period}: Dirichlet interlacing, "
                   f"disc signs and trace sums hold, max edge error {worst:.2e} "
-                  f"(||disc| - 2| / |disc'|)")
+                  f"(||disc| - 2| / |disc'|; sqrt(2 ||disc| - 2| / |disc''|) at merged gaps)")
         if left_count:
             detail += f", incl. {left_count} left-limit potential(s)"
         detail += f"; period-1 union vs closed form {closed_dev:.2e}"

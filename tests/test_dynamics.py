@@ -18,13 +18,14 @@ from dmspec import (
     Step,
     TrigPoly,
     bernoulli,
+    cosine,
     enumerate_orbits,
     extend_backward,
     map_forward,
     max_safe_period,
     solenoid_forward,
 )
-from dmspec.dynamics import max_table_period, orbit_table
+from dmspec.dynamics import check_period, max_table_period, orbit_table
 
 
 def loop_orbit_table(p, m=2):
@@ -150,6 +151,36 @@ class TestEnumerateOrbits:
         assert fixed.sided_potentials(TrigPoly(constant=1.5)) == [("0/1", [1.5])]
         # equal values on both sides of a breakpoint give no second potential
         assert fixed.sided_potentials(Step((0.0,), (2.0,))) == [("0/1", [2.0])]
+
+    @pytest.mark.parametrize("f", [
+        cosine(0.5),
+        TrigPoly(0.3, (1.0, -0.5, 0.25), (0.7, 0.1)),
+        bernoulli(5.0),
+        Step((0.0, 1 / 3), (1.0, -2.0)),
+    ], ids=["cos-0.5", "trigpoly", "bernoulli-5", "step-1/3"])
+    def test_one_call_of_f_equals_per_point_evaluation(self, f):
+        for orbit in enumerate_orbits(10):
+            right = [float(f(q.as_float())) for q in orbit.points]
+            left = [float(f.left_limit(q.as_float())) for q in orbit.points]
+            want = [(orbit.label(), right)]
+            if left != right:
+                want.append((orbit.label() + "-", left))
+            assert orbit.potential_values(f) == right
+            assert orbit.sided_potentials(f) == want
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_capacity_test_agrees_with_max_safe_period(self, m):
+        safe = max_safe_period(m)
+        for p in range(1, 140):
+            try:
+                check_period(p, m)
+                over = False
+            except CapacityExceeded as exc:
+                over = "bit capacity" in str(exc)
+                assert not over or f"max safe period for m = {m} is {safe}" in str(exc)
+            assert over == (p > safe)
+        with pytest.raises(CapacityExceeded, match="is 126"):
+            check_period(10**12)  # no huge power is computed
 
     def test_capacity_guard(self):
         assert max_safe_period(2) == 126

@@ -186,6 +186,70 @@ class TestForwardOrbit:
         assert drift.max() < 2.0 ** -50
 
 
+class TestBatchedOrbits:
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_rows_equal_successive_draws(self, m):
+        rng_batch, rng_loop = np.random.default_rng(21), np.random.default_rng(21)
+        batch = sampling.random_orbits(rng_batch, 7, 90, m)
+        loop = np.stack([sampling.random_orbit(rng_loop, 90, m=m) for _ in range(7)])
+        assert batch.shape == (7, 90) and np.array_equal(batch, loop)
+        # the generator is left where the successive draws leave it
+        assert rng_batch.bit_generator.state == rng_loop.bit_generator.state
+        assert rng_batch.integers(0, 2**62) == rng_loop.integers(0, 2**62)
+
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_horner_steps_equal_the_scalar_recurrence(self, m):
+        # the per-point loop the batched Horner steps replaced, bit for bit
+        digits = np.random.default_rng(8).integers(0, m, size=(4, 60 + 53), dtype=np.int64)
+        want = np.empty((4, 60))
+        for i in range(4):
+            for k in range(60):
+                x = 0.0
+                for j in range(52, -1, -1):
+                    x = (x + digits[i, k + j]) / m
+                want[i, k] = x
+        assert np.array_equal(sampling._window(digits, 60, m), want)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_spawned_rows_equal_one_draw_per_child(self, m):
+        children = np.random.SeedSequence(4).spawn(5)
+        want = np.stack([sampling.random_orbit(np.random.default_rng(ss), 70, m=m)
+                         for ss in children])
+        assert np.array_equal(sampling.spawned_orbits(4, 5, 70, m), want)
+
+    def test_label_kernels_are_bit_identical(self):
+        # sha256 of the float bits of dichotomy_test, ids_estimate and
+        # rotation_number results at fixed seeds, m = 2 and 3, as computed by
+        # the per-orbit draws before they were batched (numpy 2.4.6)
+        from hashlib import sha256
+
+        from dmspec.cocycle import dichotomy_test
+        from dmspec.ids import ids_estimate
+        from dmspec.schwartzman import rotation_number
+
+        h = sha256()
+
+        def put(*xs):
+            for x in xs:
+                h.update(np.asarray(x, dtype=float).tobytes())
+
+        for f, E in ((cosine(0.5), 3.5), (bernoulli(5.0), 2.5)):
+            for m in (2, 3):
+                rep = dichotomy_test(f, E, sample_count=40, seed=11, m=m)
+                d = rep.diagnostics
+                put(rep.growth_rate, rep.prefactor, d["converged_fraction"],
+                    d["max_invariance_residual"], d["min_rate"], d["max_rate"],
+                    list(rep.stable_direction_at),
+                    [a.angle for a in rep.stable_direction_at.values()])
+                put(ids_estimate(f, np.linspace(-3.0, 7.0, 9), truncation_size=64,
+                                 sample_count=6, seed=4, m=m).k_values)
+                est = rotation_number(f, E, omega_samples=3, steps=100, seed=2, m=m)
+                put(est.value, est.stderr, est.diagnostics["max_reanchor_residual"],
+                    est.diagnostics["winding_oracle_dev"])
+                put(sampling.random_orbit(np.random.default_rng(9), 70, m=m))
+        assert h.hexdigest() == "337972c093971baf597ae4771dabea19da6c1f44d4aab7aed0babae30d4e16fc"
+
+
 class TestJson:
     def test_trig_round_trip(self):
         f = TrigPoly(0.5, (1.0, 0.0, 2.0), (0.25,))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dmspec import PeriodicOrbit, bernoulli, cosine, schwartzman, spectrum, union_spectrum
+from dmspec import PeriodicOrbit, TrigPoly, bernoulli, cosine, schwartzman, spectrum, union_spectrum
 from dmspec.spectrum import bands_by_period
 from dmspec.verify import (
     Params,
@@ -47,6 +47,28 @@ class TestBandEdgeCheck:
         res = check_band_edge_oracle(cosine(0.5))
         assert not res["passed"]
         assert res["detail"].startswith("orbit 0/1: ") and "off by 1.00e-05" in res["detail"]
+
+    def test_passes_at_a_merged_gap_of_strong_coupling(self):
+        # orbit 1/65 of 12 cos has a gap closed below MERGE_FACTOR * tol, where
+        # disc + 2 has a double root; the float disc misses -2 by about 1e-5
+        # there, which the second-order step turns into about 1e-9 in energy
+        res = check_band_edge_oracle(cosine(6.0), max_period=12)
+        assert res["passed"], res["detail"]
+
+    def test_sees_a_shifted_merged_gap(self, monkeypatch):
+        # both edges of every merged gap moved up by 1e-5: the gap stays
+        # merged, disc'' keeps the error in energy units, and it shows
+        def shift(edges):
+            at_gap = np.zeros(edges.shape, dtype=bool)
+            at_gap[:, 1:-1:2] = at_gap[:, 2::2] = (
+                edges[:, 2::2] - edges[:, 1:-1:2] <= spectrum.MERGE_FACTOR * 1e-10)
+            edges[at_gap] += 1e-5
+            return edges
+
+        _faulty_edges(monkeypatch, shift)
+        res = check_band_edge_oracle(TrigPoly(), max_period=3)
+        assert not res["passed"]
+        assert res["detail"].startswith("orbit 1/3: disc") and "off by 1.00e-05" in res["detail"]
 
     def test_sees_swapped_edges(self, monkeypatch):
         # bands (e0, e2) and (e1, e3) overlap, and merging them closes gap 0
