@@ -83,12 +83,8 @@ def cmd_bands(args) -> int:
         max_period_used=max_period,
         tol=tol,
     )
-    # each potential's band edges, sliced from its period's lo, hi arrays
-    orbits = []
-    for pb in per_period:
-        lo, hi, off = pb.lo.tolist(), pb.hi.tolist(), pb.offsets.tolist()
-        orbits += [(pb.period, label, lo[j0:j1], hi[j0:j1])
-                   for label, j0, j1 in zip(pb.labels, off, off[1:])]
+    orbits = [(pb.period, label, lo, hi) for pb in per_period
+              for label, (lo, hi) in zip(pb.labels, pb.band_edges())]
     payload, rows = None, []  # only the requested format is built
     if args.format == "json":
         payload = {"orbits": [{"period": p, "point": label, "bands": [list(b) for b in zip(lo, hi)]}

@@ -124,8 +124,7 @@ def check_period(max_period: int, m: int = 2) -> None:
     """Raise unless orbits up to max_period fit both capacity bounds."""
     if max_period < 1:
         raise InvalidParameter("max_period must be >= 1")
-    # tested directly, as max_safe_period loops; with m >= 2 every p above
-    # CAPACITY_BITS exceeds, which spares computing a huge power
+    # a direct test, not max_safe_period's loop; p > CAPACITY_BITS fails at once (m >= 2)
     if max_period > CAPACITY_BITS or m ** max_period - 1 > 1 << CAPACITY_BITS:
         raise CapacityExceeded(
             f"m^p - 1 exceeds {CAPACITY_BITS}-bit capacity for p = {max_period}; "

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyGapGrid, InvalidParameter
-from .sampling import Potential, SamplingFunction, spawned_orbits
+from .sampling import Potential, SamplingFunction, spawned_potentials
 
 #: pivot substituted for an exact zero in the Sturm recursion (counted negative)
 ZERO_PIVOT = -1e-300
@@ -105,7 +105,8 @@ def ids_estimate(
     if truncation_size < 16 or sample_count < 1:
         raise InvalidParameter("need truncation_size >= 16 and sample_count >= 1")
     energies = np.sort(np.asarray(energies, dtype=float))
-    cols = np.asarray(f(spawned_orbits(seed, sample_count, truncation_size, m)), dtype=float).T[:, :, None]
+    # one contiguous row of samples per site, for the recursion's pass over the sites
+    cols = np.ascontiguousarray(spawned_potentials(f, seed, sample_count, truncation_size, m).T)[:, :, None]
     chunk = max(1, BATCH_ENTRIES // sample_count)
     total = np.concatenate([_sturm_counts(cols, np.broadcast_to(e, (sample_count, len(e)))).sum(axis=0)
                             for e in np.split(energies, range(chunk, len(energies), chunk))])

@@ -25,6 +25,8 @@ FLOAT_ITERATION_LIMIT = 45
 
 _MANTISSA_BITS = 53
 _POWERS = 0.5 ** np.arange(1, _MANTISSA_BITS + 1)
+#: digits spawned_potentials draws and windows at once, whatever the sample count
+_SPAWN_DIGITS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -245,11 +247,20 @@ def random_orbit(rng: np.random.Generator, count: int, m: int = 2) -> np.ndarray
     return random_orbits(rng, 1, count, m)[0]
 
 
-def spawned_orbits(seed: int, samples: int, count: int, m: int = 2) -> np.ndarray:
-    """random_orbit of one generator per child of SeedSequence(seed).spawn(samples), as rows."""
-    digits = [np.random.default_rng(ss).integers(0, m, size=count + _MANTISSA_BITS, dtype=np.int64)
-              for ss in np.random.SeedSequence(seed).spawn(samples)]
-    return _window(np.stack(digits), count, m)
+def spawned_potentials(f, seed: int, samples: int, count: int, m: int = 2) -> np.ndarray:
+    """f along random_orbit of one generator per child of SeedSequence(seed).spawn(samples), as rows.
+
+    Rows are drawn, windowed and passed to f in blocks of about _SPAWN_DIGITS
+    digits, so the memory they take does not grow with the sample count.
+    """
+    children = np.random.SeedSequence(seed).spawn(samples)
+    block = max(1, _SPAWN_DIGITS // (count + _MANTISSA_BITS))
+    out = np.empty((samples, count))
+    for i in range(0, samples, block):
+        digits = [np.random.default_rng(ss).integers(0, m, size=count + _MANTISSA_BITS, dtype=np.int64)
+                  for ss in children[i:i + block]]
+        out[i:i + block] = f(_window(np.stack(digits), count, m))
+    return out
 
 
 def forward_orbit(omega, count: int, m: int = 2) -> np.ndarray:

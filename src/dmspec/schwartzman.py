@@ -27,7 +27,7 @@ from .cocycle import (
     step_matrix,
 )
 from .errors import InvalidParameter, LiftingAmbiguity, NotHyperbolic
-from .sampling import SamplingFunction, spawned_orbits
+from .sampling import SamplingFunction, spawned_potentials
 
 PI = math.pi
 
@@ -172,7 +172,7 @@ def rotation_number(
             f"rotation number are undefined inside the spectrum"
         )
 
-    pots = np.asarray(f(spawned_orbits(seed, omega_samples, steps + depth + 1, m)), dtype=float)
+    pots = spawned_potentials(f, seed, omega_samples, steps + depth + 1, m)
     x, y = _stable_sweep(E, pots, depth)
     deltas = _winding_closed(E, pots[:, :steps], x[:, :steps], y[:, :steps])
     values = deltas.sum(axis=1) / (PI * steps)

@@ -110,9 +110,10 @@ class PeriodBands:
     hi: np.ndarray
     offsets: np.ndarray
 
-    def bands(self, i: int) -> list[Band]:
-        j0, j1 = self.offsets[i], self.offsets[i + 1]
-        return [Band(lo, hi) for lo, hi in zip(self.lo[j0:j1].tolist(), self.hi[j0:j1].tolist())]
+    def band_edges(self) -> list[tuple[list[float], list[float]]]:
+        """Each potential's band edges as (lo, hi) lists, in label order."""
+        lo, hi, off = self.lo.tolist(), self.hi.tolist(), self.offsets.tolist()
+        return [(lo[j0:j1], hi[j0:j1]) for j0, j1 in zip(off, off[1:])]
 
 
 def _edges(rows: np.ndarray) -> np.ndarray:

@@ -167,13 +167,13 @@ def _certify(labels, pots: np.ndarray, edges: np.ndarray, tol: float, band_tol: 
     |disc'| to a root of its sign, so a wrong sign shows as about half its
     band's width.  Across a gap narrower than MERGE_FACTOR * band_tol, merged
     in every output, disc - want has a double root where disc' vanishes, so
-    the error is the second-order step sqrt(2 |disc - want| / |disc''|).
-    The p - 1 Dirichlet eigenvalues of sites 1 .. p-1 lie one in each closed
-    gap (Teschl, Jacobi Operators and Completely Integrable Nonlinear
-    Lattices, AMS 2000, ch. 7), so k of them lie below the midpoint of band
-    k.  The +2 and the -2 edges
-    are the periodic and the antiperiodic eigenvalues, each set summing to
-    the trace sum(v) (+-2 at p = 1); a repeated edge hiding a gap misses it.
+    the error is the second-order step sqrt(2 |disc - want| / |disc''|).  The
+    p - 1 Dirichlet eigenvalues of sites 1 .. p-1 lie one in each closed gap
+    (Teschl, Jacobi Operators and Completely Integrable Nonlinear Lattices,
+    AMS 2000, ch. 7), so k of them lie below the midpoint of band k.  The +2
+    and the -2 edges are the periodic and the antiperiodic eigenvalues, each
+    set summing to the trace sum(v) (+-2 at p = 1); a repeated edge hiding a
+    gap misses it.
     """
     p = pots.shape[1]
     want = np.where((np.arange(2 * p)[::-1] + 1) // 2 % 2 == 0, 2.0, -2.0)

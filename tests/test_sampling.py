@@ -211,43 +211,54 @@ class TestBatchedOrbits:
         assert np.array_equal(sampling._window(digits, 60, m), want)
 
     @pytest.mark.parametrize("m", [2, 3])
-    def test_spawned_rows_equal_one_draw_per_child(self, m):
-        children = np.random.SeedSequence(4).spawn(5)
-        want = np.stack([sampling.random_orbit(np.random.default_rng(ss), 70, m=m)
-                         for ss in children])
-        assert np.array_equal(sampling.spawned_orbits(4, 5, 70, m), want)
+    @pytest.mark.parametrize("block_digits", [1, 3 * (70 + 53), 2 ** 15])
+    def test_spawned_rows_equal_one_draw_per_child(self, m, block_digits, monkeypatch):
+        # one row per spawned child, whether the blocks hold one row, a few or all
+        monkeypatch.setattr(sampling, "_SPAWN_DIGITS", block_digits)
+        f = cosine(0.5)
+        want = np.stack([f(sampling.random_orbit(np.random.default_rng(ss), 70, m=m))
+                         for ss in np.random.SeedSequence(4).spawn(7)])
+        assert np.array_equal(sampling.spawned_potentials(f, 4, 7, 70, m), want)
 
-    def test_label_kernels_are_bit_identical(self):
-        # sha256 of the float bits of dichotomy_test, ids_estimate and
-        # rotation_number results at fixed seeds, m = 2 and 3, as computed by
-        # the per-orbit draws before they were batched (numpy 2.4.6)
-        from hashlib import sha256
+    def test_label_kernels_are_bit_identical(self, monkeypatch):
+        # dichotomy_test, ids_estimate and rotation_number give the same bits
+        # when their orbits are drawn one at a time, through the per-point
+        # window loop, as they were before the draws were batched
+        from dmspec import cocycle, ids, schwartzman
 
-        from dmspec.cocycle import dichotomy_test
-        from dmspec.ids import ids_estimate
-        from dmspec.schwartzman import rotation_number
+        def orbit(rng, count, m):
+            digits = rng.integers(0, m, size=count + 53, dtype=np.int64)
+            out = np.empty(count)
+            for k in range(count):
+                x = 0.0
+                for j in range(52, -1, -1):
+                    x = (x + digits[k + j]) / m
+                out[k] = x
+            return out
 
-        h = sha256()
+        def one_at_a_time(f, seed, samples, count, m):
+            return np.stack([np.asarray(f(orbit(np.random.default_rng(ss), count, m)), dtype=float)
+                             for ss in np.random.SeedSequence(seed).spawn(samples)])
 
-        def put(*xs):
-            for x in xs:
-                h.update(np.asarray(x, dtype=float).tobytes())
+        def labels():
+            out = []
+            for f, E in ((cosine(0.5), 3.5), (bernoulli(5.0), 2.5)):
+                for m in (2, 3):
+                    rep = cocycle.dichotomy_test(f, E, sample_count=40, seed=11, m=m)
+                    out += [rep.growth_rate, rep.prefactor, *rep.diagnostics.values(),
+                            *[(w, a.angle) for w, a in rep.stable_direction_at.items()]]
+                    out += list(ids.ids_estimate(f, np.linspace(-3.0, 7.0, 9), truncation_size=64,
+                                                 sample_count=6, seed=4, m=m).k_values)
+                    est = schwartzman.rotation_number(f, E, omega_samples=3, steps=100, seed=2, m=m)
+                    out += [est.value, est.stderr, *est.diagnostics.values()]
+            return out
 
-        for f, E in ((cosine(0.5), 3.5), (bernoulli(5.0), 2.5)):
-            for m in (2, 3):
-                rep = dichotomy_test(f, E, sample_count=40, seed=11, m=m)
-                d = rep.diagnostics
-                put(rep.growth_rate, rep.prefactor, d["converged_fraction"],
-                    d["max_invariance_residual"], d["min_rate"], d["max_rate"],
-                    list(rep.stable_direction_at),
-                    [a.angle for a in rep.stable_direction_at.values()])
-                put(ids_estimate(f, np.linspace(-3.0, 7.0, 9), truncation_size=64,
-                                 sample_count=6, seed=4, m=m).k_values)
-                est = rotation_number(f, E, omega_samples=3, steps=100, seed=2, m=m)
-                put(est.value, est.stderr, est.diagnostics["max_reanchor_residual"],
-                    est.diagnostics["winding_oracle_dev"])
-                put(sampling.random_orbit(np.random.default_rng(9), 70, m=m))
-        assert h.hexdigest() == "337972c093971baf597ae4771dabea19da6c1f44d4aab7aed0babae30d4e16fc"
+        batched = labels()
+        monkeypatch.setattr(cocycle, "random_orbits", lambda rng, samples, count, m: np.stack(
+            [orbit(rng, count, m) for _ in range(samples)]))
+        monkeypatch.setattr(ids, "spawned_potentials", one_at_a_time)
+        monkeypatch.setattr(schwartzman, "spawned_potentials", one_at_a_time)
+        assert labels() == batched
 
 
 class TestJson:
