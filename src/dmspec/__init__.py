@@ -23,7 +23,6 @@ from .dynamics import (
     enumerate_orbits,
     extend_backward,
     map_forward,
-    max_safe_period,
     solenoid_forward,
 )
 from .errors import (
@@ -70,7 +69,7 @@ __all__ = [
     "dichotomy_test", "discriminant", "eigen_count", "enumerate_orbits",
     "extend_backward", "forward_orbit", "gap_label", "gap_report",
     "ids_estimate", "integrality_check", "interpolated_step", "map_forward",
-    "max_safe_period", "most_contracted_direction", "periodic_bands",
+    "most_contracted_direction", "periodic_bands",
     "potential", "rotation_number", "solenoid_forward", "step_matrix",
     "union_spectrum",
 ]

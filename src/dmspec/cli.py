@@ -77,14 +77,10 @@ def cmd_bands(args) -> int:
     f, params = _load_config(args)
     max_period, tol = params.max_period, params.tol
     # a left-limit potential follows its orbit under the label "<point>-"
-    per_period = spectrum.bands_by_period(f, max_period, tol)
-    merged = spectrum.SpectrumApprox(
-        bands=spectrum.merge_bands(per_period, tol),
-        max_period_used=max_period,
-        tol=tol,
-    )
+    per_period = spectrum.bands_by_period(f, max_period)
+    merged = spectrum.merge_bands(per_period, tol)
     orbits = [(pb.period, label, lo, hi) for pb in per_period
-              for label, (lo, hi) in zip(pb.labels, pb.band_edges())]
+              for label, (lo, hi) in zip(pb.labels, pb.band_edges(tol))]
     payload, rows = None, []  # only the requested format is built
     if args.format == "json":
         payload = {"orbits": [{"period": p, "point": label, "bands": [list(b) for b in zip(lo, hi)]}
@@ -97,7 +93,7 @@ def cmd_bands(args) -> int:
                  for i, b in enumerate(merged.bands)]
     _emit(args, payload, rows, ["source", "period", "point", "band_index", "lo", "hi"])
     if args.plot:
-        per_period_merged = {pb.period: spectrum.merge_bands([pb], tol) for pb in per_period}
+        per_period_merged = {pb.period: spectrum.merge_bands([pb], tol).bands for pb in per_period}
         svgplot.band_diagram(per_period_merged, merged, args.plot)
     return 0
 

@@ -18,21 +18,10 @@ import numpy as np
 
 from .errors import CapacityExceeded, InvalidParameter, MissingDigits
 
-# Exact numerators/denominators are kept within 126 bits so that one map step
-# (multiply by m) stays inside a signed 128-bit word.
-CAPACITY_BITS = 126
 # Orbit tables hold numerators as int64; see max_table_period.
 TABLE_LIMIT = 1 << 63
 #: candidates examined at once by orbit_table; bounds its memory
 ORBIT_BLOCK = 1 << 15
-
-
-def max_safe_period(m: int = 2) -> int:
-    """Largest period p such that m^p - 1 fits the integer capacity bound."""
-    p = 1
-    while m ** (p + 1) - 1 <= (1 << CAPACITY_BITS):
-        p += 1
-    return p
 
 
 @dataclass(frozen=True)
@@ -121,19 +110,17 @@ def max_table_period(m: int = 2) -> int:
 
 
 def check_period(max_period: int, m: int = 2) -> None:
-    """Raise unless orbits up to max_period fit both capacity bounds."""
+    """Raise unless the int64 orbit tables, the only capacity bound, reach max_period.
+
+    CirclePoint arithmetic uses Python ints; a huge max_period fails at once.
+    """
     if max_period < 1:
         raise InvalidParameter("max_period must be >= 1")
-    # a direct test, not max_safe_period's loop; p > CAPACITY_BITS fails at once (m >= 2)
-    if max_period > CAPACITY_BITS or m ** max_period - 1 > 1 << CAPACITY_BITS:
-        raise CapacityExceeded(
-            f"m^p - 1 exceeds {CAPACITY_BITS}-bit capacity for p = {max_period}; "
-            f"max safe period for m = {m} is {max_safe_period(m)}"
-        )
-    if m ** (max_period + 1) >= TABLE_LIMIT:
+    limit = max_table_period(m)
+    if max_period > limit:
         raise CapacityExceeded(
             f"m^(p+1) exceeds the int64 orbit table for p = {max_period}; "
-            f"max period for m = {m} is {max_table_period(m)}"
+            f"max period for m = {m} is {limit}"
         )
 
 

@@ -98,21 +98,22 @@ class SpectrumApprox:
 
 @dataclass(frozen=True)
 class PeriodBands:
-    """Bands of every sided potential of one minimal period, in orbit order.
+    """The engine's band edges of every sided potential of one minimal period, in orbit order.
 
-    Potential i carries label labels[i] and the bands lo[j], hi[j] for
-    offsets[i] <= j < offsets[i + 1], ascending.
+    Row i of edges (n, 2p) holds the sorted, polished periodic and
+    antiperiodic eigenvalues of the potential labelled labels[i]; its band k
+    runs from edges[i, 2k] to edges[i, 2k + 1].  Nothing is merged: a
+    tolerance enters only when bands are merged (band_edges, merge_bands).
     """
 
     period: int
     labels: list[str]
-    lo: np.ndarray
-    hi: np.ndarray
-    offsets: np.ndarray
+    edges: np.ndarray
 
-    def band_edges(self) -> list[tuple[list[float], list[float]]]:
-        """Each potential's band edges as (lo, hi) lists, in label order."""
-        lo, hi, off = self.lo.tolist(), self.hi.tolist(), self.offsets.tolist()
+    def band_edges(self, tol: float) -> list[tuple[list[float], list[float]]]:
+        """Each potential's bands as (lo, hi) lists in label order, merged like potential_bands."""
+        lo, hi, counts = _row_bands(self.edges, tol)
+        lo, hi, off = lo.tolist(), hi.tolist(), np.concatenate([[0], np.cumsum(counts)]).tolist()
         return [(lo[j0:j1], hi[j0:j1]) for j0, j1 in zip(off, off[1:])]
 
 
@@ -163,15 +164,16 @@ def _polish(rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.sort(np.where(np.abs(step) <= bound, E - step, E), axis=1)
 
 
-def _row_bands(rows: np.ndarray, tol: float):
-    """Flat band edges of each row of potentials, and the band count of each row.
+def _row_bands(edges: np.ndarray, tol: float):
+    """Flat band edges of each row of edges (n, 2p), and the band count of each row.
 
     Neighbouring bands of one row that touch within MERGE_FACTOR * tol merge.
     """
-    edges = _edges(rows)
+    if tol <= 0.0:
+        raise InvalidParameter("tol must be positive")
     lo, hi = edges[:, 0::2], edges[:, 1::2]
     is_open = lo[:, 1:] - hi[:, :-1] > MERGE_FACTOR * tol
-    ones = np.ones((len(rows), 1), dtype=bool)
+    ones = np.ones((len(edges), 1), dtype=bool)
     starts = np.hstack([ones, is_open])
     ends = np.hstack([is_open, ones])
     return lo[starts], hi[ends], starts.sum(axis=1)
@@ -202,20 +204,19 @@ def period_potentials(f: SamplingFunction, period: int, m: int = 2):
     return labels, rows
 
 
-def period_bands(f: SamplingFunction, period: int, tol: float = 1e-10, m: int = 2) -> PeriodBands:
-    """Bands of every sided potential of minimal period `period` (see period_potentials)."""
-    if tol <= 0.0:
-        raise InvalidParameter("tol must be positive")
+def period_bands(f: SamplingFunction, period: int, m: int = 2) -> PeriodBands:
+    """The unmerged edges of every sided potential of minimal period `period`.
+
+    See period_potentials for the potentials and their labels.
+    """
     labels, rows = period_potentials(f, period, m)
-    lo, hi, counts = _row_bands(rows, tol)
-    return PeriodBands(period, labels, lo, hi, np.concatenate([[0], np.cumsum(counts)]))
+    return PeriodBands(period, labels, _edges(rows))
 
 
-def bands_by_period(f: SamplingFunction, max_period: int, tol: float = 1e-10,
-                    m: int = 2) -> list[PeriodBands]:
+def bands_by_period(f: SamplingFunction, max_period: int, m: int = 2) -> list[PeriodBands]:
     """period_bands for every period 1 .. max_period."""
     check_period(max_period, m)
-    return [period_bands(f, p, tol, m) for p in range(1, max_period + 1)]
+    return [period_bands(f, p, m) for p in range(1, max_period + 1)]
 
 
 def potential_bands(pots, tol: float = 1e-10) -> list[Band]:
@@ -223,9 +224,7 @@ def potential_bands(pots, tol: float = 1e-10) -> list[Band]:
 
     Bands touching within MERGE_FACTOR * tol are merged.
     """
-    if tol <= 0.0:
-        raise InvalidParameter("tol must be positive")
-    lo, hi, _ = _row_bands(np.asarray(pots, dtype=float).reshape(1, -1), tol)
+    lo, hi, _ = _row_bands(_edges(np.asarray(pots, dtype=float).reshape(1, -1)), tol)
     return [Band(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
 
 
@@ -244,17 +243,25 @@ def orbit_bands(orbit: PeriodicOrbit, f: SamplingFunction,
     return [(label, potential_bands(pots, tol=tol)) for label, pots in orbit.sided_potentials(f)]
 
 
-def merge_bands(per_period, tol: float) -> list[Band]:
-    """Union of the bands of several PeriodBands, closing gaps up to MERGE_FACTOR * tol."""
-    lo = np.concatenate([pb.lo for pb in per_period])
-    hi = np.concatenate([pb.hi for pb in per_period])
+def merge_bands(per_period, tol: float) -> SpectrumApprox:
+    """Union of the bands of several PeriodBands, closing gaps up to MERGE_FACTOR * tol.
+
+    A gap of one potential closed by potential_bands is closed here too, so
+    merging the raw edges equals merging every potential's merged bands.
+    """
+    if tol <= 0.0:
+        raise InvalidParameter("tol must be positive")
+    lo = np.concatenate([pb.edges[:, 0::2].ravel() for pb in per_period])
+    hi = np.concatenate([pb.edges[:, 1::2].ravel() for pb in per_period])
     order = np.lexsort((hi, lo))
     lo, hi = lo[order], hi[order]
     # sorted by lo, a band opens a new group when it starts beyond the reach
     # of every band before it
     reach = np.maximum.accumulate(hi)
     first = np.flatnonzero(np.concatenate([[True], lo[1:] - reach[:-1] > MERGE_FACTOR * tol]))
-    return [Band(a, b) for a, b in zip(lo[first].tolist(), np.maximum.reduceat(hi, first).tolist())]
+    hi = np.maximum.reduceat(hi, first)
+    bands = [Band(a, b) for a, b in zip(lo[first].tolist(), hi.tolist())]
+    return SpectrumApprox(bands, max_period_used=per_period[-1].period, tol=tol)
 
 
 def union_spectrum(
@@ -272,10 +279,7 @@ def union_spectrum(
     5 * chi_[0,1/2) the left limit at the fixed point 0 is the free potential
     and supplies the band [-2, 2] from period 1 on.
     """
-    per_period = bands_by_period(f, max_period, tol, m)
-    return SpectrumApprox(
-        bands=merge_bands(per_period, tol), max_period_used=max_period, tol=tol
-    )
+    return merge_bands(bands_by_period(f, max_period, m), tol)
 
 
 def gap_report(

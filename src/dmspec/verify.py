@@ -14,9 +14,13 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import cocycle, ids, schwartzman, spectrum
-from .dynamics import BackwardDigits, check_period, enumerate_orbits
+from .dynamics import BackwardDigits, enumerate_orbits
 from .errors import DmspecError, InvalidParameter
 from .sampling import SamplingFunction, _number, _numbers, forward_orbit
+
+
+#: the least value of each integer key of Params, the library's own ranges
+_LEAST = {"N": 16, "M": 1, "grid_points": 2, "steps": 1, "omega_samples": 1, "depth": 8, "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -24,7 +28,8 @@ class Params:
     """The "command" object of a config, one field per key, read by every subcommand.
 
     The defaults are those of bands, spectrum, gaps, ids and rotation; verify
-    starts from VERIFY_DEFAULTS.  Ranges are checked where the values are used.
+    starts from VERIFY_DEFAULTS.  Ranges are checked on construction, before
+    any work, except max_period's, which dynamics.check_period owns.
     """
 
     max_period: int = 6
@@ -42,8 +47,18 @@ class Params:
     seed: int = 0
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise InvalidParameter(f"seed must be >= 0, got {self.seed} (command.seed or --seed)")
+        for key, least in _LEAST.items():
+            value = getattr(self, key)
+            if value < least:
+                where = "command.seed or --seed" if key == "seed" else f"command.{key}"
+                raise InvalidParameter(f"{key} must be >= {least}, got {value} ({where})")
+        if any(p < 1 for p in self.shrink_periods):
+            raise InvalidParameter(f"shrink_periods entries must be >= 1, "
+                                   f"got {list(self.shrink_periods)} (command.shrink_periods)")
+        for key in ("tol", "coarse_tol", "integrality_tol"):
+            value = getattr(self, key)
+            if not value > 0.0:
+                raise InvalidParameter(f"{key} must be > 0, got {value} (command.{key})")
 
     def updated(self, command) -> "Params":
         """These parameters with the keys of a config's "command" object replaced.
@@ -205,29 +220,30 @@ def _certify(labels, pots: np.ndarray, edges: np.ndarray, tol: float, band_tol: 
     return None, worst
 
 
-def check_band_edge_oracle(f: SamplingFunction, max_period: int = 8,
+def check_band_edge_oracle(f: SamplingFunction, per_period,
                            tol: float = 1e-6, band_tol: float = 1e-10) -> dict:
-    # the engine's unmerged edges certified on the potentials of
+    # the unmerged edges of per_period (bands_by_period of periods 1 .. P),
+    # the very edges the unions merge, certified on the potentials of
     # PeriodicOrbit.sided_potentials, and the period-1 union against its
     # closed form from f(0) and f(0-), which sees a dropped left limit
     def run():
+        max_period = per_period[-1].period
         oracle = [(o.period, label, pots) for o in enumerate_orbits(max_period)
                   for label, pots in o.sided_potentials(f)]
-        engine = [spectrum.period_potentials(f, p) for p in range(1, max_period + 1)]
-        engine_labels = [(p, label) for p, (labels, _) in enumerate(engine, 1) for label in labels]
+        engine_labels = [(pb.period, label) for pb in per_period for label in pb.labels]
         if engine_labels != [x[:2] for x in oracle]:
             differ = sorted({x[1] for x in oracle} ^ {x[1] for x in engine_labels})
             return False, f"engine and orbit potentials differ: {differ[:5]}"
         worst, start = 0.0, 0
-        for labels, rows in engine:
-            pots = np.array([x[2] for x in oracle[start:start + len(labels)]])
-            start += len(labels)
-            fault, error = _certify(labels, pots, spectrum._edges(rows), tol, band_tol)
+        for pb in per_period:
+            pots = np.array([x[2] for x in oracle[start:start + len(pb.labels)]])
+            start += len(pb.labels)
+            fault, error = _certify(pb.labels, pots, pb.edges, tol, band_tol)
             if fault:
                 return False, fault
             worst = max(worst, error)
         closed = _period_one_closed_form(f)
-        union = [(b.lo, b.hi) for b in spectrum.union_spectrum(f, 1, tol=band_tol).bands]
+        union = [(b.lo, b.hi) for b in spectrum.merge_bands(per_period[:1], band_tol).bands]
         if len(union) != len(closed):
             return False, f"period-1 union {union} vs closed form {closed}"
         closed_dev = max(abs(a - b) for u, c in zip(union, closed) for a, b in zip(u, c))
@@ -253,8 +269,8 @@ def _period_one_closed_form(f: SamplingFunction) -> list[tuple[float, float]]:
 
 def check_determinants(f: SamplingFunction, hull, seed: int = 0) -> dict:
     # the det of an n-step product carries a float error of order
-    # |P|^2 * n * eps, so each trial grows n only while the entries stay
-    # within the scale where 1e-9 * n is resolvable at all
+    # |P|^2 * n * eps, so each trial stops before the step whose entries
+    # would pass 3e3, past which 1e-9 * n is not resolvable
     def run():
         rng = np.random.default_rng(seed)
         worst = 0.0
@@ -263,15 +279,15 @@ def check_determinants(f: SamplingFunction, hull, seed: int = 0) -> dict:
         for E in energies:
             omega = float(rng.random())
             pots = np.atleast_1d(f(forward_orbit(omega, 64)))
-            P = np.eye(2)
-            n = 0
-            for v in pots:
-                P = cocycle.step_matrix(E, v) @ P
-                n += 1
-                if np.abs(P).max() > 3e3:
+            P = cocycle.step_matrix(E, pots[0])
+            n = 1
+            for v in pots[1:]:
+                Q = cocycle.step_matrix(E, v) @ P
+                if np.abs(Q).max() > 3e3:
                     break
+                P, n = Q, n + 1
             worst = max(worst, abs(float(np.linalg.det(P)) - 1.0) / n)
-        return worst < 1e-9, f"max |det - 1|/n = {worst:.2e} over 26 products"
+        return worst < 1e-9, f"max |det - 1|/n = {worst:.2e} over 26 products with entries <= 3e3"
 
     return _check("unimodularity", run)
 
@@ -302,19 +318,12 @@ def check_digit_independence(f: SamplingFunction, hull, depth: int = 60) -> dict
     return _check("backward_digit_independence", run)
 
 
-def _union(per_period, period: int, tol: float) -> spectrum.SpectrumApprox:
-    """union_spectrum(f, period, tol) from bands_by_period(f, P, tol') with P >= period, tol' <= tol."""
-    check_period(period)
-    return spectrum.SpectrumApprox(spectrum.merge_bands(per_period[:period], tol),
-                                   max_period_used=period, tol=tol)
-
-
 def check_containment(f: SamplingFunction, per_period, params: Params) -> dict:
     def run():
         center = float(f(0.0))
         lo, hi = center - 2.0, center + 2.0
         for period in range(1, params.max_period + 1):
-            s = _union(per_period, period, params.tol)
+            s = spectrum.merge_bands(per_period[:period], params.tol)
             if not covers_interval(s, lo, hi, 1e-6):
                 return False, f"union at max_period={period} misses [{lo}, {hi}]"
         return True, f"[{lo:.3f}, {hi:.3f}] covered at every max_period 1..{params.max_period}"
@@ -326,7 +335,7 @@ def check_gap_shrinkage(per_period, params: Params) -> dict:
     def run():
         maxgaps = []
         for period in params.shrink_periods:
-            report = spectrum.gap_report(_union(per_period, period, params.tol))
+            report = spectrum.gap_report(spectrum.merge_bands(per_period[:period], params.tol))
             maxgaps.append(report[0][1] if report else 0.0)
         seq = ", ".join(f"{g:.3g}" for g in maxgaps)
         nonincreasing = all(b <= a + 1e-12 for a, b in zip(maxgaps, maxgaps[1:]))
@@ -349,7 +358,7 @@ def _rotation(f: SamplingFunction, E: float, params: Params):
 
 def check_gap_labelling(f: SamplingFunction, per_period, params: Params) -> dict:
     def run():
-        s = _union(per_period, params.max_period, params.tol)
+        s = spectrum.merge_bands(per_period[:params.max_period], params.tol)
         grid = ids.default_energy_grid(s.hull, params.grid_points)
         targets = ((s.hull[0] - 0.5, 1), (s.hull[1] + 0.5, 0))
         # k is read at the grid point nearest to each target only
@@ -376,7 +385,7 @@ def check_gap_labelling(f: SamplingFunction, per_period, params: Params) -> dict
 
 def check_disconnection(f: SamplingFunction, per_period, params: Params) -> dict:
     def run():
-        coarse = _union(per_period, params.max_period, params.coarse_tol)
+        coarse = spectrum.merge_bands(per_period[:params.max_period], params.coarse_tol)
         # gaps surviving the coarse merge are genuine at that scale; the
         # below-resolution filter of gap_report is meant for fine tolerances
         if len(coarse.bands) < 2:
@@ -402,11 +411,12 @@ def check_disconnection(f: SamplingFunction, per_period, params: Params) -> dict
 def run_verification(f: SamplingFunction, params: Params = VERIFY_DEFAULTS) -> dict:
     """The full check battery for one sampling function.
 
-    The bands of every period are found once, at params.tol, and every union
-    below merges a prefix of them.  check_band_edge_oracle certifies the
-    engine's edges of every period up to params.max_period on its own
-    potentials, since the engine is what it checks.  A continuous f needs at
-    least one shrink period; without one this raises InvalidParameter.
+    The unmerged edges of every period are found once, and every union
+    below merges a prefix of them at its own tolerance.
+    check_band_edge_oracle certifies those same edges, for every period up
+    to params.max_period, on the potentials of enumerate_orbits.  A
+    continuous f needs at least one shrink period; without one this raises
+    InvalidParameter.
     """
     periods = params.max_period
     if f.continuous:
@@ -414,11 +424,11 @@ def run_verification(f: SamplingFunction, params: Params = VERIFY_DEFAULTS) -> d
             raise InvalidParameter("command.shrink_periods must name at least one period "
                                    "for a continuous f")
         periods = max((periods, *params.shrink_periods))
-    per_period = spectrum.bands_by_period(f, periods, params.tol)
-    hull = _union(per_period, min(params.max_period, 8), params.tol).hull
+    per_period = spectrum.bands_by_period(f, periods)
+    hull = spectrum.merge_bands(per_period[:min(params.max_period, 8)], params.tol).hull
     checks = [
         check_sturm_counts(seed=params.seed),
-        check_band_edge_oracle(f, max_period=params.max_period, band_tol=params.tol),
+        check_band_edge_oracle(f, per_period[:params.max_period], band_tol=params.tol),
         check_determinants(f, hull, seed=params.seed),
         check_invariance(f, hull, seed=params.seed, depth=params.depth),
         check_digit_independence(f, hull, depth=params.depth),

@@ -37,6 +37,7 @@ from dmspec import (
     union_spectrum,
 )
 from dmspec.ids import default_energy_grid
+from dmspec.spectrum import bands_by_period
 from dmspec.verify import (
     check_band_edge_oracle,
     check_sturm_counts,
@@ -211,7 +212,7 @@ def test_criterion_8_structural_oracles():
 
     edges_ok = True
     for f in (cosine(0.5), bernoulli(5.0)):
-        res = check_band_edge_oracle(f, max_period=8, tol=1e-6)
+        res = check_band_edge_oracle(f, bands_by_period(f, 8), tol=1e-6)
         edges_ok = edges_ok and res["passed"]
         details.append(f"edges: {res['detail']}")
 

@@ -327,6 +327,27 @@ class TestConfigSchema:
         assert code == 2
         assert f"command.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("N", 8), ("M", 0), ("grid_points", 0), ("steps", 0), ("omega_samples", 0),
+        ("depth", 4), ("shrink_periods", [0, 4]), ("tol", -1.0), ("coarse_tol", -1.0),
+        ("integrality_tol", -1.0),
+    ])
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, key, value):
+        # rejected with the config, before any band is computed
+        cfg = write_config(tmp_path, {**COSINE_CFG, "command": {key: value}})
+        code, out = run_cli(["verify", "--config", cfg])
+        assert code == 2 and out == ""
+        assert f"command.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["bands"], ["spectrum"], ["gaps"], ["ids"],
+                                      ["rotation", "--energies", "3.0"], ["verify"]],
+                             ids=lambda argv: argv[0])
+    def test_zero_tol_exits_2(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, {**COSINE_CFG, "command": {"tol": 0}})
+        code, out = run_cli([*argv, "--config", cfg])
+        assert code == 2 and out == ""
+        assert "command.tol" in capsys.readouterr().err
+
     @pytest.mark.parametrize("spec", [
         {"type": "trigpoly", "cos": [float("nan")]},
         {"type": "trigpoly", "cos": ["1"]},

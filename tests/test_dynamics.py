@@ -22,7 +22,6 @@ from dmspec import (
     enumerate_orbits,
     extend_backward,
     map_forward,
-    max_safe_period,
     solenoid_forward,
 )
 from dmspec.dynamics import check_period, max_table_period, orbit_table
@@ -168,23 +167,24 @@ class TestEnumerateOrbits:
             assert orbit.potential_values(f) == right
             assert orbit.sided_potentials(f) == want
 
-    @pytest.mark.parametrize("m", [2, 3, 5])
-    def test_capacity_test_agrees_with_max_safe_period(self, m):
-        safe = max_safe_period(m)
+    @pytest.mark.parametrize("m, limit", [(2, 61), (3, 38), (5, 26)])
+    def test_one_capacity_limit(self, m, limit):
+        # the int64 orbit table is the only bound: every period above it
+        # fails with the table's message, well past the old 126-bit bound too
         for p in range(1, 140):
             try:
                 check_period(p, m)
                 over = False
             except CapacityExceeded as exc:
-                over = "bit capacity" in str(exc)
-                assert not over or f"max safe period for m = {m} is {safe}" in str(exc)
-            assert over == (p > safe)
-        with pytest.raises(CapacityExceeded, match="is 126"):
-            check_period(10**12)  # no huge power is computed
+                over = True
+                assert f"max period for m = {m} is {limit}" in str(exc)
+            assert over == (p > limit)
 
     def test_capacity_guard(self):
-        assert max_safe_period(2) == 126
-        with pytest.raises(CapacityExceeded, match="126"):
+        for p in (127, 10**12):  # no huge power is computed
+            with pytest.raises(CapacityExceeded, match="max period for m = 2 is 61"):
+                check_period(p)
+        with pytest.raises(CapacityExceeded, match="max period for m = 2 is 61"):
             enumerate_orbits(127)
 
     def test_int64_table_guard(self):

@@ -125,7 +125,7 @@ class TestPeriodicBands:
         # the discriminant scan found 8 of these 12 bands, missing the two
         # slivers near 6.5 and closing the gaps near -0.2 and 3.71
         pb = period_bands(bernoulli(5.0), 12)
-        bands = [Band(*e) for e in zip(*pb.band_edges()[pb.labels.index("109/1365")])]
+        bands = [Band(*e) for e in zip(*pb.band_edges(1e-10)[pb.labels.index("109/1365")])]
         assert len(bands) == 12
         for lo, hi in ((6.4933, 6.4953), (6.5038, 6.5057)):
             assert any(abs(b.lo - lo) < 1e-4 and abs(b.hi - hi) < 1e-4 for b in bands)
@@ -136,7 +136,7 @@ class TestPeriodicBands:
         orbit = next(o for o in enumerate_orbits(12) if o.label() == "103/455")
         oracle = eigen_band_oracle(orbit.potential_values(f))
         pb = period_bands(f, 12)
-        bands = [Band(*e) for e in zip(*pb.band_edges()[pb.labels.index("103/455")])]
+        bands = [Band(*e) for e in zip(*pb.band_edges(1e-10)[pb.labels.index("103/455")])]
         assert len(bands) == len(oracle)
         for b, (lo, hi) in zip(bands, oracle):
             assert abs(b.lo - lo) < 1e-6 and abs(b.hi - hi) < 1e-6
@@ -151,7 +151,7 @@ class TestPeriodicBands:
             sided = [x for o in enumerate_orbits(p) if o.period == p
                      for x in orbit_bands(o, f)]
             assert pb.labels == [label for label, _ in sided]
-            for (_, bands), edges in zip(sided, pb.band_edges(), strict=True):
+            for (_, bands), edges in zip(sided, pb.band_edges(1e-10), strict=True):
                 got = [Band(*e) for e in zip(*edges)]
                 assert len(got) == len(bands)
                 for a, b in zip(got, bands):

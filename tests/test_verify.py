@@ -4,16 +4,27 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dmspec import PeriodicOrbit, TrigPoly, bernoulli, cosine, schwartzman, spectrum, union_spectrum
-from dmspec.spectrum import bands_by_period
+from dmspec import (
+    PeriodicOrbit,
+    Step,
+    TrigPoly,
+    bernoulli,
+    cocycle,
+    cosine,
+    schwartzman,
+    spectrum,
+    union_spectrum,
+)
+from dmspec.spectrum import MERGE_FACTOR, bands_by_period, merge_bands
 from dmspec.verify import (
     Params,
-    _union,
     check_band_edge_oracle,
+    check_determinants,
     check_disconnection,
     check_gap_labelling,
-    check_gap_shrinkage,
 )
 
 
@@ -26,7 +37,7 @@ def _faulty_edges(monkeypatch, fault):
 class TestBandEdgeCheck:
     @pytest.mark.parametrize("f", [cosine(0.5), bernoulli(5.0)], ids=["cos-0.5", "bernoulli-5"])
     def test_passes(self, f):
-        res = check_band_edge_oracle(f, max_period=6)
+        res = check_band_edge_oracle(f, bands_by_period(f, 6))
         assert res["passed"], res["detail"]
         assert "||disc| - 2|" in res["detail"] and "closed form" in res["detail"]
 
@@ -34,7 +45,7 @@ class TestBandEdgeCheck:
     def test_passes_at_strong_and_weak_coupling(self, f):
         # a narrow band of 1/17 at 6 cos, and the narrow gaps of 1/7 at
         # 2e-3 cos, are below what a scan of the discriminant resolves
-        res = check_band_edge_oracle(f, max_period=8)
+        res = check_band_edge_oracle(f, bands_by_period(f, 8))
         assert res["passed"], res["detail"]
         assert "70 potentials of periods <= 8" in res["detail"]
 
@@ -44,7 +55,7 @@ class TestBandEdgeCheck:
             return edges
 
         _faulty_edges(monkeypatch, shift)
-        res = check_band_edge_oracle(cosine(0.5))
+        res = check_band_edge_oracle(cosine(0.5), bands_by_period(cosine(0.5), 8))
         assert not res["passed"]
         assert res["detail"].startswith("orbit 0/1: ") and "off by 1.00e-05" in res["detail"]
 
@@ -52,7 +63,7 @@ class TestBandEdgeCheck:
         # orbit 1/65 of 12 cos has a gap closed below MERGE_FACTOR * tol, where
         # disc + 2 has a double root; the float disc misses -2 by about 1e-5
         # there, which the second-order step turns into about 1e-9 in energy
-        res = check_band_edge_oracle(cosine(6.0), max_period=12)
+        res = check_band_edge_oracle(cosine(6.0), bands_by_period(cosine(6.0), 12))
         assert res["passed"], res["detail"]
 
     def test_sees_a_shifted_merged_gap(self, monkeypatch):
@@ -66,7 +77,7 @@ class TestBandEdgeCheck:
             return edges
 
         _faulty_edges(monkeypatch, shift)
-        res = check_band_edge_oracle(TrigPoly(), max_period=3)
+        res = check_band_edge_oracle(TrigPoly(), bands_by_period(TrigPoly(), 3))
         assert not res["passed"]
         assert res["detail"].startswith("orbit 1/3: disc") and "off by 1.00e-05" in res["detail"]
 
@@ -78,7 +89,7 @@ class TestBandEdgeCheck:
             return edges
 
         _faulty_edges(monkeypatch, swap)
-        res = check_band_edge_oracle(cosine(0.5))
+        res = check_band_edge_oracle(cosine(0.5), bands_by_period(cosine(0.5), 8))
         assert not res["passed"]
         assert res["detail"].startswith("orbit 1/3: ") and "out of order" in res["detail"]
 
@@ -97,7 +108,7 @@ class TestBandEdgeCheck:
             return edges
 
         _faulty_edges(monkeypatch, repeat)
-        res = check_band_edge_oracle(f, max_period=3)
+        res = check_band_edge_oracle(f, bands_by_period(f, 3))
         assert not res["passed"]
         assert res["detail"].startswith("orbit 1/7: ") and seen_by in res["detail"]
 
@@ -108,9 +119,42 @@ class TestBandEdgeCheck:
         original = PeriodicOrbit.sided_potentials
         monkeypatch.setattr(PeriodicOrbit, "sided_potentials",
                             lambda self, f: original(self, f)[:1])
-        res = check_band_edge_oracle(bernoulli(5.0))
+        res = check_band_edge_oracle(bernoulli(5.0), bands_by_period(bernoulli(5.0), 8))
         assert not res["passed"]
         assert "closed form" in res["detail"]
+
+
+class TestEdgeTable:
+    def test_sees_an_edited_edge_table(self):
+        # the check certifies the table it is given: one stored edge moved
+        # after bands_by_period, with the engine left alone, fails it
+        f = cosine(0.5)
+        per_period = bands_by_period(f, 8)
+        assert check_band_edge_oracle(f, per_period)["passed"]
+        per_period[3].edges[0, -1] += 1e-5
+        res = check_band_edge_oracle(f, per_period)
+        assert not res["passed"]
+        assert res["detail"].startswith(f"orbit {per_period[3].labels[0]}: ")
+        assert "off by 1.00e-05" in res["detail"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["cosine", "bernoulli", "step-1/3"]),
+           coupling=st.floats(0.05, 6.0), tol=st.sampled_from([1e-10, 0.02]),
+           max_period=st.integers(1, 9))
+    def test_merging_edges_equals_merging_potential_bands(self, kind, coupling, tol, max_period):
+        # a gap that band_edges closes in one potential is closed by the
+        # union too, so merging the raw edges gives the very same floats
+        f = {"cosine": cosine, "bernoulli": bernoulli,
+             "step-1/3": lambda c: Step((0.0, 1.0 / 3.0), (c, -c))}[kind](coupling)
+        per_period = bands_by_period(f, max_period)
+        want = []
+        for lo, hi in sorted((a, b) for pb in per_period for los, his in pb.band_edges(tol)
+                             for a, b in zip(los, his)):
+            if want and lo - want[-1][1] <= MERGE_FACTOR * tol:
+                want[-1][1] = max(want[-1][1], hi)
+            else:
+                want.append([lo, hi])
+        assert [[b.lo, b.hi] for b in merge_bands(per_period, tol).bands] == want
 
 
 class TestBandReuse:
@@ -118,15 +162,31 @@ class TestBandReuse:
     def test_prefix_merges_equal_union_spectrum(self, f):
         # run_verification merges prefixes of one bands_by_period call, at
         # the band tolerance and at the coarse one, in place of union_spectrum
-        per_period = bands_by_period(f, 9, 1e-10)
+        per_period = bands_by_period(f, 9)
         for p in range(1, 10):
-            assert _union(per_period, p, 1e-10).bands == union_spectrum(f, p).bands
-        assert _union(per_period, 9, 0.02).bands == union_spectrum(f, 9, tol=0.02).bands
+            assert merge_bands(per_period[:p], 1e-10).bands == union_spectrum(f, p).bands
+        assert merge_bands(per_period, 0.02).bands == union_spectrum(f, 9, tol=0.02).bands
 
-    def test_bad_shrink_period_fails_its_check(self):
-        per_period = bands_by_period(cosine(0.5), 4, 1e-10)
-        res = check_gap_shrinkage(per_period, Params(shrink_periods=(2, 0)))
-        assert not res["passed"] and "max_period must be >= 1" in res["detail"]
+
+class TestUnimodularity:
+    # each trial stops before the step whose entries would pass 3e3; the
+    # step past it left det rounding of about |P|^2 * eps above 1e-9 * n
+    @pytest.mark.parametrize("f, seeds", [
+        (bernoulli(5.0), (39, 45, 55, 71)),
+        (cosine(3.0), (2, 8, 12, 46, 47, 60, 69, 93)),
+    ], ids=["bernoulli-5", "cos-3"])
+    def test_passes_where_the_last_step_passed_3e3(self, f, seeds):
+        hull = union_spectrum(f, 8).hull
+        for seed in seeds:
+            res = check_determinants(f, hull, seed=seed)
+            assert res["passed"], (seed, res["detail"])
+
+    def test_sees_a_step_off_det_one(self, monkeypatch):
+        step = cocycle.step_matrix
+        monkeypatch.setattr(cocycle, "step_matrix", lambda E, v: step(E, v) * np.sqrt(1.0 + 1e-8))
+        f = cosine(0.5)
+        res = check_determinants(f, union_spectrum(f, 8).hull)
+        assert not res["passed"] and "entries <= 3e3" in res["detail"]
 
 
 class TestRotationEvidence:
@@ -137,7 +197,7 @@ class TestRotationEvidence:
 
     @pytest.mark.parametrize("f, check", CHECKS, ids=["labelling", "disconnection"])
     def test_passes(self, f, check):
-        res = check(f, bands_by_period(f, 4, 1e-10), self.SMALL)
+        res = check(f, bands_by_period(f, 4), self.SMALL)
         assert res["passed"], res["detail"]
         assert "winding_oracle_dev" not in res["detail"]
 
@@ -145,7 +205,7 @@ class TestRotationEvidence:
     def test_sees_a_winding_off_its_oracle(self, monkeypatch, f, check):
         closed = schwartzman._winding_closed
         monkeypatch.setattr(schwartzman, "_winding_closed", lambda *a: closed(*a) + 1e-6)
-        res = check(f, bands_by_period(f, 4, 1e-10), self.SMALL)
+        res = check(f, bands_by_period(f, 4), self.SMALL)
         assert not res["passed"] and "winding_oracle_dev 1.00e-06" in res["detail"]
 
     @pytest.mark.parametrize("f, check", CHECKS, ids=["labelling", "disconnection"])
@@ -158,5 +218,5 @@ class TestRotationEvidence:
             return c * x - s * y, s * x + c * y
 
         monkeypatch.setattr(schwartzman, "_stable_sweep", rotated)
-        res = check(f, bands_by_period(f, 4, 1e-10), self.SMALL)
+        res = check(f, bands_by_period(f, 4), self.SMALL)
         assert not res["passed"] and "max_reanchor_residual" in res["detail"]
