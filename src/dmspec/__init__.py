@@ -1,9 +1,9 @@
-"""Spectral computations for Schrodinger operators driven by expanding circle maps.
+"""Spectral computations for Schrodinger operators driven by the doubling map.
 
 The operator family is H psi(n) = psi(n+1) + psi(n-1) + f(T^n w) psi(n) with
-T the m-fold circle map; this package computes periodic band spectra and
-their unions, the integrated density of states, exponential-dichotomy
-verdicts, and winding-rate gap labels.
+T w = 2w mod 1; this package computes periodic band spectra and their
+unions, the integrated density of states, exponential-dichotomy verdicts,
+and winding-rate gap labels.
 """
 
 from .cocycle import (

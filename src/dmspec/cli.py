@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dmspec",
         description="Spectra, density of states, and rotation numbers for "
-                    "Schrodinger operators driven by expanding circle maps.",
+                    "Schrodinger operators driven by the doubling map.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("bands", parents=[common],

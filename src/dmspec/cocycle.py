@@ -1,4 +1,4 @@
-"""Transfer-matrix cocycles over expanding circle maps.
+"""Transfer-matrix cocycles over the doubling map.
 
 The single-step matrix at energy E over potential value v is
 [[E - v, -1], [1, 0]]; products along orbits propagate solutions of the
@@ -60,11 +60,11 @@ def trace_over_cycle(pots, energies):
     return a + d
 
 
-def cocycle_product(f: SamplingFunction, E: float, omega, n: int, m: int = 2) -> np.ndarray:
+def cocycle_product(f: SamplingFunction, E: float, omega, n: int) -> np.ndarray:
     """The n-step product A(T^{n-1} omega) ... A(T omega) A(omega)."""
     if n < 1:
         raise InvalidParameter("n must be >= 1")
-    pots = np.atleast_1d(f(forward_orbit(omega, n, m=m)))
+    pots = np.atleast_1d(f(forward_orbit(omega, n)))
     P = np.eye(2)
     for v in pots:
         P = step_matrix(E, v) @ P
@@ -189,7 +189,6 @@ def most_contracted_direction(
     omega,
     depth: int,
     digits: BackwardDigits | None = None,
-    m: int = 2,
 ) -> tuple[Direction, bool]:
     """Direction most contracted by the depth-step product at omega.
 
@@ -202,7 +201,7 @@ def most_contracted_direction(
     del digits  # forward products never read the backward fiber
     if depth < 2:
         raise InvalidParameter("depth must be >= 2")
-    pots = np.atleast_1d(f(forward_orbit(omega, depth, m=m)))
+    pots = np.atleast_1d(f(forward_orbit(omega, depth)))
     half = depth // 2
     vec, angles, log_smax, snaps = _stable_core(E, pots[None, :], checkpoints=(half,))
     if _degenerate_mask(log_smax)[0]:
@@ -232,7 +231,6 @@ def dichotomy_test(
     sample_count: int = 200,
     depth: int = 60,
     seed: int = 0,
-    m: int = 2,
 ) -> DichotomyReport:
     """Sample-based exponential-dichotomy check at energy E.
 
@@ -263,10 +261,10 @@ def dichotomy_test(
     if sample_count < 1 or depth < 8:
         raise InvalidParameter("need sample_count >= 1 and depth >= 8")
 
-    orbits = random_orbits(np.random.default_rng(seed), sample_count, depth + 1, m)
+    orbits = random_orbits(np.random.default_rng(seed), sample_count, depth + 1)
     rows = [np.asarray(f(orbits), dtype=float)]
     for p in range(1, PROBE_PERIODS + 1):
-        rows.append(np.tile(period_potentials(f, p, m)[1], depth // p + 2)[:, : depth + 1])
+        rows.append(np.tile(period_potentials(f, p)[1], depth // p + 2)[:, : depth + 1])
     pots = np.concatenate(rows)
     total = pots.shape[0]
 

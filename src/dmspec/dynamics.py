@@ -1,10 +1,10 @@
-"""Exact arithmetic for m-fold expanding circle maps and their backward extensions.
+"""Exact arithmetic for the doubling map and its backward extensions.
 
-The base dynamics is omega -> m*omega (mod 1) on the circle, m = 2 by default.
-Periodic points are rationals k/(m^p - 1); all orbit arithmetic is done on
-reduced integer fractions so that iteration is exact.  Backward orbits, which
-the forward map does not determine, are parameterized by a digit sequence in
-{0, ..., m-1} choosing one preimage per step.
+The base dynamics is omega -> 2*omega (mod 1) on the circle.  Periodic points
+are rationals k/(2^p - 1); all orbit arithmetic is done on reduced integer
+fractions so that iteration is exact.  Backward orbits, which the forward map
+does not determine, are parameterized by a binary digit sequence choosing one
+preimage per step.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ import numpy as np
 
 from .errors import CapacityExceeded, InvalidParameter, MissingDigits
 
-# Orbit tables hold numerators as int64; see max_table_period.
-TABLE_LIMIT = 1 << 63
+#: largest period whose orbit table fits int64: a numerator below 2^p - 1,
+#: doubled once, stays below 2^(p+1) <= 2^62
+TABLE_PERIOD = 61
 #: candidates examined at once by orbit_table; bounds its memory
 ORBIT_BLOCK = 1 << 15
 
@@ -55,11 +56,10 @@ class CirclePoint:
 
 @dataclass(frozen=True)
 class PeriodicOrbit:
-    """A periodic orbit of the m-fold map, stored from its smallest point."""
+    """A periodic orbit of the doubling map, stored from its smallest point."""
 
     period: int
     points: tuple[CirclePoint, ...]
-    map_base: int = 2
 
     def potential_values(self, f) -> list[float]:
         """Sampling-function values along the orbit, starting at points[0]; f is called once."""
@@ -89,104 +89,90 @@ class PeriodicOrbit:
         return f"{p0.numerator}/{p0.denominator}"
 
 
-def map_forward(point: CirclePoint, steps: int = 1, m: int = 2) -> CirclePoint:
-    """Apply the m-fold map exactly: numerator -> numerator * m^steps mod denominator."""
+def map_forward(point: CirclePoint, steps: int = 1) -> CirclePoint:
+    """Apply the doubling map exactly: numerator -> numerator * 2^steps mod denominator."""
     if steps < 0:
         raise InvalidParameter("steps must be nonnegative")
-    num = point.numerator * pow(m, steps, point.denominator) % point.denominator
+    num = point.numerator * pow(2, steps, point.denominator) % point.denominator
     return CirclePoint(num, point.denominator)
 
 
-def max_table_period(m: int = 2) -> int:
-    """Largest period p whose orbit table fits int64: m^(p+1) < 2^63.
-
-    One map step multiplies a numerator below m^p - 1 by m, so every entry
-    and every intermediate product stays below m^(p+1).
-    """
-    p = 1
-    while m ** (p + 2) < TABLE_LIMIT:
-        p += 1
-    return p
-
-
-def check_period(max_period: int, m: int = 2) -> None:
+def check_period(max_period: int) -> None:
     """Raise unless the int64 orbit tables, the only capacity bound, reach max_period.
 
     CirclePoint arithmetic uses Python ints; a huge max_period fails at once.
     """
     if max_period < 1:
         raise InvalidParameter("max_period must be >= 1")
-    limit = max_table_period(m)
-    if max_period > limit:
+    if max_period > TABLE_PERIOD:
         raise CapacityExceeded(
-            f"m^(p+1) exceeds the int64 orbit table for p = {max_period}; "
-            f"max period for m = {m} is {limit}"
+            f"2^(p+1) exceeds the int64 orbit table for p = {max_period}; "
+            f"max period for m = 2 is {TABLE_PERIOD}"
         )
 
 
-def orbit_table(period: int, m: int = 2) -> np.ndarray:
+def orbit_table(period: int) -> np.ndarray:
     """The orbits of minimal period exactly `period`, one int64 row each.
 
-    Row i holds k_i * m^j mod (m^p - 1) for j = 0 .. p-1, the numerators of
-    the orbit of k_i/(m^p - 1), where k_i is the orbit minimum; rows ascend
-    in k_i.  A candidate k survives only while every image k * m^j, j < p,
+    Row i holds k_i * 2^j mod (2^p - 1) for j = 0 .. p-1, the numerators of
+    the orbit of k_i/(2^p - 1), where k_i is the orbit minimum; rows ascend
+    in k_i.  A candidate k survives only while every image k * 2^j, j < p,
     stays above k, which both picks the minimum of each orbit and drops
     points of smaller period (whose image returns to k early).  Candidates
     are taken ORBIT_BLOCK at a time, so memory stays bounded at any period.
     """
-    check_period(period, m)
-    d = m ** period - 1
+    check_period(period)
+    d = 2 ** period - 1
     minima = []
     for start in range(0, d, ORBIT_BLOCK):
         k = np.arange(start, min(start + ORBIT_BLOCK, d), dtype=np.int64)
         x = k
         for _ in range(period - 1):
-            x = x * m % d
+            x = x * 2 % d
             alive = x > k
             k, x = k[alive], x[alive]
         minima.append(k)
     table = np.empty((sum(map(len, minima)), period), dtype=np.int64)
     table[:, 0] = np.concatenate(minima)
     for j in range(1, period):
-        table[:, j] = table[:, j - 1] * m % d
+        table[:, j] = table[:, j - 1] * 2 % d
     return table
 
 
-def enumerate_orbits(max_period: int, m: int = 2) -> list[PeriodicOrbit]:
+def enumerate_orbits(max_period: int) -> list[PeriodicOrbit]:
     """All periodic orbits of minimal period <= max_period, each listed once.
 
-    The orbits of period p are the rows of orbit_table(p, m), stored from
-    their smallest point k/(m^p - 1).  The point 1 = 0 read from the left is
+    The orbits of period p are the rows of orbit_table(p), stored from
+    their smallest point k/(2^p - 1).  The point 1 = 0 read from the left is
     not a separate orbit: a step function's left-limit potentials come from
     PeriodicOrbit.sided_potentials.
     """
-    check_period(max_period, m)
+    check_period(max_period)
     orbits = []
     for p in range(1, max_period + 1):
-        d = m ** p - 1
-        for row in orbit_table(p, m).tolist():
+        d = 2 ** p - 1
+        for row in orbit_table(p).tolist():
             points = tuple(CirclePoint(q, d) for q in row)
-            orbits.append(PeriodicOrbit(period=p, points=points, map_base=m))
+            orbits.append(PeriodicOrbit(period=p, points=points))
     return orbits
 
 
 class BackwardDigits:
     """A preimage-choice sequence for backward iteration.
 
-    Digit n in {0, ..., m-1} selects the branch of the n-th backward step.
+    Digit n in {0, 1} selects the branch of the n-th backward step.
     Digits may be given explicitly, drawn from a seeded generator, or both
     (explicit digits first, then the generator continues the sequence).
     """
 
-    def __init__(self, digits: Sequence[int] | None = None, seed: int | None = None, m: int = 2):
+    def __init__(self, digits: Sequence[int] | None = None, seed: int | None = None):
         if digits is None and seed is None:
             raise InvalidParameter("provide explicit digits, a seed, or both")
-        self.m = int(m)
         self.seed = seed
         self._digits = [int(x) for x in (digits or [])]
         for x in self._digits:
-            if not 0 <= x < self.m:
-                raise InvalidParameter(f"digit {x} outside 0..{self.m - 1}")
+            if not 0 <= x < 2:
+                raise InvalidParameter(f"digit {x} outside 0..1")
         self._rng = np.random.default_rng(seed) if seed is not None else None
 
     def take(self, n: int) -> list[int]:
@@ -196,49 +182,49 @@ class BackwardDigits:
                 raise MissingDigits(
                     f"{n} digits requested but only {len(self._digits)} supplied and no seed given"
                 )
-            extra = self._rng.integers(0, self.m, size=n - len(self._digits))
+            extra = self._rng.integers(0, 2, size=n - len(self._digits))
             self._digits.extend(int(x) for x in extra)
         return self._digits[:n]
 
 
-def extend_backward(anchor, digits: BackwardDigits, n: int, m: int = 2):
+def extend_backward(anchor, digits: BackwardDigits, n: int):
     """The n-th backward point omega_{-n} determined by the digit sequence.
 
     Each step inverts the map through the chosen branch,
-    omega_{-j} = (omega_{-j+1} + digit_j) / m, so map_forward(omega_{-n}, n)
+    omega_{-j} = (omega_{-j+1} + digit_j) / 2, so map_forward(omega_{-n}, n)
     recovers the anchor (exactly for rational anchors).
     """
     if n < 1:
         raise InvalidParameter("n must be >= 1")
-    return backward_orbit(anchor, digits, n, m=m)[-1]
+    return backward_orbit(anchor, digits, n)[-1]
 
 
-def backward_orbit(anchor, digits: BackwardDigits, n: int, m: int = 2) -> list:
+def backward_orbit(anchor, digits: BackwardDigits, n: int) -> list:
     """[omega_{-1}, ..., omega_{-n}] along the digit-selected preimage chain."""
     seq = digits.take(n)
     out = []
     if isinstance(anchor, CirclePoint):
         x = anchor.as_fraction()
         for dig in seq:
-            x = (x + dig) / m
+            x = (x + dig) / 2
             out.append(CirclePoint.from_fraction(x))
     elif isinstance(anchor, Fraction):
         x = anchor
         for dig in seq:
-            x = (x + dig) / m
+            x = (x + dig) / 2
             out.append(x)
     else:
         x = float(anchor) % 1.0
         for dig in seq:
-            x = (x + dig) / m
+            x = (x + dig) / 2
             out.append(x)
     return out
 
 
-def solenoid_forward(anchor, fiber: tuple[float, float], lam: float, m: int = 2):
-    """One application of the solid-torus contraction over the m-fold map.
+def solenoid_forward(anchor, fiber: tuple[float, float], lam: float):
+    """One application of the solid-torus contraction over the doubling map.
 
-    (omega, x, y) -> (m*omega, lam*x + cos(2*pi*omega)/2, lam*y + sin(2*pi*omega)/2).
+    (omega, x, y) -> (2*omega, lam*x + cos(2*pi*omega)/2, lam*y + sin(2*pi*omega)/2).
     The circle coordinate evolves independently of the fiber; the fiber records
     the history that forward data alone cannot see.
     """
@@ -247,12 +233,12 @@ def solenoid_forward(anchor, fiber: tuple[float, float], lam: float, m: int = 2)
     x, y = fiber
     if isinstance(anchor, CirclePoint):
         w = anchor.as_float()
-        new_anchor = map_forward(anchor, 1, m=m)
+        new_anchor = map_forward(anchor, 1)
     elif isinstance(anchor, Fraction):
         w = float(anchor)
-        new_anchor = (anchor * m) % 1
+        new_anchor = (anchor * 2) % 1
     else:
         w = float(anchor) % 1.0
-        new_anchor = (m * w) % 1.0
+        new_anchor = (2 * w) % 1.0
     c, s = math.cos(2 * math.pi * w), math.sin(2 * math.pi * w)
     return new_anchor, (lam * x + 0.5 * c, lam * y + 0.5 * s)

@@ -92,7 +92,6 @@ def ids_estimate(
     truncation_size: int = 512,
     sample_count: int = 64,
     seed: int = 0,
-    m: int = 2,
 ) -> IDSTable:
     """Monte Carlo k(E) over an energy grid.
 
@@ -106,7 +105,7 @@ def ids_estimate(
         raise InvalidParameter("need truncation_size >= 16 and sample_count >= 1")
     energies = np.sort(np.asarray(energies, dtype=float))
     # one contiguous row of samples per site, for the recursion's pass over the sites
-    cols = np.ascontiguousarray(spawned_potentials(f, seed, sample_count, truncation_size, m).T)[:, :, None]
+    cols = np.ascontiguousarray(spawned_potentials(f, seed, sample_count, truncation_size).T)[:, :, None]
     chunk = max(1, BATCH_ENTRIES // sample_count)
     total = np.concatenate([_sturm_counts(cols, np.broadcast_to(e, (sample_count, len(e)))).sum(axis=0)
                             for e in np.split(energies, range(chunk, len(energies), chunk))])

@@ -2,7 +2,7 @@
 
 A sampling function is either a trigonometric polynomial (continuous) or a
 right-continuous step function.  Potentials are v(n) = f(T^n omega) along the
-forward orbit of the m-fold map, extended to negative n through a backward
+forward orbit of the doubling map, extended to negative n through a backward
 digit sequence.  Every sampling function also evaluates its left limits
 f(omega-), which differ from f only on the breakpoints of a step function.
 """
@@ -212,42 +212,35 @@ class Potential:
         return len(self.values)
 
 
-def _window(digits: np.ndarray, count: int, m: int = 2) -> np.ndarray:
-    """Orbit values from base-m digit streams on the last axis: w_k = 0.d_{k+1} d_{k+2} ...
+def _window(digits: np.ndarray, count: int) -> np.ndarray:
+    """Orbit values from binary digit streams on the last axis: w_k = 0.d_{k+1} d_{k+2} ...
 
     Each value reads a 53-digit window, so consecutive points share the
-    digits the m-fold map says they must share.  Leading axes are batch axes.
-    For m = 2 a window sums distinct powers 2^-1 .. 2^-53, exactly in any
-    order; otherwise Horner's rule runs from each window's last digit to its
-    first, one vector step per digit over the whole batch.
+    digits the doubling map says they must share.  Leading axes are batch
+    axes.  A window sums distinct powers 2^-1 .. 2^-53, exactly in any order.
     """
-    if m == 2:
-        bits = np.asarray(digits, dtype=float)
-        windows = np.lib.stride_tricks.sliding_window_view(bits, _MANTISSA_BITS, axis=-1)
-        return windows[..., :count, :] @ _POWERS
-    x = np.zeros(digits.shape[:-1] + (count,))
-    for j in range(_MANTISSA_BITS - 1, -1, -1):
-        x = (x + digits[..., j:j + count]) / m
-    return x
+    bits = np.asarray(digits, dtype=float)
+    windows = np.lib.stride_tricks.sliding_window_view(bits, _MANTISSA_BITS, axis=-1)
+    return windows[..., :count, :] @ _POWERS
 
 
-def random_orbits(rng: np.random.Generator, samples: int, count: int, m: int = 2) -> np.ndarray:
+def random_orbits(rng: np.random.Generator, samples: int, count: int) -> np.ndarray:
     """Forward orbits of `samples` fresh uniform points, one row of length count each.
 
-    Each point is an i.i.d. uniform base-m digit stream (the digits of a
+    Each point is an i.i.d. uniform binary digit stream (the digits of a
     Lebesgue-random point) read through _window, which keeps the exact joint
     law of the orbit without mantissa exhaustion.  Row i equals the i-th of
     `samples` successive random_orbit calls, and rng ends in the same state.
     """
-    return _window(rng.integers(0, m, size=(samples, count + _MANTISSA_BITS), dtype=np.int64), count, m)
+    return _window(rng.integers(0, 2, size=(samples, count + _MANTISSA_BITS), dtype=np.int64), count)
 
 
-def random_orbit(rng: np.random.Generator, count: int, m: int = 2) -> np.ndarray:
+def random_orbit(rng: np.random.Generator, count: int) -> np.ndarray:
     """Forward orbit of a fresh uniformly distributed point, of length count (see random_orbits)."""
-    return random_orbits(rng, 1, count, m)[0]
+    return random_orbits(rng, 1, count)[0]
 
 
-def spawned_potentials(f, seed: int, samples: int, count: int, m: int = 2) -> np.ndarray:
+def spawned_potentials(f, seed: int, samples: int, count: int) -> np.ndarray:
     """f along random_orbit of one generator per child of SeedSequence(seed).spawn(samples), as rows.
 
     Rows are drawn, windowed and passed to f in blocks of about _SPAWN_DIGITS
@@ -257,18 +250,18 @@ def spawned_potentials(f, seed: int, samples: int, count: int, m: int = 2) -> np
     block = max(1, _SPAWN_DIGITS // (count + _MANTISSA_BITS))
     out = np.empty((samples, count))
     for i in range(0, samples, block):
-        digits = [np.random.default_rng(ss).integers(0, m, size=count + _MANTISSA_BITS, dtype=np.int64)
+        digits = [np.random.default_rng(ss).integers(0, 2, size=count + _MANTISSA_BITS, dtype=np.int64)
                   for ss in children[i:i + block]]
-        out[i:i + block] = f(_window(np.stack(digits), count, m))
+        out[i:i + block] = f(_window(np.stack(digits), count))
     return out
 
 
-def forward_orbit(omega, count: int, m: int = 2) -> np.ndarray:
+def forward_orbit(omega, count: int) -> np.ndarray:
     """[omega, T omega, ..., T^(count-1) omega] as floats.
 
     Rational anchors iterate exactly and convert at the end.  Float anchors
-    iterate w -> frac(m w) directly while the mantissa lasts; past
-    FLOAT_ITERATION_LIMIT steps (m = 2) the anchor's bits are continued by a
+    iterate w -> frac(2 w) directly while the mantissa lasts; past
+    FLOAT_ITERATION_LIMIT steps the anchor's bits are continued by a
     generator seeded from its bit pattern, a Monte Carlo stand-in justified by
     the map preserving Lebesgue measure.  The result is deterministic in omega.
     """
@@ -279,31 +272,27 @@ def forward_orbit(omega, count: int, m: int = 2) -> np.ndarray:
         out = np.empty(count)
         for k in range(count):
             out[k] = pt.as_float()
-            pt = map_forward(pt, 1, m=m)
+            pt = map_forward(pt, 1)
         return out
     if isinstance(omega, Fraction):
         x = omega % 1
         out = np.empty(count)
         for k in range(count):
             out[k] = float(x)
-            x = (x * m) % 1
+            x = (x * 2) % 1
         return out
     x = float(omega) % 1.0
     if count <= FLOAT_ITERATION_LIMIT:
         out = np.empty(count)
         for k in range(count):
             out[k] = x
-            x = (m * x) % 1.0
+            x = (2 * x) % 1.0
         return out
-    if m == 2:
-        mant = int(x * (1 << _MANTISSA_BITS))
-        lead = [(mant >> (_MANTISSA_BITS - 1 - j)) & 1 for j in range(_MANTISSA_BITS)]
-        seed = struct.unpack("<Q", struct.pack("<d", x))[0]
-        tail = np.random.default_rng(seed).integers(0, 2, size=count, dtype=np.int64)
-        return _window(np.concatenate([lead, tail]), count)
-    # for m > 2 the float is treated as the exact dyadic rational it is;
-    # exact iteration never collapses since m and 2 are coprime in the digits
-    return forward_orbit(Fraction(x), count, m=m)
+    mant = int(x * (1 << _MANTISSA_BITS))
+    lead = [(mant >> (_MANTISSA_BITS - 1 - j)) & 1 for j in range(_MANTISSA_BITS)]
+    seed = struct.unpack("<Q", struct.pack("<d", x))[0]
+    tail = np.random.default_rng(seed).integers(0, 2, size=count, dtype=np.int64)
+    return _window(np.concatenate([lead, tail]), count)
 
 
 def potential(
@@ -312,7 +301,6 @@ def potential(
     n_min: int = 0,
     n_max: int = 0,
     digits: BackwardDigits | None = None,
-    m: int = 2,
 ) -> Potential:
     """Potential v(n) = f(T^n omega) on the index window [n_min, n_max].
 
@@ -322,11 +310,11 @@ def potential(
         raise InvalidParameter("require n_min <= 0 <= n_max")
     if n_min < 0 and digits is None:
         raise MissingDigits("n_min < 0 requires a BackwardDigits sequence")
-    fwd = forward_orbit(omega, n_max + 1, m=m)
+    fwd = forward_orbit(omega, n_max + 1)
     vals = list(np.atleast_1d(f(fwd)))
     provenance = "forward"
     if n_min < 0:
-        back = backward_orbit(omega, digits, -n_min, m=m)
+        back = backward_orbit(omega, digits, -n_min)
         back_vals = [float(f(float(w))) for w in back]
         vals = back_vals[::-1] + vals
         provenance = f"two-sided(seed={digits.seed})"

@@ -6,7 +6,7 @@ lifted argument increments (in closed form, with the substep lift of
 argument_winding_step as its oracle) measures the asymptotic winding rate.
 Applied to the stable section of a hyperbolic energy, the winding rate is the
 gap label's complement: it equals 1 - k(E), and for potentials generated by
-expanding circle maps with continuous sampling it can only take integer values.
+the doubling map with continuous sampling it can only take integer values.
 """
 
 from __future__ import annotations
@@ -149,7 +149,6 @@ def rotation_number(
     steps: int = 2000,
     seed: int = 0,
     depth: int = 60,
-    m: int = 2,
 ) -> RotationEstimate:
     """Winding rate of the stable section along random forward orbits.
 
@@ -164,7 +163,7 @@ def rotation_number(
     """
     if steps < 1 or omega_samples < 1:
         raise InvalidParameter("steps and omega_samples must be >= 1")
-    report = dichotomy_test(f, E, depth=depth, seed=seed, m=m)
+    report = dichotomy_test(f, E, depth=depth, seed=seed)
     if not report.is_hyperbolic:
         raise NotHyperbolic(
             f"E = {E} failed the dichotomy pretest "
@@ -172,7 +171,7 @@ def rotation_number(
             f"rotation number are undefined inside the spectrum"
         )
 
-    pots = spawned_potentials(f, seed, omega_samples, steps + depth + 1, m)
+    pots = spawned_potentials(f, seed, omega_samples, steps + depth + 1)
     x, y = _stable_sweep(E, pots, depth)
     deltas = _winding_closed(E, pots[:, :steps], x[:, :steps], y[:, :steps])
     values = deltas.sum(axis=1) / (PI * steps)

@@ -179,7 +179,7 @@ def _row_bands(edges: np.ndarray, tol: float):
     return lo[starts], hi[ends], starts.sum(axis=1)
 
 
-def period_potentials(f: SamplingFunction, period: int, m: int = 2):
+def period_potentials(f: SamplingFunction, period: int):
     """Labels and potentials (rows) of every sided potential of minimal period `period`.
 
     f is called once on the whole orbit table.  Each orbit through a
@@ -187,8 +187,8 @@ def period_potentials(f: SamplingFunction, period: int, m: int = 2):
     PeriodicOrbit.sided_potentials: its left-limit potential under label
     "<point>-" when the left-limit values differ.
     """
-    table = orbit_table(period, m)
-    d = m ** period - 1
+    table = orbit_table(period)
+    d = 2 ** period - 1
     points = table / d
     rows = np.asarray(f(points), dtype=float).reshape(table.shape)
     labels = []
@@ -197,26 +197,26 @@ def period_potentials(f: SamplingFunction, period: int, m: int = 2):
         labels.append(f"{p0.numerator}/{p0.denominator}")
     hits = np.flatnonzero(f.breakpoint_mask(points).any(axis=1))
     for i in hits[::-1].tolist():
-        orbit = PeriodicOrbit(period, tuple(CirclePoint(q, d) for q in table[i].tolist()), m)
+        orbit = PeriodicOrbit(period, tuple(CirclePoint(q, d) for q in table[i].tolist()))
         for label, pots in orbit.sided_potentials(f)[:0:-1]:
             rows = np.insert(rows, i + 1, pots, axis=0)
             labels.insert(i + 1, label)
     return labels, rows
 
 
-def period_bands(f: SamplingFunction, period: int, m: int = 2) -> PeriodBands:
+def period_bands(f: SamplingFunction, period: int) -> PeriodBands:
     """The unmerged edges of every sided potential of minimal period `period`.
 
     See period_potentials for the potentials and their labels.
     """
-    labels, rows = period_potentials(f, period, m)
+    labels, rows = period_potentials(f, period)
     return PeriodBands(period, labels, _edges(rows))
 
 
-def bands_by_period(f: SamplingFunction, max_period: int, m: int = 2) -> list[PeriodBands]:
+def bands_by_period(f: SamplingFunction, max_period: int) -> list[PeriodBands]:
     """period_bands for every period 1 .. max_period."""
-    check_period(max_period, m)
-    return [period_bands(f, p, m) for p in range(1, max_period + 1)]
+    check_period(max_period)
+    return [period_bands(f, p) for p in range(1, max_period + 1)]
 
 
 def potential_bands(pots, tol: float = 1e-10) -> list[Band]:
@@ -268,7 +268,6 @@ def union_spectrum(
     f: SamplingFunction,
     max_period: int,
     tol: float = 1e-10,
-    m: int = 2,
 ) -> SpectrumApprox:
     """Union of periodic bands over all orbits of minimal period <= max_period.
 
@@ -279,7 +278,7 @@ def union_spectrum(
     5 * chi_[0,1/2) the left limit at the fixed point 0 is the free potential
     and supplies the band [-2, 2] from period 1 on.
     """
-    return merge_bands(bands_by_period(f, max_period, m), tol)
+    return merge_bands(bands_by_period(f, max_period), tol)
 
 
 def gap_report(

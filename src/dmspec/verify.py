@@ -96,6 +96,14 @@ def dense_eigen_count(values, E: float) -> int:
     return int(np.count_nonzero(np.linalg.eigvalsh(H) <= E))
 
 
+def _distance_to_intervals(x: np.ndarray, intervals: np.ndarray) -> np.ndarray:
+    """Distance from each point of x to the union of the closed (n, 2) intervals."""
+    lo, hi = intervals[None, :, 0], intervals[None, :, 1]
+    d = np.minimum(np.abs(x[:, None] - lo), np.abs(x[:, None] - hi))
+    d[(lo <= x[:, None]) & (x[:, None] <= hi)] = 0.0
+    return d.min(axis=1)
+
+
 def hausdorff_to_intervals(bands, targets) -> float:
     """Hausdorff distance between a band union and a union of closed intervals."""
     pts = []
@@ -103,24 +111,9 @@ def hausdorff_to_intervals(bands, targets) -> float:
         pts.append(np.linspace(lo, hi, max(int((hi - lo) * 2000), 2)))
     target_pts = np.concatenate(pts)
     band_arr = np.array([[b.lo, b.hi] for b in bands])
-
-    def dist_to_bands(x):
-        inside = (band_arr[:, 0][None, :] <= x[:, None]) & (x[:, None] <= band_arr[:, 1][None, :])
-        d = np.minimum(np.abs(x[:, None] - band_arr[:, 0][None, :]),
-                       np.abs(x[:, None] - band_arr[:, 1][None, :]))
-        d[inside] = 0.0
-        return d.min(axis=1)
-
-    def dist_to_targets(x):
-        t = np.asarray(targets)
-        inside = (t[:, 0][None, :] <= x[:, None]) & (x[:, None] <= t[:, 1][None, :])
-        d = np.minimum(np.abs(x[:, None] - t[:, 0][None, :]),
-                       np.abs(x[:, None] - t[:, 1][None, :]))
-        d[inside] = 0.0
-        return d.min(axis=1)
-
     band_pts = np.concatenate([np.linspace(b.lo, b.hi, max(int(b.width * 2000), 2)) for b in bands])
-    return float(max(dist_to_bands(target_pts).max(), dist_to_targets(band_pts).max()))
+    return float(max(_distance_to_intervals(target_pts, band_arr).max(),
+                     _distance_to_intervals(band_pts, np.asarray(targets, dtype=float)).max()))
 
 
 def covers_interval(s: spectrum.SpectrumApprox, lo: float, hi: float, tol: float) -> bool:

@@ -186,39 +186,55 @@ class TestForwardOrbit:
         assert drift.max() < 2.0 ** -50
 
 
+def scalar_orbit(rng, count):
+    """The per-point base-2 window loop, the reference for sampling._window."""
+    digits = rng.integers(0, 2, size=count + 53, dtype=np.int64)
+    out = np.empty(count)
+    for k in range(count):
+        x = 0.0
+        for j in range(52, -1, -1):
+            x = (x + digits[k + j]) / 2
+        out[k] = x
+    return out
+
+
 class TestBatchedOrbits:
-    @pytest.mark.parametrize("m", [2, 3])
+    # m, the base of the map whose orbits are drawn, is 2: the doubling map
+    @pytest.mark.parametrize("m", [2])
     def test_rows_equal_successive_draws(self, m):
         rng_batch, rng_loop = np.random.default_rng(21), np.random.default_rng(21)
-        batch = sampling.random_orbits(rng_batch, 7, 90, m)
-        loop = np.stack([sampling.random_orbit(rng_loop, 90, m=m) for _ in range(7)])
+        batch = sampling.random_orbits(rng_batch, 7, 90)
+        loop = np.stack([sampling.random_orbit(rng_loop, 90) for _ in range(7)])
         assert batch.shape == (7, 90) and np.array_equal(batch, loop)
+        # every row is an orbit of the map up to window truncation
+        assert np.abs((m * batch[:, :-1]) % 1.0 - batch[:, 1:]).max() < 2.0 ** -50
         # the generator is left where the successive draws leave it
         assert rng_batch.bit_generator.state == rng_loop.bit_generator.state
         assert rng_batch.integers(0, 2**62) == rng_loop.integers(0, 2**62)
 
-    @pytest.mark.parametrize("m", [3, 5])
-    def test_horner_steps_equal_the_scalar_recurrence(self, m):
-        # the per-point loop the batched Horner steps replaced, bit for bit
-        digits = np.random.default_rng(8).integers(0, m, size=(4, 60 + 53), dtype=np.int64)
+    def test_window_equals_the_scalar_recurrence(self):
+        # the per-point recurrence x = (x + d) / 2, bit for bit, on a batch
+        digits = np.random.default_rng(8).integers(0, 2, size=(4, 60 + 53), dtype=np.int64)
         want = np.empty((4, 60))
         for i in range(4):
             for k in range(60):
                 x = 0.0
                 for j in range(52, -1, -1):
-                    x = (x + digits[i, k + j]) / m
+                    x = (x + digits[i, k + j]) / 2
                 want[i, k] = x
-        assert np.array_equal(sampling._window(digits, 60, m), want)
+        assert np.array_equal(sampling._window(digits, 60), want)
 
-    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("m", [2])
     @pytest.mark.parametrize("block_digits", [1, 3 * (70 + 53), 2 ** 15])
     def test_spawned_rows_equal_one_draw_per_child(self, m, block_digits, monkeypatch):
         # one row per spawned child, whether the blocks hold one row, a few or all
         monkeypatch.setattr(sampling, "_SPAWN_DIGITS", block_digits)
         f = cosine(0.5)
-        want = np.stack([f(sampling.random_orbit(np.random.default_rng(ss), 70, m=m))
-                         for ss in np.random.SeedSequence(4).spawn(7)])
-        assert np.array_equal(sampling.spawned_potentials(f, 4, 7, 70, m), want)
+        orbits = [sampling.random_orbit(np.random.default_rng(ss), 70)
+                  for ss in np.random.SeedSequence(4).spawn(7)]
+        assert np.array_equal(sampling.spawned_potentials(f, 4, 7, 70), np.stack([f(w) for w in orbits]))
+        # the rows follow orbits of the map, read through its base-m digits
+        assert all(np.abs((m * w[:-1]) % 1.0 - w[1:]).max() < 2.0 ** -50 for w in orbits)
 
     def test_label_kernels_are_bit_identical(self, monkeypatch):
         # dichotomy_test, ids_estimate and rotation_number give the same bits
@@ -226,36 +242,25 @@ class TestBatchedOrbits:
         # window loop, as they were before the draws were batched
         from dmspec import cocycle, ids, schwartzman
 
-        def orbit(rng, count, m):
-            digits = rng.integers(0, m, size=count + 53, dtype=np.int64)
-            out = np.empty(count)
-            for k in range(count):
-                x = 0.0
-                for j in range(52, -1, -1):
-                    x = (x + digits[k + j]) / m
-                out[k] = x
-            return out
-
-        def one_at_a_time(f, seed, samples, count, m):
-            return np.stack([np.asarray(f(orbit(np.random.default_rng(ss), count, m)), dtype=float)
+        def one_at_a_time(f, seed, samples, count):
+            return np.stack([np.asarray(f(scalar_orbit(np.random.default_rng(ss), count)), dtype=float)
                              for ss in np.random.SeedSequence(seed).spawn(samples)])
 
         def labels():
             out = []
             for f, E in ((cosine(0.5), 3.5), (bernoulli(5.0), 2.5)):
-                for m in (2, 3):
-                    rep = cocycle.dichotomy_test(f, E, sample_count=40, seed=11, m=m)
-                    out += [rep.growth_rate, rep.prefactor, *rep.diagnostics.values(),
-                            *[(w, a.angle) for w, a in rep.stable_direction_at.items()]]
-                    out += list(ids.ids_estimate(f, np.linspace(-3.0, 7.0, 9), truncation_size=64,
-                                                 sample_count=6, seed=4, m=m).k_values)
-                    est = schwartzman.rotation_number(f, E, omega_samples=3, steps=100, seed=2, m=m)
-                    out += [est.value, est.stderr, *est.diagnostics.values()]
+                rep = cocycle.dichotomy_test(f, E, sample_count=40, seed=11)
+                out += [rep.growth_rate, rep.prefactor, *rep.diagnostics.values(),
+                        *[(w, a.angle) for w, a in rep.stable_direction_at.items()]]
+                out += list(ids.ids_estimate(f, np.linspace(-3.0, 7.0, 9), truncation_size=64,
+                                             sample_count=6, seed=4).k_values)
+                est = schwartzman.rotation_number(f, E, omega_samples=3, steps=100, seed=2)
+                out += [est.value, est.stderr, *est.diagnostics.values()]
             return out
 
         batched = labels()
-        monkeypatch.setattr(cocycle, "random_orbits", lambda rng, samples, count, m: np.stack(
-            [orbit(rng, count, m) for _ in range(samples)]))
+        monkeypatch.setattr(cocycle, "random_orbits", lambda rng, samples, count: np.stack(
+            [scalar_orbit(rng, count) for _ in range(samples)]))
         monkeypatch.setattr(ids, "spawned_potentials", one_at_a_time)
         monkeypatch.setattr(schwartzman, "spawned_potentials", one_at_a_time)
         assert labels() == batched
