@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import BackwardDigits, PeriodicOrbit
+from .dynamics import PeriodicOrbit
 from .errors import DegenerateSingularValues, InvalidParameter
 from .sampling import SamplingFunction, forward_orbit, random_orbits
 from .spectrum import period_potentials
@@ -42,24 +42,6 @@ def step_matrix(E: float, v: float) -> np.ndarray:
     return np.array([[E - v, -1.0], [1.0, 0.0]])
 
 
-def trace_over_cycle(pots, energies):
-    """Trace of the transfer product over one pass through pots, vectorized in E.
-
-    Columns are multiplied in orbit order (left-multiplication by each new
-    step), so the result is tr A(v_{p-1}) ... A(v_0) evaluated at every energy.
-    """
-    E = np.asarray(energies, dtype=float)
-    a = np.ones_like(E)
-    b = np.zeros_like(E)
-    c = np.zeros_like(E)
-    d = np.ones_like(E)
-    for v in pots:
-        t = E - v
-        a, c = t * a - c, a
-        b, d = t * b - d, b
-    return a + d
-
-
 def cocycle_product(f: SamplingFunction, E: float, omega, n: int) -> np.ndarray:
     """The n-step product A(T^{n-1} omega) ... A(T omega) A(omega)."""
     if n < 1:
@@ -78,9 +60,15 @@ def discriminant(orbit: PeriodicOrbit, f: SamplingFunction, E):
     monic degree-p polynomial in E whose level set {|disc| <= 2} is the
     periodic spectrum.
     """
-    pots = orbit.potential_values(f)
-    out = trace_over_cycle(pots, E)
-    return float(out) if np.ndim(E) == 0 else out
+    E = np.asarray(E, dtype=float)
+    a, b, c, d = np.ones_like(E), np.zeros_like(E), np.zeros_like(E), np.ones_like(E)
+    # left-multiplication by each new step: tr A(v_{p-1}) ... A(v_0)
+    for v in orbit.potential_values(f):
+        t = E - v
+        a, c = t * a - c, a
+        b, d = t * b - d, b
+    out = a + d
+    return float(out) if E.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -188,17 +176,13 @@ def most_contracted_direction(
     E: float,
     omega,
     depth: int,
-    digits: BackwardDigits | None = None,
 ) -> tuple[Direction, bool]:
     """Direction most contracted by the depth-step product at omega.
 
     Returns (direction, converged); converged compares the answers at depth
     and depth // 2 in projective distance against DIRECTION_CONV_TOL.  The
-    result depends only on the forward orbit of omega; an optional
-    BackwardDigits argument is accepted for solenoid-point anchors and has no
-    effect on the value.
+    result depends only on the forward orbit of omega.
     """
-    del digits  # forward products never read the backward fiber
     if depth < 2:
         raise InvalidParameter("depth must be >= 2")
     pots = np.atleast_1d(f(forward_orbit(omega, depth)))

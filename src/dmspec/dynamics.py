@@ -78,7 +78,7 @@ class PeriodicOrbit:
         right = self.potential_values(f)
         out = [(self.label(), right)]
         w = [p.as_float() for p in self.points]
-        if f.on_breakpoint(w):
+        if f.breakpoint_mask(w).any():
             left = np.asarray(f.left_limit(w), dtype=float).tolist()
             if left != right:
                 out.append((self.label() + "-", left))
@@ -107,7 +107,7 @@ def check_period(max_period: int) -> None:
     if max_period > TABLE_PERIOD:
         raise CapacityExceeded(
             f"2^(p+1) exceeds the int64 orbit table for p = {max_period}; "
-            f"max period for m = 2 is {TABLE_PERIOD}"
+            f"max period is {TABLE_PERIOD}"
         )
 
 
@@ -199,26 +199,21 @@ def extend_backward(anchor, digits: BackwardDigits, n: int):
     return backward_orbit(anchor, digits, n)[-1]
 
 
+def _coordinate(anchor):
+    """A CirclePoint or Fraction anchor as a Fraction; any other as a float in [0, 1)."""
+    if isinstance(anchor, CirclePoint):
+        return anchor.as_fraction()
+    return anchor if isinstance(anchor, Fraction) else float(anchor) % 1.0
+
+
 def backward_orbit(anchor, digits: BackwardDigits, n: int) -> list:
     """[omega_{-1}, ..., omega_{-n}] along the digit-selected preimage chain."""
-    seq = digits.take(n)
+    x = _coordinate(anchor)
     out = []
-    if isinstance(anchor, CirclePoint):
-        x = anchor.as_fraction()
-        for dig in seq:
-            x = (x + dig) / 2
-            out.append(CirclePoint.from_fraction(x))
-    elif isinstance(anchor, Fraction):
-        x = anchor
-        for dig in seq:
-            x = (x + dig) / 2
-            out.append(x)
-    else:
-        x = float(anchor) % 1.0
-        for dig in seq:
-            x = (x + dig) / 2
-            out.append(x)
-    return out
+    for dig in digits.take(n):
+        x = (x + dig) / 2
+        out.append(x)
+    return [CirclePoint.from_fraction(x) for x in out] if isinstance(anchor, CirclePoint) else out
 
 
 def solenoid_forward(anchor, fiber: tuple[float, float], lam: float):
@@ -231,14 +226,9 @@ def solenoid_forward(anchor, fiber: tuple[float, float], lam: float):
     if not 0.0 < lam < 0.5:
         raise InvalidParameter(f"lambda must lie in (0, 1/2), got {lam}")
     x, y = fiber
+    w = _coordinate(anchor)
+    new_anchor = (w * 2) % 1
     if isinstance(anchor, CirclePoint):
-        w = anchor.as_float()
-        new_anchor = map_forward(anchor, 1)
-    elif isinstance(anchor, Fraction):
-        w = float(anchor)
-        new_anchor = (anchor * 2) % 1
-    else:
-        w = float(anchor) % 1.0
-        new_anchor = (2 * w) % 1.0
-    c, s = math.cos(2 * math.pi * w), math.sin(2 * math.pi * w)
+        new_anchor = CirclePoint.from_fraction(new_anchor)
+    c, s = math.cos(2 * math.pi * float(w)), math.sin(2 * math.pi * float(w))
     return new_anchor, (lam * x + 0.5 * c, lam * y + 0.5 * s)

@@ -51,16 +51,6 @@ class IDSTable:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "IDSTable":
-        return cls(
-            energies=np.asarray(obj["energies"], dtype=float),
-            k_values=np.asarray(obj["k"], dtype=float),
-            truncation_size=int(obj["N"]),
-            sample_count=int(obj["M"]),
-            seed=int(obj["seed"]),
-        )
-
 
 def _sturm_counts(values: np.ndarray, energies: np.ndarray) -> np.ndarray:
     """Eigenvalues <= E of tridiag(values, offdiag 1), for every E at once.

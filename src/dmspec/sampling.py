@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dynamics import BackwardDigits, CirclePoint, backward_orbit, map_forward
+from .dynamics import BackwardDigits, CirclePoint, backward_orbit
 from .errors import InvalidParameter, MissingDigits
 
 # Beyond this many forward steps a float anchor has shifted out its entire
@@ -63,10 +63,6 @@ class TrigPoly:
     def breakpoint_mask(self, omega) -> np.ndarray:
         """Which points of omega are breakpoints, elementwise; f has none."""
         return np.zeros(np.shape(omega), dtype=bool)
-
-    def on_breakpoint(self, omega) -> bool:
-        """Whether some point of omega is a breakpoint; f has none."""
-        return False
 
     def to_json(self) -> dict:
         return {
@@ -121,10 +117,6 @@ class Step:
         """Which points of omega are exactly a breakpoint, elementwise."""
         w = np.mod(np.asarray(omega, dtype=float), 1.0)
         return np.isin(w, self.breakpoints)
-
-    def on_breakpoint(self, omega) -> bool:
-        """Whether some point of omega is exactly a breakpoint."""
-        return bool(self.breakpoint_mask(omega).any())
 
     def to_json(self) -> dict:
         return {"type": "step", "breaks": list(self.breakpoints), "values": list(self.values)}
@@ -259,27 +251,20 @@ def spawned_potentials(f, seed: int, samples: int, count: int) -> np.ndarray:
 def forward_orbit(omega, count: int) -> np.ndarray:
     """[omega, T omega, ..., T^(count-1) omega] as floats.
 
-    Rational anchors iterate exactly and convert at the end.  Float anchors
-    iterate w -> frac(2 w) directly while the mantissa lasts; past
+    Rational anchors double their numerator exactly mod the denominator.
+    Float anchors iterate w -> frac(2 w) directly while the mantissa lasts; past
     FLOAT_ITERATION_LIMIT steps the anchor's bits are continued by a
     generator seeded from its bit pattern, a Monte Carlo stand-in justified by
     the map preserving Lebesgue measure.  The result is deterministic in omega.
     """
     if count < 0:
         raise InvalidParameter("count must be nonnegative")
-    if isinstance(omega, CirclePoint):
-        pt = omega
+    if isinstance(omega, (CirclePoint, Fraction)):
+        num, den = omega.numerator % omega.denominator, omega.denominator
         out = np.empty(count)
         for k in range(count):
-            out[k] = pt.as_float()
-            pt = map_forward(pt, 1)
-        return out
-    if isinstance(omega, Fraction):
-        x = omega % 1
-        out = np.empty(count)
-        for k in range(count):
-            out[k] = float(x)
-            x = (x * 2) % 1
+            out[k] = num / den
+            num = num * 2 % den
         return out
     x = float(omega) % 1.0
     if count <= FLOAT_ITERATION_LIMIT:

@@ -87,14 +87,6 @@ class SpectrumApprox:
             "tol": self.tol,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "SpectrumApprox":
-        return cls(
-            bands=[Band(lo, hi) for lo, hi in obj["bands"]],
-            max_period_used=int(obj["max_period_used"]),
-            tol=float(obj["tol"]),
-        )
-
 
 @dataclass(frozen=True)
 class PeriodBands:

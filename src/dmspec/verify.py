@@ -4,7 +4,8 @@ Every check returns a dict with name, passed, and detail, and is independent
 of the code path it validates: eigenvalue band edges are certified on the
 orbit potentials by the Floquet discriminant and the interlacing Dirichlet
 eigenvalues, Sturm counts are checked against a dense solver, winding rates
-against density-of-states complements.
+against density-of-states complements, the stable direction at a point
+against the steps from both of its preimages.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import cocycle, ids, schwartzman, spectrum
-from .dynamics import BackwardDigits, enumerate_orbits
+from .dynamics import BackwardDigits, CirclePoint, enumerate_orbits, extend_backward
 from .errors import DmspecError, InvalidParameter
 from .sampling import SamplingFunction, _number, _numbers, forward_orbit
 
@@ -94,26 +95,6 @@ def dense_eigen_count(values, E: float) -> int:
     if n > 1:
         H += np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
     return int(np.count_nonzero(np.linalg.eigvalsh(H) <= E))
-
-
-def _distance_to_intervals(x: np.ndarray, intervals: np.ndarray) -> np.ndarray:
-    """Distance from each point of x to the union of the closed (n, 2) intervals."""
-    lo, hi = intervals[None, :, 0], intervals[None, :, 1]
-    d = np.minimum(np.abs(x[:, None] - lo), np.abs(x[:, None] - hi))
-    d[(lo <= x[:, None]) & (x[:, None] <= hi)] = 0.0
-    return d.min(axis=1)
-
-
-def hausdorff_to_intervals(bands, targets) -> float:
-    """Hausdorff distance between a band union and a union of closed intervals."""
-    pts = []
-    for lo, hi in targets:
-        pts.append(np.linspace(lo, hi, max(int((hi - lo) * 2000), 2)))
-    target_pts = np.concatenate(pts)
-    band_arr = np.array([[b.lo, b.hi] for b in bands])
-    band_pts = np.concatenate([np.linspace(b.lo, b.hi, max(int(b.width * 2000), 2)) for b in bands])
-    return float(max(_distance_to_intervals(target_pts, band_arr).max(),
-                     _distance_to_intervals(band_pts, np.asarray(targets, dtype=float)).max()))
 
 
 def covers_interval(s: spectrum.SpectrumApprox, lo: float, hi: float, tol: float) -> bool:
@@ -299,14 +280,21 @@ def check_invariance(f: SamplingFunction, hull, seed: int = 0, depth: int = 60) 
 
 
 def check_digit_independence(f: SamplingFunction, hull, depth: int = 60) -> dict:
+    # the stable section depends on omega alone, so whichever backward digit
+    # picks the preimage pre of w, the step A(pre) = step_matrix(E, f(pre))
+    # carries the stable direction at pre onto the one at w
     def run():
         E = hull[1] + 0.5
-        d1 = BackwardDigits(digits=[0, 1] * 40)
-        d2 = BackwardDigits(seed=99)
-        r1, _ = cocycle.most_contracted_direction(f, E, 0.372, depth, digits=d1)
-        r2, _ = cocycle.most_contracted_direction(f, E, 0.372, depth, digits=d2)
-        same = r1.angle == r2.angle
-        return same, f"angles {r1.angle!r} vs {r2.angle!r}"
+        w = CirclePoint(372, 1000)
+        target, _ = cocycle.most_contracted_direction(f, E, w, depth)
+        worst = 0.0
+        for digit in (0, 1):
+            pre = extend_backward(w, BackwardDigits([digit]), 1)
+            stable, _ = cocycle.most_contracted_direction(f, E, pre, depth)
+            image = cocycle.step_matrix(E, f(float(pre))) @ stable.vector()
+            worst = max(worst, cocycle.Direction.from_vector(*image).distance(target))
+        return worst < cocycle.INVARIANCE_TOL, (
+            f"max distance of A(pre) L(pre) to L(w) over both preimages of w = 0.372: {worst:.2e}")
 
     return _check("backward_digit_independence", run)
 

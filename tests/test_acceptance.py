@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from dmspec import (
-    BackwardDigits,
     TrigPoly,
     Verdict,
     bernoulli,
@@ -31,7 +30,6 @@ from dmspec import (
     gap_report,
     ids_estimate,
     integrality_check,
-    most_contracted_direction,
     periodic_bands,
     rotation_number,
     union_spectrum,
@@ -40,12 +38,32 @@ from dmspec.ids import default_energy_grid
 from dmspec.spectrum import bands_by_period
 from dmspec.verify import (
     check_band_edge_oracle,
+    check_digit_independence,
     check_sturm_counts,
     covers_interval,
-    hausdorff_to_intervals,
 )
 
 FREE = TrigPoly()
+
+
+def _distance_to_intervals(x: np.ndarray, intervals: np.ndarray) -> np.ndarray:
+    """Distance from each point of x to the union of the closed (n, 2) intervals."""
+    lo, hi = intervals[None, :, 0], intervals[None, :, 1]
+    d = np.minimum(np.abs(x[:, None] - lo), np.abs(x[:, None] - hi))
+    d[(lo <= x[:, None]) & (x[:, None] <= hi)] = 0.0
+    return d.min(axis=1)
+
+
+def hausdorff_to_intervals(bands, targets) -> float:
+    """Hausdorff distance between a band union and a union of closed intervals."""
+    pts = []
+    for lo, hi in targets:
+        pts.append(np.linspace(lo, hi, max(int((hi - lo) * 2000), 2)))
+    target_pts = np.concatenate(pts)
+    band_arr = np.array([[b.lo, b.hi] for b in bands])
+    band_pts = np.concatenate([np.linspace(b.lo, b.hi, max(int(b.width * 2000), 2)) for b in bands])
+    return float(max(_distance_to_intervals(target_pts, band_arr).max(),
+                     _distance_to_intervals(band_pts, np.asarray(targets, dtype=float)).max()))
 
 
 def report(name, ok, elapsed, limit, detail=""):
@@ -238,12 +256,9 @@ def test_criterion_8_structural_oracles():
     resid_ok = hyper_ok and resid_worst < 1e-6
     details.append(f"invariance: worst residual {resid_worst:.2e}")
 
-    d1, _ = most_contracted_direction(cosine(0.5), 3.5, 0.372, 60,
-                                      digits=BackwardDigits(digits=[1, 0] * 40))
-    d2, _ = most_contracted_direction(cosine(0.5), 3.5, 0.372, 60,
-                                      digits=BackwardDigits(seed=5))
-    digits_ok = d1.angle == d2.angle
-    details.append("digits: identical directions")
+    digits = check_digit_independence(cosine(0.5), (-3.0, 3.0), depth=60)
+    digits_ok = digits["passed"]
+    details.append(f"digits: {digits['detail']}")
 
     elapsed = time.perf_counter() - t0
     ok = (sturm["passed"] and edges_ok and det_ok and resid_ok and digits_ok

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmspec import (
-    BackwardDigits,
     CirclePoint,
     DegenerateSingularValues,
     Direction,
@@ -149,14 +148,6 @@ class TestMostContracted:
     def test_degenerate_inside_spectrum(self):
         with pytest.raises(DegenerateSingularValues):
             most_contracted_direction(FREE, 0.0, 0.2, 16)
-
-    def test_backward_digits_irrelevant(self):
-        f = cosine(0.5)
-        d1, _ = most_contracted_direction(f, 3.5, 0.372, 60,
-                                          digits=BackwardDigits([0, 1] * 30))
-        d2, _ = most_contracted_direction(f, 3.5, 0.372, 60,
-                                          digits=BackwardDigits(seed=123))
-        assert d1.angle == d2.angle
 
     def test_eigendirection_invariance(self):
         direction, _ = most_contracted_direction(FREE, 3.0, 0.2, 40)

@@ -21,10 +21,11 @@ from dmspec import (
     cosine,
     enumerate_orbits,
     extend_backward,
+    forward_orbit,
     map_forward,
     solenoid_forward,
 )
-from dmspec.dynamics import TABLE_PERIOD, check_period, orbit_table
+from dmspec.dynamics import TABLE_PERIOD, backward_orbit, check_period, orbit_table
 
 
 def loop_orbit_table(p, m=2):
@@ -175,21 +176,21 @@ class TestEnumerateOrbits:
                 over = False
             except CapacityExceeded as exc:
                 over = True
-                assert f"max period for m = {m} is {limit}" in str(exc)
+                assert f"max period is {limit}" in str(exc)
             assert over == (p > limit)
 
     def test_capacity_guard(self):
         for p in (127, 10**12):  # no huge power is computed
-            with pytest.raises(CapacityExceeded, match="max period for m = 2 is 61"):
+            with pytest.raises(CapacityExceeded, match="max period is 61"):
                 check_period(p)
-        with pytest.raises(CapacityExceeded, match="max period for m = 2 is 61"):
+        with pytest.raises(CapacityExceeded, match="max period is 61"):
             enumerate_orbits(127)
 
     def test_int64_table_guard(self):
         # 2^(p+1) must stay below 2^63; the guard raises before any table
         assert TABLE_PERIOD == max(p for p in range(1, 64) if 2 ** (p + 1) < 2 ** 63)
         for fn in (enumerate_orbits, orbit_table):
-            with pytest.raises(CapacityExceeded, match="int64.*max period for m = 2 is 61"):
+            with pytest.raises(CapacityExceeded, match="int64.*max period is 61"):
                 fn(62)
 
     @pytest.mark.parametrize("m,max_period", [(2, 12)])
@@ -269,3 +270,25 @@ class TestSolenoidForward:
     def test_lambda_domain(self, lam):
         with pytest.raises(InvalidParameter):
             solenoid_forward(0.0, (0.0, 0.0), lam)
+
+
+class TestAnchorKinds:
+    # a CirclePoint anchor takes the exact path of the equal Fraction anchor
+    @given(x=st.fractions(0, 1, max_denominator=2 ** 20).filter(lambda x: x < 1),
+           digits=st.lists(st.integers(0, 1), min_size=1, max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_circle_point_equals_fraction(self, x, digits):
+        point = CirclePoint(x.numerator, x.denominator)
+        orbit = forward_orbit(point, 70)
+        assert np.array_equal(orbit, forward_orbit(x, 70))
+        assert orbit.tolist() == [map_forward(point, j).as_float() for j in range(70)]
+        back = backward_orbit(point, BackwardDigits(digits), len(digits))
+        assert [p.as_fraction() for p in back] == backward_orbit(x, BackwardDigits(digits), len(digits))
+        anchor, fiber = solenoid_forward(point, (0.1, -0.2), 0.3)
+        assert (anchor.as_fraction(), fiber) == solenoid_forward(x, (0.1, -0.2), 0.3)
+
+    @pytest.mark.parametrize("anchor", [0.372, 1.25, 3])
+    def test_float_and_int_anchors_give_floats(self, anchor):
+        back = backward_orbit(anchor, BackwardDigits([0, 1, 1]), 3)
+        assert [type(w) for w in back] == [float] * 3
+        assert type(solenoid_forward(anchor, (0.0, 0.0), 0.25)[0]) is float

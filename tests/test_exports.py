@@ -1,7 +1,9 @@
-"""The public names of the package resolve, every error class is in use, and no signature takes a map base."""
+"""The public names of the package resolve, every error class is in use, no
+signature takes a map base, and every function has a caller."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import re
@@ -43,3 +45,25 @@ def test_no_map_base_parameter():
                     continue
                 found += [f"{path.stem}.{qualname}({p})" for p in params if p in ("m", "map_base")]
     assert found == []
+
+
+#: module-level functions whose only callers are tests, which compare the
+#: engine against them
+TEST_REFERENCES = {"sampling.random_orbit", "spectrum.orbit_bands"}
+
+
+def test_every_function_has_a_caller():
+    # a module-level function is named in the code of src/dmspec (docstrings
+    # do not count) or exported in dmspec.__all__
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [f"{stem}.{node.name}" for stem, tree in trees.items() for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name not in used
+              and node.name not in dmspec.__all__ and f"{stem}.{node.name}" not in TEST_REFERENCES]
+    assert unused == []

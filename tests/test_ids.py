@@ -223,12 +223,3 @@ class TestGapLabel:
         )
         with pytest.warns(UserWarning, match="not.*gap|gap"):
             gap_label(table, (0.2, 0.8))
-
-    def test_json_round_trip(self):
-        table = self._free_table()
-        back = IDSTable.from_json(table.to_json())
-        assert np.array_equal(back.energies, table.energies)
-        assert np.array_equal(back.k_values, table.k_values)
-        assert back.truncation_size == table.truncation_size
-        assert back.sample_count == table.sample_count
-        assert back.seed == table.seed

@@ -56,16 +56,16 @@ class TestEval:
 
     def test_step_on_breakpoint(self):
         f = bernoulli(5.0)
-        assert f.on_breakpoint([0.0])
-        assert f.on_breakpoint([0.25, 1.5])
-        assert not f.on_breakpoint([1 / 3, 2 / 3])
+        assert f.breakpoint_mask([0.0]).any()
+        assert f.breakpoint_mask([0.25, 1.5]).any()
+        assert not f.breakpoint_mask([1 / 3, 2 / 3]).any()
 
     def test_trig_left_limit_is_value(self):
         f = TrigPoly(0.3, (1.0, -0.5), (0.25,))
         w = np.array([0.0, 0.125, 0.5, 0.9])
         assert np.array_equal(f.left_limit(w), f(w))
         assert f.left_limit(0.0) == f(0.0)
-        assert not f.on_breakpoint(w)
+        assert not f.breakpoint_mask(w).any()
 
     def test_wraps_mod_one(self):
         f = cosine(1.0)

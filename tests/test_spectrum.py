@@ -267,13 +267,6 @@ class TestGapReport:
         assert gap == (1.0, 1.0 + tiny)
         assert width == pytest.approx(tiny, rel=1e-6)
 
-    def test_json_round_trip(self):
-        s = union_spectrum(bernoulli(5.0), 4)
-        t = SpectrumApprox.from_json(s.to_json())
-        assert [(b.lo, b.hi) for b in t.bands] == [(b.lo, b.hi) for b in s.bands]
-        assert t.max_period_used == s.max_period_used
-        assert t.tol == s.tol
-
 
 class TestDichotomySpectrumConsistency:
     # uniform draws alone cannot refute hyperbolicity inside the spectrum of

@@ -23,6 +23,7 @@ from dmspec.verify import (
     Params,
     check_band_edge_oracle,
     check_determinants,
+    check_digit_independence,
     check_disconnection,
     check_gap_labelling,
 )
@@ -187,6 +188,25 @@ class TestUnimodularity:
         f = cosine(0.5)
         res = check_determinants(f, union_spectrum(f, 8).hull)
         assert not res["passed"] and "entries <= 3e3" in res["detail"]
+
+
+class TestDigitIndependence:
+    # the stable direction at either preimage of w, pushed through its own
+    # step, lands on the one at w
+    CASES = [(TrigPoly(), (-2.0, 2.0)), (cosine(0.5), (-3.0, 3.0)), (bernoulli(5.0), (-2.0, 7.0))]
+
+    @pytest.mark.parametrize("f, hull", CASES, ids=["free", "cos-0.5", "bernoulli-5"])
+    def test_passes(self, f, hull):
+        res = check_digit_independence(f, hull)
+        assert res["passed"], res["detail"]
+
+    @pytest.mark.parametrize("f, hull", CASES[1:], ids=["cos-0.5", "bernoulli-5"])
+    def test_sees_the_step_taken_at_w(self, monkeypatch, f, hull):
+        # f = 0 cannot see it: there every step is the same matrix
+        step = cocycle.step_matrix
+        monkeypatch.setattr(cocycle, "step_matrix", lambda E, v: step(E, f(0.372)))
+        res = check_digit_independence(f, hull)
+        assert not res["passed"], res["detail"]
 
 
 class TestRotationEvidence:
