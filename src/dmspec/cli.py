@@ -148,12 +148,11 @@ def cmd_rotation(args) -> int:
         raise DmspecError("rotation requires energies (config command.energies or --energies)")
     rows = []
     payload = []
-    for E in params.energies:
-        try:
-            est = schwartzman.rotation_number(
-                f, E, omega_samples=params.omega_samples, steps=params.steps,
-                seed=params.seed, depth=params.depth)
-        except NotHyperbolic:
+    ests = schwartzman.rotation_number(
+        f, params.energies, omega_samples=params.omega_samples, steps=params.steps,
+        seed=params.seed, depth=params.depth)
+    for E, est in zip(params.energies, ests):
+        if isinstance(est, NotHyperbolic):
             rows.append([_fmt(E), "", "", "not_hyperbolic", ""])
             payload.append({"E": E, "verdict": "not_hyperbolic"})
             continue

@@ -35,6 +35,9 @@ INVARIANCE_TOL = 1e-6
 RATE_FLOOR = 1e-3
 #: dichotomy_test probes every periodic point of minimal period up to this
 PROBE_PERIODS = 8
+#: the most rows one _stable_core pass of dichotomy_test takes, so that its
+#: memory stays bounded however many energies a call asks for
+CORE_ROWS = 2 ** 12
 
 
 def step_matrix(E: float, v: float) -> np.ndarray:
@@ -104,28 +107,32 @@ def _projective_distance(ang1, ang2):
     return np.minimum(da, np.pi - da)
 
 
-def _stable_core(E: float, windows: np.ndarray, checkpoints=()):
+def _stable_core(E, windows: np.ndarray, checkpoints=()):
     """Most-contracted directions of depth-step products, batched over rows.
 
-    windows has shape (batch, depth): row b holds the potential values
-    v_0 .. v_{depth-1} seen along the orbit piece starting at site b.  The
-    running product is renormalized every step; its true largest singular
-    value is recovered from the accumulated log scale (det = 1 pins the
-    smaller one).  Returns unit vectors (batch, 2) spanning the directions,
-    angles, log sigma_max, and per-checkpoint snapshots of (angles, log
-    sigma_max) taken after the given numbers of steps.
+    windows has shape (rows, depth): row b holds the potential values
+    v_0 .. v_{depth-1} seen along the orbit piece starting at site b.  E is
+    one energy, or K energies of shape (K, 1, 1), which take the rows once
+    per energy, energy by energy, so the batch is K * rows.  The running
+    product is renormalized every step; its true largest singular value is
+    recovered from the accumulated log scale (det = 1 pins the smaller one).
+    Returns unit vectors (batch, 2) spanning the directions, angles, log
+    sigma_max, and per-checkpoint snapshots of (angles, log sigma_max) taken
+    after the given numbers of steps.
     """
     windows = np.asarray(windows, dtype=float)
-    batch, depth = windows.shape
-    a = np.ones(batch)
-    b = np.zeros(batch)
-    c = np.zeros(batch)
-    d = np.ones(batch)
+    # row j holds E - v_j of every window
+    steps = (E - windows).reshape(-1, windows.shape[1]).T
+    batch = steps.shape[1]
+    # the running product [[a, b], [c, d]] as its rows (a, b) and (c, d)
+    top = np.stack([np.ones(batch), np.zeros(batch)])
+    bottom = top[::-1].copy()
     logscale = np.zeros(batch)
     snaps = {}
     want = set(checkpoints)
 
     def current_state():
+        (a, b), (c, d) = top, bottom
         g11 = a * a + c * c
         g12 = a * b + c * d
         g22 = b * b + d * d
@@ -146,16 +153,14 @@ def _stable_core(E: float, windows: np.ndarray, checkpoints=()):
         log_smax = logscale + 0.5 * np.log(np.maximum(lmax, np.finfo(float).tiny))
         return vec, angles, log_smax
 
-    for j in range(depth):
-        t = E - windows[:, j]
-        a, c = t * a - c, a
-        b, d = t * b - d, b
-        scale = np.maximum.reduce([np.abs(a), np.abs(b), np.abs(c), np.abs(d)])
+    for j, t in enumerate(steps, 1):
+        top, bottom = t * top - bottom, top
+        scale = np.maximum(*np.maximum(np.abs(top), np.abs(bottom)))
         scale = np.where(scale > 0.0, scale, 1.0)
-        a, b, c, d = a / scale, b / scale, c / scale, d / scale
+        top, bottom = top / scale, bottom / scale
         logscale += np.log(scale)
-        if (j + 1) in want:
-            snaps[j + 1] = current_state()[1:]
+        if j in want:
+            snaps[j] = current_state()[1:]
 
     vec, angles, log_smax = current_state()
     return vec, angles, log_smax, snaps
@@ -211,11 +216,11 @@ class DichotomyReport:
 
 def dichotomy_test(
     f: SamplingFunction,
-    E: float,
+    E,
     sample_count: int = 200,
     depth: int = 60,
     seed: int = 0,
-) -> DichotomyReport:
+) -> DichotomyReport | list[DichotomyReport]:
     """Sample-based exponential-dichotomy check at energy E.
 
     Draws sample_count uniform circle points, computes most-contracted
@@ -225,6 +230,11 @@ def dichotomy_test(
     satisfy the invariance identity A(w) L(w) = L(T w) within INVARIANCE_TOL,
     and the minimal norm-growth exponent clears RATE_FLOOR.  The report always
     carries the verdict; nothing is raised for a negative answer.
+
+    E is one energy or a sequence of them.  A sequence shares one draw of
+    the samples and probes and one pass over the depth sites per CORE_ROWS
+    rows, and gives a list of reports in the order of E, each equal to the
+    report its energy gets alone; a float gives its report as before.
 
     Uniform draws alone cannot refute hyperbolicity at energies where the
     almost-sure exponent is positive inside the spectrum (the section exists
@@ -244,6 +254,7 @@ def dichotomy_test(
     """
     if sample_count < 1 or depth < 8:
         raise InvalidParameter("need sample_count >= 1 and depth >= 8")
+    energies = np.ravel(np.asarray(E, dtype=float))
 
     orbits = random_orbits(np.random.default_rng(seed), sample_count, depth + 1)
     rows = [np.asarray(f(orbits), dtype=float)]
@@ -255,13 +266,29 @@ def dichotomy_test(
     half = depth // 2
     checkpoints = sorted({max(depth // 4, 1), half, max(3 * depth // 4, 1), depth})
     windows = np.concatenate([pots[:, :depth], pots[:, 1 : depth + 1]])
-    vec, angles, log_smax, snaps = _stable_core(E, windows, checkpoints=checkpoints)
+    omegas = orbits[:, 0]
+    reports = []
+    # one block of 2 * total rows per energy, at most CORE_ROWS rows a pass
+    per_pass = max(1, CORE_ROWS // (2 * total))
+    for start in range(0, len(energies), per_pass):
+        chunk = energies[start:start + per_pass]
+        batch = _stable_core(chunk[:, None, None], windows, checkpoints=checkpoints)
+        for i, e in enumerate(chunk):
+            block = slice(2 * total * i, 2 * total * (i + 1))
+            vec, angles, log_smax = (a[block] for a in batch[:3])
+            snaps = {k: (a[block], b[block]) for k, (a, b) in batch[3].items()}
+            reports.append(_dichotomy_report(e, pots, omegas, depth, vec, angles, log_smax, snaps))
+    return reports if np.ndim(E) else reports[0]
 
+
+def _dichotomy_report(E, pots, omegas, depth, vec, angles, log_smax, snaps) -> DichotomyReport:
+    """The verdict at E from _stable_core's rows at E: pots' rows from site 0, then from site 1."""
+    total, sample_count = pots.shape[0], len(omegas)
     ang0, ang1 = angles[:total], angles[total:]
     vec0 = vec[:total]
     degenerate = bool(_degenerate_mask(log_smax).any())
 
-    half_angles = snaps[half][0]
+    half_angles = snaps[depth // 2][0]
     conv = (
         _projective_distance(angles, half_angles) < DICHOTOMY_CONV_TOL
     ).reshape(2, total).all(axis=0)
@@ -287,7 +314,6 @@ def dichotomy_test(
     for k, (_, snap_log) in snaps.items():
         prefactor = max(prefactor, float(np.exp(growth_rate * k - snap_log[:total]).max()))
 
-    omegas = orbits[:, 0]
     stable_at = {float(w): Direction(float(a)) for w, a in zip(omegas, ang0[:sample_count])}
     return DichotomyReport(
         is_hyperbolic=is_hyperbolic,

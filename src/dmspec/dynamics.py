@@ -200,10 +200,10 @@ def extend_backward(anchor, digits: BackwardDigits, n: int):
 
 
 def _coordinate(anchor):
-    """A CirclePoint or Fraction anchor as a Fraction; any other as a float in [0, 1)."""
+    """A CirclePoint or Fraction anchor as a Fraction in [0, 1); any other as a float in [0, 1)."""
     if isinstance(anchor, CirclePoint):
         return anchor.as_fraction()
-    return anchor if isinstance(anchor, Fraction) else float(anchor) % 1.0
+    return anchor % 1 if isinstance(anchor, Fraction) else float(anchor) % 1.0
 
 
 def backward_orbit(anchor, digits: BackwardDigits, n: int) -> list:

@@ -24,7 +24,6 @@ from .errors import InvalidParameter, MissingDigits
 FLOAT_ITERATION_LIMIT = 45
 
 _MANTISSA_BITS = 53
-_POWERS = 0.5 ** np.arange(1, _MANTISSA_BITS + 1)
 #: digits spawned_potentials draws and windows at once, whatever the sample count
 _SPAWN_DIGITS = 2 ** 15
 
@@ -209,11 +208,17 @@ def _window(digits: np.ndarray, count: int) -> np.ndarray:
 
     Each value reads a 53-digit window, so consecutive points share the
     digits the doubling map says they must share.  Leading axes are batch
-    axes.  A window sums distinct powers 2^-1 .. 2^-53, exactly in any order.
+    axes.  The windows are built as integers by doubling their length, 1, 2,
+    4 ... 32 digits, each length in the narrowest type that holds it, and
+    joined 32 + 16 + 4 + 1 as int64; an integer below 2^53 scaled by 2^-53 is
+    exact, so w_k is the sum of d_j 2^-j bit for bit.
     """
-    bits = np.asarray(digits, dtype=float)
-    windows = np.lib.stride_tricks.sliding_window_view(bits, _MANTISSA_BITS, axis=-1)
-    return windows[..., :count, :] @ _POWERS
+    w = {1: np.asarray(digits).astype(np.uint8)}
+    for n, kind in ((1, np.uint8), (2, np.uint8), (4, np.uint8), (8, np.uint16), (16, np.int64)):
+        w[2 * n] = w[n][..., :-n].astype(kind, copy=False) << n | w[n][..., n:]
+    joined = (w[32][..., :count] << 21 | w[16][..., 32:32 + count].astype(np.int64) << 5
+              | w[4][..., 48:48 + count] << 1 | w[1][..., 52:52 + count])
+    return joined * 2.0 ** -_MANTISSA_BITS
 
 
 def random_orbits(rng: np.random.Generator, samples: int, count: int) -> np.ndarray:

@@ -37,6 +37,10 @@ PI = math.pi
 AMBIGUITY_FRACTION = 0.9
 #: rotation_number checks every RESIDUAL_STRIDE-th site against its oracles
 RESIDUAL_STRIDE = 64
+#: the most rows (omega samples times energies) one backward sweep of
+#: rotation_number takes, so that its state stays bounded however many
+#: energies a call asks for
+SWEEP_ROWS = 2 ** 7
 
 
 @dataclass
@@ -125,14 +129,16 @@ def argument_winding_step(
     return Direction.from_vector(out[0], out[1]), delta
 
 
-def _stable_sweep(E: float, pots: np.ndarray, depth: int):
+def _stable_sweep(E, pots: np.ndarray, depth: int):
     """Stable directions (x, y) at sites 0 .. L - depth - 1 of each row of pots (rows, L).
 
-    The last site's direction is the most contracted one of the depth steps
-    from it (_stable_core); the sweep L_n = A_n^-1 L_{n+1} pulls it back to
-    site 0, so every site sees at least depth steps ahead.
+    E is one energy, or K energies of shape (K, 1, 1), which sweep the rows
+    once per energy, energy by energy, into K * rows rows.  The last site's
+    direction is the most contracted one of the depth steps from it
+    (_stable_core); the sweep L_n = A_n^-1 L_{n+1} pulls it back to site 0,
+    so every site sees at least depth steps ahead.
     """
-    t = E - pots.T
+    t = (E - pots).reshape(-1, pots.shape[1]).T
     x, y = np.empty((2, t.shape[0] - depth, t.shape[1]))
     x[-1], y[-1] = _stable_core(E, pots[:, -depth - 1 : -1])[0].T
     for n in range(len(x) - 2, -1, -1):
@@ -144,12 +150,12 @@ def _stable_sweep(E: float, pots: np.ndarray, depth: int):
 
 def rotation_number(
     f: SamplingFunction,
-    E: float,
+    E,
     omega_samples: int = 32,
     steps: int = 2000,
     seed: int = 0,
     depth: int = 60,
-) -> RotationEstimate:
+) -> RotationEstimate | list[RotationEstimate | NotHyperbolic]:
     """Winding rate of the stable section along random forward orbits.
 
     The stable directions of all omega samples come from one backward sweep
@@ -160,19 +166,45 @@ def rotation_number(
     RESIDUAL_STRIDE-th site.  At those sites winding_oracle_dev compares the
     closed form with the substep lift of _winding_core, whose substeps keep
     every sub-increment below a quarter turn (|d angle / dt| <= 4 |E - v|).
+
+    E is one energy or a sequence of them.  A sequence shares one dichotomy
+    pretest, one draw of the omega samples and one backward sweep per
+    SWEEP_ROWS rows, and gives a list in the order of E: each energy's
+    estimate, equal to the one it gets alone, or the NotHyperbolic error it
+    would raise alone.  A float returns its estimate or raises NotHyperbolic,
+    as before.
     """
     if steps < 1 or omega_samples < 1:
         raise InvalidParameter("steps and omega_samples must be >= 1")
-    report = dichotomy_test(f, E, depth=depth, seed=seed)
-    if not report.is_hyperbolic:
-        raise NotHyperbolic(
-            f"E = {E} failed the dichotomy pretest "
-            f"(diagnostics: {report.diagnostics}); the stable section and its "
-            f"rotation number are undefined inside the spectrum"
-        )
+    energies = np.ravel(np.asarray(E, dtype=float))
+    reports = dichotomy_test(f, energies, depth=depth, seed=seed)
+    failures = [None if report.is_hyperbolic else (
+        f"E = {float(e)} failed the dichotomy pretest "
+        f"(diagnostics: {report.diagnostics}); the stable section and its "
+        f"rotation number are undefined inside the spectrum"
+    ) for e, report in zip(energies, reports)]
+    if np.ndim(E) == 0 and failures[0]:
+        raise NotHyperbolic(failures[0])
+    out = [failure and NotHyperbolic(failure) for failure in failures]
+    hyperbolic = [i for i, failure in enumerate(failures) if failure is None]
+    if hyperbolic:
+        pots = spawned_potentials(f, seed, omega_samples, steps + depth + 1)
+        # one block of omega_samples rows per hyperbolic energy, at most
+        # SWEEP_ROWS rows a sweep
+        per_sweep = max(1, SWEEP_ROWS // omega_samples)
+        for start in range(0, len(hyperbolic), per_sweep):
+            chunk = hyperbolic[start:start + per_sweep]
+            x, y = _stable_sweep(energies[chunk][:, None, None], pots, depth)
+            for j, i in enumerate(chunk):
+                block = slice(omega_samples * j, omega_samples * (j + 1))
+                out[i] = _estimate(energies[i], pots, x[block], y[block], steps, depth,
+                                   reports[i].growth_rate)
+    return out if np.ndim(E) else out[0]
 
-    pots = spawned_potentials(f, seed, omega_samples, steps + depth + 1)
-    x, y = _stable_sweep(E, pots, depth)
+
+def _estimate(E, pots, x, y, steps: int, depth: int, growth_rate: float) -> RotationEstimate:
+    """The winding rate at E of the stable directions (x, y) of _stable_sweep along pots."""
+    omega_samples = pots.shape[0]
     deltas = _winding_closed(E, pots[:, :steps], x[:, :steps], y[:, :steps])
     values = deltas.sum(axis=1) / (PI * steps)
 
@@ -191,7 +223,7 @@ def rotation_number(
         omega_samples=omega_samples,
         diagnostics={
             "max_reanchor_residual": float(residual),
-            "growth_rate": report.growth_rate,
+            "growth_rate": growth_rate,
             "winding_method": "closed_form",
             "winding_oracle_dev": float(np.abs(oracle - deltas[:, sites].ravel()).max()),
         },

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import cocycle, ids, schwartzman, spectrum
 from .dynamics import BackwardDigits, CirclePoint, enumerate_orbits, extend_backward
-from .errors import DmspecError, InvalidParameter
+from .errors import DmspecError, InvalidParameter, NotHyperbolic
 from .sampling import SamplingFunction, _number, _numbers, forward_orbit
 
 
@@ -269,8 +269,9 @@ def check_determinants(f: SamplingFunction, hull, seed: int = 0) -> dict:
 def check_invariance(f: SamplingFunction, hull, seed: int = 0, depth: int = 60) -> dict:
     def run():
         worst = 0.0
-        for E in (hull[0] - 0.5, hull[1] + 0.5, hull[1] + 1.5):
-            rep = cocycle.dichotomy_test(f, E, sample_count=100, depth=depth, seed=seed)
+        energies = (hull[0] - 0.5, hull[1] + 0.5, hull[1] + 1.5)
+        reports = cocycle.dichotomy_test(f, energies, sample_count=100, depth=depth, seed=seed)
+        for E, rep in zip(energies, reports):
             if not rep.is_hyperbolic:
                 return False, f"E={E} not detected hyperbolic: {rep.diagnostics}"
             worst = max(worst, rep.diagnostics["max_invariance_residual"])
@@ -327,14 +328,20 @@ def check_gap_shrinkage(per_period, params: Params) -> dict:
     return _check("gap_shrinkage", run)
 
 
-def _rotation(f: SamplingFunction, E: float, params: Params):
-    """rotation_number at E, and its failed evidence ("" if none): a stable section
-    off by INVARIANCE_TOL or a closed-form winding off its substep oracle by 1e-9."""
-    est = schwartzman.rotation_number(f, E, omega_samples=params.omega_samples,
-                                      steps=params.steps, seed=params.seed, depth=params.depth)
+def _rotations(f: SamplingFunction, energies, params: Params):
+    """rotation_number at each of the energies, with its failed evidence ("" if none): a
+    stable section off by INVARIANCE_TOL or a closed-form winding off its substep
+    oracle by 1e-9.  The first energy that fails the pretest raises its NotHyperbolic."""
+    ests = schwartzman.rotation_number(f, energies, omega_samples=params.omega_samples,
+                                       steps=params.steps, seed=params.seed, depth=params.depth)
     bounds = {"max_reanchor_residual": cocycle.INVARIANCE_TOL, "winding_oracle_dev": 1e-9}
-    return est, "".join(f", {key} {est.diagnostics[key]:.2e} at E={E:.3f}"
-                        for key, bound in bounds.items() if not est.diagnostics[key] < bound)
+    out = []
+    for E, est in zip(energies, ests):
+        if isinstance(est, NotHyperbolic):
+            raise est
+        out.append((est, "".join(f", {key} {est.diagnostics[key]:.2e} at E={E:.3f}"
+                                 for key, bound in bounds.items() if not est.diagnostics[key] < bound)))
+    return out
 
 
 def check_gap_labelling(f: SamplingFunction, per_period, params: Params) -> dict:
@@ -345,10 +352,10 @@ def check_gap_labelling(f: SamplingFunction, per_period, params: Params) -> dict
         # k is read at the grid point nearest to each target only
         near = [int(np.argmin(np.abs(grid - E))) for E, _ in targets]
         table = ids.ids_estimate(f, grid[near], params.N, params.M, seed=params.seed)
+        rotations = _rotations(f, [E for E, _ in targets], params)
         details = []
         ok = True
-        for E, expected in targets:
-            est, fault = _rotation(f, E, params)
+        for (E, expected), (est, fault) in zip(targets, rotations):
             k = table.value_at(E)
             verdict = schwartzman.integrality_check(est)
             match = abs(est.value - (1.0 - k)) < 0.03
@@ -378,7 +385,7 @@ def check_disconnection(f: SamplingFunction, per_period, params: Params) -> dict
         grid = ids.default_energy_grid(coarse.hull, params.grid_points)
         inside = grid[(grid > gap[0]) & (grid < gap[1])]  # the points gap_label reads
         label = ids.gap_label(ids.ids_estimate(f, inside, params.N, params.M, seed=params.seed), gap)
-        est, fault = _rotation(f, 0.5 * (gap[0] + gap[1]), params)
+        [(est, fault)] = _rotations(f, [0.5 * (gap[0] + gap[1])], params)
         verdict = schwartzman.integrality_check(est)
         consistent = abs(est.value - (1.0 - label)) < 0.03
         return consistent and not fault, (

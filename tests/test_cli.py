@@ -187,6 +187,19 @@ class TestRotation:
         assert code == 0
         assert json.loads(out)["rotation"][0]["verdict"] == "not_hyperbolic"
 
+    def test_many_energies_equal_single_energy_runs(self):
+        # one call serves every energy; the in-band one still gets its own row
+        energies = ["0.0", "3.0", "-3.0"]
+        runs = {fmt: [run_cli(["rotation", "--energies", E, "--format", fmt]) for E in
+                      [",".join(energies), *energies]] for fmt in ("json", "csv")}
+        assert {code for fmt in runs for code, _ in runs[fmt]} == {0}
+        [together, *alone] = [json.loads(out)["rotation"] for _, out in runs["json"]]
+        assert together[0] == {"E": 0.0, "verdict": "not_hyperbolic"}
+        assert together == [row for rows in alone for row in rows]
+        [together, *alone] = [out.splitlines() for _, out in runs["csv"]]
+        assert together[1] == "0,,,not_hyperbolic,"
+        assert together == alone[0][:1] + [lines[1] for lines in alone]
+
     def test_requires_energies(self):
         code, _ = run_cli(["rotation"])
         assert code == 2

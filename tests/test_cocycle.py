@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from dmspec import (
     CirclePoint,
     DegenerateSingularValues,
+    DichotomyReport,
     Direction,
     InvalidParameter,
     TrigPoly,
@@ -217,6 +218,37 @@ class TestDichotomy:
         slope = (3 + math.sqrt(5)) / 2
         for direction in rep.stable_direction_at.values():
             assert direction.slope() == pytest.approx(slope, abs=1e-6)
+
+
+#: configs with energies both hyperbolic and in a band of period <= PROBE_PERIODS
+BATCHES = [(FREE, (3.0, 0.0, -3.0)), (cosine(0.5), (3.5, 0.0, -3.0)),
+           (bernoulli(5.0), (2.5, 1.0, 7.5)), (cosine(3.0), (0.323, 6.0, 9.0, -3.0))]
+BATCH_IDS = ["free", "cos-0.5", "bernoulli-5", "cos-3"]
+
+
+class TestDichotomyOverEnergies:
+    # a sequence of energies shares one draw; repr shows every float's bits
+
+    @pytest.mark.parametrize("f, energies", BATCHES, ids=BATCH_IDS)
+    def test_each_report_equals_its_own_call(self, f, energies):
+        batch = dichotomy_test(f, energies, sample_count=40, depth=60, seed=5)
+        alone = [dichotomy_test(f, E, sample_count=40, depth=60, seed=5) for E in energies]
+        assert {r.is_hyperbolic for r in alone} == {True, False}
+        assert [repr(r) for r in batch] == [repr(r) for r in alone]
+
+    @pytest.mark.parametrize("f, energies", BATCHES, ids=BATCH_IDS)
+    def test_reversed_energies_give_reversed_reports(self, f, energies):
+        forward = dichotomy_test(f, energies, sample_count=40, depth=40, seed=6)
+        backward = dichotomy_test(f, energies[::-1], sample_count=40, depth=40, seed=6)
+        assert [repr(r) for r in backward] == [repr(r) for r in forward][::-1]
+
+    def test_a_float_gives_a_report_and_a_sequence_a_list(self):
+        rep = dichotomy_test(FREE, 3.0, sample_count=10, depth=40, seed=1)
+        assert isinstance(rep, DichotomyReport)
+        for energies in ([3.0], (3.0,), np.array([3.0])):
+            [one] = dichotomy_test(FREE, energies, sample_count=10, depth=40, seed=1)
+            assert repr(one) == repr(rep)
+
 
 
 class TestInterpolatedStep:

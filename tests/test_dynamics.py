@@ -287,6 +287,15 @@ class TestAnchorKinds:
         anchor, fiber = solenoid_forward(point, (0.1, -0.2), 0.3)
         assert (anchor.as_fraction(), fiber) == solenoid_forward(x, (0.1, -0.2), 0.3)
 
+    # a Fraction off [0, 1) is the circle point it names, as a CirclePoint or a float is
+    def test_backward_orbit_reduces_a_fraction_anchor(self):
+        assert backward_orbit(Fraction(3, 2), BackwardDigits([1]), 1) == [Fraction(3, 4)]
+
+    def test_solenoid_forward_reduces_a_fraction_anchor(self):
+        steps = [solenoid_forward(anchor, (0.1, -0.2), 0.3)
+                 for anchor in (Fraction(3, 2), CirclePoint(3, 2), 1.5)]
+        assert len({(float(anchor), fiber) for anchor, fiber in steps}) == 1
+
     @pytest.mark.parametrize("anchor", [0.372, 1.25, 3])
     def test_float_and_int_anchors_give_floats(self, anchor):
         back = backward_orbit(anchor, BackwardDigits([0, 1, 1]), 3)

@@ -224,6 +224,17 @@ class TestBatchedOrbits:
                 want[i, k] = x
         assert np.array_equal(sampling._window(digits, 60), want)
 
+    @pytest.mark.parametrize("shape, count", [((53,), 1), ((1, 60), 8), ((3, 120), 50),
+                                              ((2, 5, 200), 148), ((15, 2114), 2061)])
+    def test_window_equals_the_powers_of_two_matmul(self, shape, count):
+        # the windows as a matmul with 2^-1 .. 2^-53, bit for bit, on random
+        # digits and on all ones, the largest window
+        rng = np.random.default_rng(len(shape) * count)
+        for digits in (rng.integers(0, 2, size=shape, dtype=np.int64), np.ones(shape, dtype=np.int64)):
+            bits = np.lib.stride_tricks.sliding_window_view(digits.astype(float), 53, axis=-1)
+            want = bits[..., :count, :] @ 0.5 ** np.arange(1, 54)
+            assert np.array_equal(sampling._window(digits, count), want)
+
     @pytest.mark.parametrize("m", [2])
     @pytest.mark.parametrize("block_digits", [1, 3 * (70 + 53), 2 ** 15])
     def test_spawned_rows_equal_one_draw_per_child(self, m, block_digits, monkeypatch):

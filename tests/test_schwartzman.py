@@ -17,6 +17,7 @@ from dmspec import (
     Verdict,
     argument_winding_step,
     bernoulli,
+    cocycle,
     cosine,
     ids_estimate,
     integrality_check,
@@ -152,7 +153,7 @@ class TestStableSweep:
         # a forward sweep is invariant too, but follows the unstable section:
         # only the windowed directions at the strided sites tell it apart
         def forward(E, pots, depth):
-            t = E - pots
+            t = np.reshape(E - pots, pots.shape)  # E comes as one energy of shape (1, 1, 1)
             x, y = np.ones((2, pots.shape[0], pots.shape[1] - depth))
             for n in range(1, x.shape[1]):
                 a, b = t[:, n - 1] * x[:, n - 1] - y[:, n - 1], x[:, n - 1]
@@ -183,6 +184,60 @@ class TestStableSweep:
         monkeypatch.setattr(schwartzman, "_stable_sweep", steep)
         est = rotation_number(FREE, 100.0, omega_samples=2, steps=200, seed=0)
         assert est.diagnostics["winding_oracle_dev"] < 1e-12
+
+
+def _rotation_or_error(f, E, **kwargs):
+    try:
+        return rotation_number(f, E, **kwargs)
+    except NotHyperbolic as exc:
+        return exc
+
+
+#: configs with energies both hyperbolic and in a band of period <= PROBE_PERIODS
+BATCHES = [(FREE, (3.0, 0.0, -3.0)), (cosine(0.5), (3.5, 0.0, -3.0)),
+           (bernoulli(5.0), (2.5, 1.0, 7.5)), (cosine(3.0), (0.323, 6.0, 9.0, -3.0))]
+BATCH_IDS = ["free", "cos-0.5", "bernoulli-5", "cos-3"]
+
+
+class TestRotationOverEnergies:
+    # a sequence of energies shares one pretest, draw and sweep; an energy
+    # that fails the pretest holds the error it raises alone, and repr shows
+    # every float's bits
+
+    @pytest.mark.parametrize("f, energies", BATCHES, ids=BATCH_IDS)
+    def test_each_estimate_equals_its_own_call(self, f, energies):
+        batch = rotation_number(f, energies, omega_samples=4, steps=300, seed=5)
+        alone = [_rotation_or_error(f, E, omega_samples=4, steps=300, seed=5) for E in energies]
+        assert {type(est) for est in alone} == {RotationEstimate, NotHyperbolic}
+        assert [repr(est) for est in batch] == [repr(est) for est in alone]
+
+    @pytest.mark.parametrize("f, energies", BATCHES, ids=BATCH_IDS)
+    def test_reversed_energies_give_reversed_estimates(self, f, energies):
+        forward = rotation_number(f, energies, omega_samples=3, steps=200, seed=6)
+        backward = rotation_number(f, energies[::-1], omega_samples=3, steps=200, seed=6)
+        assert [repr(est) for est in backward] == [repr(est) for est in forward][::-1]
+
+    @pytest.mark.parametrize("sweep_rows, core_rows", [(1, 1), (8, 2 ** 11), (2 ** 7, 2 ** 12)],
+                             ids=["one-energy", "a-few-energies", "all"])
+    def test_passes_of_any_size_give_the_same_estimates(self, monkeypatch, sweep_rows, core_rows):
+        # energies split over several pretest passes and sweeps, or all in one
+        f, energies = cosine(3.0), (0.323, 6.0, 9.0, -3.0, 1.752)
+        alone = [_rotation_or_error(f, E, omega_samples=4, steps=200, seed=9) for E in energies]
+        monkeypatch.setattr(schwartzman, "SWEEP_ROWS", sweep_rows)
+        monkeypatch.setattr(cocycle, "CORE_ROWS", core_rows)
+        batch = rotation_number(f, energies, omega_samples=4, steps=200, seed=9)
+        assert [repr(est) for est in batch] == [repr(est) for est in alone]
+
+    def test_a_float_gives_an_estimate_and_a_sequence_a_list(self):
+        est = rotation_number(FREE, 3.0, omega_samples=2, steps=100, seed=1)
+        assert isinstance(est, RotationEstimate)
+        for energies in ([3.0], (3.0,), np.array([3.0])):
+            [one] = rotation_number(FREE, energies, omega_samples=2, steps=100, seed=1)
+            assert repr(one) == repr(est)
+        [error] = rotation_number(FREE, [0.0], omega_samples=2, steps=100, seed=1)
+        with pytest.raises(NotHyperbolic, match="^E = 0.0 failed the dichotomy pretest") as raised:
+            rotation_number(FREE, 0.0, omega_samples=2, steps=100, seed=1)
+        assert repr(error) == repr(raised.value)
 
 
 class TestRotationNumber:
