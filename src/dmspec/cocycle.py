@@ -2,10 +2,10 @@
 
 The single-step matrix at energy E over potential value v is
 [[E - v, -1], [1, 0]]; products along orbits propagate solutions of the
-difference equation.  This module provides products, Floquet discriminants,
-most-contracted (stable) directions, an exponential-dichotomy test, and the
-smooth interpolation of the one-step matrix to the identity that underlies
-rotation-number computations.
+difference equation.  This module provides products, Floquet discriminants
+(by spectrum._discriminant), most-contracted (stable) directions, an
+exponential-dichotomy test, and the smooth interpolation of the one-step
+matrix to the identity that underlies rotation-number computations.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .dynamics import PeriodicOrbit
 from .errors import DegenerateSingularValues, InvalidParameter
 from .sampling import SamplingFunction, forward_orbit, random_orbits
-from .spectrum import period_potentials
+from .spectrum import _discriminant, period_potentials
 
 #: singular values closer than this admit no contracted direction
 DEGENERACY_GAP = 1e-9
@@ -59,18 +59,12 @@ def cocycle_product(f: SamplingFunction, E: float, omega, n: int) -> np.ndarray:
 def discriminant(orbit: PeriodicOrbit, f: SamplingFunction, E):
     """Floquet discriminant: trace of the transfer product over one full period.
 
-    E may be a scalar or an array; the return matches.  The discriminant is a
-    monic degree-p polynomial in E whose level set {|disc| <= 2} is the
-    periodic spectrum.
+    E may be a scalar or an array of any shape; the return matches.  It is
+    spectrum._discriminant of the orbit's potential, a monic degree-p polynomial
+    in E whose level set {|disc| <= 2} is the periodic spectrum.
     """
     E = np.asarray(E, dtype=float)
-    a, b, c, d = np.ones_like(E), np.zeros_like(E), np.zeros_like(E), np.ones_like(E)
-    # left-multiplication by each new step: tr A(v_{p-1}) ... A(v_0)
-    for v in orbit.potential_values(f):
-        t = E - v
-        a, c = t * a - c, a
-        b, d = t * b - d, b
-    out = a + d
+    out = _discriminant(np.array([orbit.potential_values(f)]), E.reshape(1, -1))[0].reshape(E.shape)
     return float(out) if E.ndim == 0 else out
 
 
@@ -98,8 +92,7 @@ class Direction:
 
     def distance(self, other: "Direction") -> float:
         """Projective distance min(|da|, pi - |da|)."""
-        da = abs(self.angle - other.angle)
-        return min(da, math.pi - da)
+        return float(_projective_distance(self.angle, other.angle))
 
 
 def _projective_distance(ang1, ang2):

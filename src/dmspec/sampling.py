@@ -257,32 +257,27 @@ def forward_orbit(omega, count: int) -> np.ndarray:
     """[omega, T omega, ..., T^(count-1) omega] as floats.
 
     Rational anchors double their numerator exactly mod the denominator.
-    Float anchors iterate w -> frac(2 w) directly while the mantissa lasts; past
-    FLOAT_ITERATION_LIMIT steps the anchor's bits are continued by a
-    generator seeded from its bit pattern, a Monte Carlo stand-in justified by
-    the map preserving Lebesgue measure.  The result is deterministic in omega.
+    Float anchors iterate w -> frac(2 w) directly for FLOAT_ITERATION_LIMIT
+    values, then continue the anchor's bits by a generator seeded from its bit
+    pattern, a Monte Carlo stand-in justified by the map preserving Lebesgue
+    measure.  Deterministic in omega; a longer orbit extends a shorter one.
     """
     if count < 0:
         raise InvalidParameter("count must be nonnegative")
     if isinstance(omega, (CirclePoint, Fraction)):
-        num, den = omega.numerator % omega.denominator, omega.denominator
-        out = np.empty(count)
-        for k in range(count):
-            out[k] = num / den
-            num = num * 2 % den
-        return out
-    x = float(omega) % 1.0
-    if count <= FLOAT_ITERATION_LIMIT:
-        out = np.empty(count)
-        for k in range(count):
-            out[k] = x
-            x = (2 * x) % 1.0
-        return out
-    mant = int(x * (1 << _MANTISSA_BITS))
-    lead = [(mant >> (_MANTISSA_BITS - 1 - j)) & 1 for j in range(_MANTISSA_BITS)]
-    seed = struct.unpack("<Q", struct.pack("<d", x))[0]
-    tail = np.random.default_rng(seed).integers(0, 2, size=count, dtype=np.int64)
-    return _window(np.concatenate([lead, tail]), count)
+        num, den = omega.numerator, omega.denominator
+        return np.array([num * pow(2, k, den) % den / den for k in range(count)])
+    anchor = x = float(omega) % 1.0
+    out = np.empty(count)
+    for k in range(min(count, FLOAT_ITERATION_LIMIT)):
+        out[k] = x
+        x = (2 * x) % 1.0
+    if count > FLOAT_ITERATION_LIMIT:
+        lead = int(anchor * 2 ** _MANTISSA_BITS) >> np.arange(_MANTISSA_BITS - 1, -1, -1) & 1
+        seed = struct.unpack("<Q", struct.pack("<d", anchor))[0]
+        tail = np.random.default_rng(seed).integers(0, 2, size=count, dtype=np.int64)
+        out[FLOAT_ITERATION_LIMIT:] = _window(np.concatenate([lead, tail]), count)[FLOAT_ITERATION_LIMIT:]
+    return out
 
 
 def potential(

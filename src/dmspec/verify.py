@@ -2,10 +2,10 @@
 
 Every check returns a dict with name, passed, and detail, and is independent
 of the code path it validates: eigenvalue band edges are certified on the
-orbit potentials by the Floquet discriminant and the interlacing Dirichlet
-eigenvalues, Sturm counts are checked against a dense solver, winding rates
-against density-of-states complements, the stable direction at a point
-against the steps from both of its preimages.
+orbit potentials by the discriminant of spectrum._discriminant and the
+interlacing Dirichlet eigenvalues, Sturm counts are checked against a dense
+solver, winding rates against density-of-states complements, the stable
+direction at a point against the steps from both of its preimages.
 """
 
 from __future__ import annotations
@@ -132,21 +132,6 @@ def check_sturm_counts(seed: int = 0, cases: int = 20, max_size: int = 64) -> di
     return _check("sturm_vs_dense", run)
 
 
-def _discriminant(rows: np.ndarray, E: np.ndarray):
-    """disc, disc' and disc'' of each row of potentials (n, p) at its own energies (n, k).
-
-    u, w are the rows of the transfer product, du, dw their E-derivatives
-    and ddu, ddw their second derivatives.
-    """
-    u = np.stack([np.ones_like(E), np.zeros_like(E)])
-    w = u[::-1].copy()
-    du, dw, ddu, ddw = (np.zeros_like(u) for _ in range(4))
-    for v in rows.T:
-        t = E - v[:, None]
-        u, w, du, dw, ddu, ddw = t * u - w, u, u + t * du - dw, du, 2 * du + t * ddu - ddw, ddu
-    return u[0] + w[1], du[0] + dw[1], ddu[0] + ddw[1]
-
-
 def _certify(labels, pots: np.ndarray, edges: np.ndarray, tol: float, band_tol: float):
     """The first fault of the edges (n, 2p) of the potentials (n, p) or None, and the worst edge error.
 
@@ -166,7 +151,7 @@ def _certify(labels, pots: np.ndarray, edges: np.ndarray, tol: float, band_tol: 
     """
     p = pots.shape[1]
     want = np.where((np.arange(2 * p)[::-1] + 1) // 2 % 2 == 0, 2.0, -2.0)
-    disc, slope, curvature = _discriminant(pots, edges)
+    disc, slope, curvature = spectrum._discriminant(pots, edges, 2)
     mids = 0.5 * (edges[:, 0::2] + edges[:, 1::2])
     below = ids._sturm_counts(pots[:, 1:].T[:, :, None], mids)
     merged = np.zeros(edges.shape, dtype=bool)

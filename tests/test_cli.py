@@ -259,6 +259,16 @@ class TestVerify:
         assert payload["all_passed"], [c for c in payload["checks"] if not c["passed"]]
         assert code == 0
 
+    @pytest.mark.parametrize("name, checks", [
+        ("free", 8), ("cosine-half", 8), ("bernoulli-five", 6),
+    ])
+    def test_shipped_configs_pass(self, name, checks):
+        code, out = run_cli(["verify", "--config", str(CONFIGS / f"{name}.json"),
+                             "--seed", "0", "--format", "json"])
+        payload = json.loads(out)
+        assert [c["passed"] for c in payload["checks"]] == [True] * checks, payload["checks"]
+        assert payload["all_passed"] and code == 0
+
     def test_empty_shrink_periods_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**COSINE_CFG, "command": {"shrink_periods": [],
                                                                 "max_period": 3}})

@@ -134,6 +134,15 @@ class TestDiscriminant:
         vec = discriminant(orbit, f, grid)
         assert vec == pytest.approx([discriminant(orbit, f, E) for E in grid])
 
+    def test_keeps_the_shape_of_a_2d_energy_array(self):
+        orbit = enumerate_orbits(3)[2]
+        f = cosine(1.0)
+        grid = np.linspace(-4, 4, 12).reshape(3, 4)
+        out = discriminant(orbit, f, grid)
+        assert out.shape == (3, 4)
+        assert np.array_equal(out.ravel(), discriminant(orbit, f, grid.ravel()))
+        assert isinstance(discriminant(orbit, f, 0.5), float)
+
 
 class TestMostContracted:
     def test_stable_slope_above_spectrum(self):

@@ -171,10 +171,21 @@ class TestForwardOrbit:
         assert np.array_equal(a, b)
 
     def test_long_orbit_agrees_with_short_prefix(self):
-        # the windowed continuation reproduces the anchor's own mantissa bits
+        # both take their first FLOAT_ITERATION_LIMIT values by direct doubling
         long = forward_orbit(0.37, 200)
         short = forward_orbit(0.37, 10)
-        assert np.abs(long[:10] - short).max() < 2.0 ** -43
+        assert np.array_equal(long[:10], short)
+
+    # a longer float orbit extends a shorter one, across the switch from
+    # direct doubling to the seeded window too, and starts at the anchor
+    @given(x=st.floats(-4.0, 4.0), n=st.integers(0, 200), m=st.integers(0, 200))
+    @settings(max_examples=200, deadline=None)
+    def test_float_orbit_prefixes_agree(self, x, n, m):
+        n, m = max(n, m), min(n, m)
+        long = forward_orbit(x, n)
+        assert np.array_equal(long[:m], forward_orbit(x, m))
+        if n:
+            assert long[0] == x % 1.0
 
     def test_random_orbit_uniformish(self):
         rng = np.random.default_rng(5)

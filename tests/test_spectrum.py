@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -193,6 +194,44 @@ class TestDiscriminantProperty:
         gap_mids = [0.5 * (a.hi + b.lo) for a, b in zip(bands, bands[1:])
                     if b.lo - a.hi > resolution]
         assert all(abs(D) > 2 for D in exact_disc(pots, gap_mids))
+
+
+def polynomial_disc(pots):
+    """The discriminant as a numpy Polynomial: the trace of the product of step matrices."""
+    a, b, c, d = Polynomial([1.0]), Polynomial([0.0]), Polynomial([0.0]), Polynomial([1.0])
+    for v in pots:
+        t = Polynomial([-v, 1.0])
+        a, b, c, d = t * a - c, t * b - d, a, b
+    return a + d
+
+
+class TestDiscriminantKernel:
+    # spectrum._discriminant's disc, disc' and disc'' against a Polynomial
+    # and its derivatives, relative to the size of the evaluated terms
+    @given(pots=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=10),
+           energies=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_derivatives_match_the_polynomial(self, pots, energies):
+        E = np.array([energies])
+        got = spectrum._discriminant(np.array([pots]), E, 2)
+        poly = polynomial_disc(pots)
+        for k, values in enumerate(got):
+            exact = poly.deriv(k)
+            for e, value in zip(energies, values[0]):
+                scale = float(np.sum(np.abs(exact.coef) * abs(e) ** np.arange(len(exact.coef))))
+                # a zero polynomial (disc'' at p = 1) is compared absolutely
+                assert abs(value - exact(e)) <= (1e-9 * scale if scale else 1e-12)
+
+    @given(pots=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=10),
+           energies=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_lower_orders_are_leading_entries(self, pots, energies):
+        rows, E = np.array([pots, pots[::-1]]), np.array([energies, energies[::-1]])
+        full = spectrum._discriminant(rows, E, 2)
+        for order in (0, 1):
+            part = spectrum._discriminant(rows, E, order)
+            assert len(part) == order + 1
+            assert all(np.array_equal(x, y) for x, y in zip(part, full))
 
 
 class TestUnionSpectrum:

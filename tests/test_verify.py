@@ -124,6 +124,22 @@ class TestBandEdgeCheck:
         assert not res["passed"]
         assert "closed form" in res["detail"]
 
+    def test_sees_a_fault_in_the_shared_recursion(self, monkeypatch):
+        # the polish and the certificate share spectrum._discriminant; with
+        # its last site dropped the polish rejects every wrong Newton step,
+        # so the edges stay the eigenvalues, and the certificate fails them
+        f = cosine(0.5)
+        sound = bands_by_period(f, 6)
+        original = spectrum._discriminant
+        monkeypatch.setattr(spectrum, "_discriminant",
+                            lambda rows, E, order=0: original(rows[:, :-1], E, order))
+        per_period = bands_by_period(f, 6)
+        for pb, ok in zip(per_period, sound, strict=True):
+            assert np.abs(pb.edges - ok.edges).max() < 1e-12
+        res = check_band_edge_oracle(f, per_period)
+        assert not res["passed"]
+        assert "disc" in res["detail"] and "off by" in res["detail"]
+
 
 class TestEdgeTable:
     def test_sees_an_edited_edge_table(self):
