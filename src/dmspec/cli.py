@@ -75,7 +75,7 @@ def _emit(args, payload_json, rows, header):
 
 def cmd_bands(args) -> int:
     f, params = _load_config(args)
-    max_period, tol = params.max_period, params.tol
+    max_period, tol = params.max_period, spectrum.TOL
     # a left-limit potential follows its orbit under the label "<point>-"
     per_period = spectrum.bands_by_period(f, max_period)
     merged = spectrum.merge_bands(per_period, tol)
@@ -100,7 +100,7 @@ def cmd_bands(args) -> int:
 
 def cmd_spectrum(args) -> int:
     f, params = _load_config(args)
-    s = spectrum.union_spectrum(f, params.max_period, tol=params.tol)
+    s = spectrum.union_spectrum(f, params.max_period)
     rows = [[i, _fmt(b.lo), _fmt(b.hi)] for i, b in enumerate(s.bands)]
     payload = s.to_json()
     payload["hull"] = list(s.hull)
@@ -113,7 +113,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_gaps(args) -> int:
     f, params = _load_config(args)
-    s = spectrum.union_spectrum(f, params.max_period, tol=params.tol)
+    s = spectrum.union_spectrum(f, params.max_period)
     report = spectrum.gap_report(s, include_below_resolution=True)
     rows = []
     gaps_json = []
@@ -129,7 +129,7 @@ def cmd_gaps(args) -> int:
 
 def cmd_ids(args) -> int:
     f, params = _load_config(args)
-    s = spectrum.union_spectrum(f, params.max_period, tol=params.tol)
+    s = spectrum.union_spectrum(f, params.max_period)
     grid = ids.default_energy_grid(s.hull, params.grid_points)
     table = ids.ids_estimate(f, grid, truncation_size=params.N, sample_count=params.M,
                              seed=params.seed)
@@ -148,15 +148,14 @@ def cmd_rotation(args) -> int:
         raise DmspecError("rotation requires energies (config command.energies or --energies)")
     rows = []
     payload = []
-    ests = schwartzman.rotation_number(
-        f, params.energies, omega_samples=params.omega_samples, steps=params.steps,
-        seed=params.seed, depth=params.depth)
+    ests = schwartzman.rotation_number(f, params.energies, omega_samples=params.omega_samples,
+                                       steps=params.steps, seed=params.seed)
     for E, est in zip(params.energies, ests):
         if isinstance(est, NotHyperbolic):
             rows.append([_fmt(E), "", "", "not_hyperbolic", ""])
             payload.append({"E": E, "verdict": "not_hyperbolic"})
             continue
-        verdict = schwartzman.integrality_check(est, tol=params.integrality_tol)
+        verdict = schwartzman.integrality_check(est)
         rows.append([
             _fmt(E), _fmt(est.value), _fmt(est.stderr),
             verdict.verdict.value,

@@ -20,14 +20,16 @@ from .errors import DegenerateSingularValues, InvalidParameter
 from .sampling import SamplingFunction, forward_orbit, random_orbits
 from .spectrum import _discriminant, period_potentials
 
+#: the default depth of the stable-direction products of dichotomy_test and
+#: rotation_number, and the depth of verify's digit check
+DEPTH = 60
 #: singular values closer than this admit no contracted direction
 DEGENERACY_GAP = 1e-9
 #: most_contracted_direction's bound on its depth vs depth/2 direction distance
 DIRECTION_CONV_TOL = 1e-8
 #: dichotomy_test's bound on the same distance, which decays like
-#: exp(-rate * depth); 1e-5 at the default depth of 60 resolves rates down to
-#: about 0.2 (the free case at |E| = 2.05) while leaving in-band energies
-#: undetected
+#: exp(-rate * depth); 1e-5 at DEPTH resolves rates down to about 0.2 (the
+#: free case at |E| = 2.05) while leaving in-band energies undetected
 DICHOTOMY_CONV_TOL = 1e-5
 #: dichotomy_test's bound on the invariance residual of A(w) L(w) against L(T w)
 INVARIANCE_TOL = 1e-6
@@ -86,9 +88,6 @@ class Direction:
 
     def vector(self) -> np.ndarray:
         return np.array([math.cos(self.angle), math.sin(self.angle)])
-
-    def slope(self) -> float:
-        return math.tan(self.angle)
 
     def distance(self, other: "Direction") -> float:
         """Projective distance min(|da|, pi - |da|)."""
@@ -211,7 +210,7 @@ def dichotomy_test(
     f: SamplingFunction,
     E,
     sample_count: int = 200,
-    depth: int = 60,
+    depth: int = DEPTH,
     seed: int = 0,
 ) -> DichotomyReport | list[DichotomyReport]:
     """Sample-based exponential-dichotomy check at energy E.

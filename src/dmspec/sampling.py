@@ -63,14 +63,6 @@ class TrigPoly:
         """Which points of omega are breakpoints, elementwise; f has none."""
         return np.zeros(np.shape(omega), dtype=bool)
 
-    def to_json(self) -> dict:
-        return {
-            "type": "trigpoly",
-            "const": self.constant,
-            "cos": list(self.cos_coeffs),
-            "sin": list(self.sin_coeffs),
-        }
-
 
 @dataclass(frozen=True)
 class Step:
@@ -116,9 +108,6 @@ class Step:
         """Which points of omega are exactly a breakpoint, elementwise."""
         w = np.mod(np.asarray(omega, dtype=float), 1.0)
         return np.isin(w, self.breakpoints)
-
-    def to_json(self) -> dict:
-        return {"type": "step", "breaks": list(self.breakpoints), "values": list(self.values)}
 
 
 SamplingFunction = TrigPoly | Step

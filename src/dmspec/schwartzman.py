@@ -18,6 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .cocycle import (
+    DEPTH,
     Direction,
     _projective_distance,
     _stable_core,
@@ -41,6 +42,9 @@ RESIDUAL_STRIDE = 64
 #: rotation_number takes, so that its state stays bounded however many
 #: energies a call asks for
 SWEEP_ROWS = 2 ** 7
+#: the most (site, substep) entries _winding_core holds at once, and the most
+#: substeps rotation_number's winding oracle takes
+ORACLE_ENTRIES = 2 ** 20
 
 
 @dataclass
@@ -73,7 +77,8 @@ def _winding_core(E, pots, x, y, substeps):
     through t in [0, 1].  On the rotation half the lift is the profile itself;
     on the scaling half angles come from atan2 and increments are folded into
     (-pi/2, pi/2], which is unambiguous while the true motion per substep
-    stays below a quarter turn.
+    stays below a quarter turn.  The sites are taken in chunks of at most
+    ORACLE_ENTRIES (site, substep) entries.
     """
     pots = np.asarray(pots, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -83,21 +88,25 @@ def _winding_core(E, pots, x, y, substeps):
     theta = rotation_profile(t[rot])
     lam = scaling_profile(t[~rot])
 
-    base = np.arctan2(y, x)
-    angles = np.empty((len(pots), substeps + 1))
-    angles[:, rot] = base[:, None] + theta[None, :]
-    u = lam[None, :] * ((E - pots) * x)[:, None] - y[:, None]
-    w = np.broadcast_to(x[:, None], u.shape)
-    angles[:, ~rot] = np.arctan2(w, u)
+    out = np.empty(len(pots))
+    rows = max(1, ORACLE_ENTRIES // substeps)
+    for start in range(0, len(pots), rows):
+        v, xs, ys = (a[start:start + rows] for a in (pots, x, y))
+        angles = np.empty((len(v), substeps + 1))
+        angles[:, rot] = np.arctan2(ys, xs)[:, None] + theta[None, :]
+        u = lam[None, :] * ((E - v) * xs)[:, None] - ys[:, None]
+        angles[:, ~rot] = np.arctan2(np.broadcast_to(xs[:, None], u.shape), u)
 
-    d = np.diff(angles, axis=1)
-    d = PI / 2 - np.mod(PI / 2 - d, PI)
-    bad = np.argwhere(np.abs(d) >= AMBIGUITY_FRACTION * PI / 2)
-    if len(bad):
-        n, j = bad[0]
-        raise LiftingAmbiguity(f"winding sub-increment {d[n, j]:.3f} at site {n}, substep {j + 1} "
-                               f"of {substeps}, is past {AMBIGUITY_FRACTION} pi/2: the lift is ambiguous")
-    return d.sum(axis=1)
+        d = np.diff(angles, axis=1)
+        d = PI / 2 - np.mod(PI / 2 - d, PI)
+        bad = np.argwhere(np.abs(d) >= AMBIGUITY_FRACTION * PI / 2)
+        if len(bad):
+            n, j = bad[0]
+            raise LiftingAmbiguity(
+                f"winding sub-increment {d[n, j]:.3f} at site {start + n}, substep {j + 1} "
+                f"of {substeps}, is past {AMBIGUITY_FRACTION} pi/2: the lift is ambiguous")
+        out[start:start + rows] = d.sum(axis=1)
+    return out
 
 
 def _winding_closed(E, pots, x, y):
@@ -154,7 +163,7 @@ def rotation_number(
     omega_samples: int = 32,
     steps: int = 2000,
     seed: int = 0,
-    depth: int = 60,
+    depth: int = DEPTH,
 ) -> RotationEstimate | list[RotationEstimate | NotHyperbolic]:
     """Winding rate of the stable section along random forward orbits.
 
@@ -166,6 +175,8 @@ def rotation_number(
     RESIDUAL_STRIDE-th site.  At those sites winding_oracle_dev compares the
     closed form with the substep lift of _winding_core, whose substeps keep
     every sub-increment below a quarter turn (|d angle / dt| <= 4 |E - v|).
+    An energy whose oracle would need more than ORACLE_ENTRIES substeps
+    raises InvalidParameter.
 
     E is one energy or a sequence of them.  A sequence shares one dichotomy
     pretest, one draw of the omega samples and one backward sweep per
@@ -215,7 +226,12 @@ def _estimate(E, pots, x, y, steps: int, depth: int, growth_rate: float) -> Rota
     residual = max(_projective_distance(images, angles[:, 1:]).max(),
                    _projective_distance(angles[:, sites].ravel(), _stable_core(E, windows)[1]).max())
     v, xs, ys = (a[:, sites].ravel() for a in (pots, x, y))
-    oracle = _winding_core(E, v, xs, ys, 64 * (1 + int(np.abs(E - v).max()) // 16))
+    reach = float(np.abs(E - v).max())
+    substeps = 64 * (1 + reach // 16)  # nan for an infinite reach
+    if not substeps <= ORACLE_ENTRIES:
+        raise InvalidParameter(f"E = {E}: max|E - v| = {reach:.3g} needs {substeps:.3g} winding "
+                               f"oracle substeps, more than {ORACLE_ENTRIES}")
+    oracle = _winding_core(E, v, xs, ys, int(substeps))
     return RotationEstimate(
         value=float(values.mean()),
         stderr=float(values.std(ddof=1) / math.sqrt(omega_samples)) if omega_samples > 1 else 0.0,

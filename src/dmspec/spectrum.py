@@ -20,6 +20,8 @@ from .dynamics import CirclePoint, PeriodicOrbit, check_period, orbit_table
 from .errors import InvalidParameter
 from .sampling import SamplingFunction
 
+#: the edge tolerance of every band union the library and the CLI compute
+TOL = 1e-10
 #: merge tolerance and reporting resolution, as multiples of the edge tolerance
 MERGE_FACTOR = 10.0
 RESOLUTION_FACTOR = 100.0
@@ -56,7 +58,7 @@ class SpectrumApprox:
 
     bands: list[Band]
     max_period_used: int
-    tol: float = 1e-10
+    tol: float = TOL
 
     def __post_init__(self):
         self.bands = sorted(self.bands, key=lambda b: b.lo)
@@ -140,8 +142,9 @@ def _discriminant(rows: np.ndarray, E: np.ndarray, order: int = 0) -> list[np.nd
     in place in one array for speed.  verify's certificate shares this yet stays
     independent of the eigvalsh edges: _polish keeps a Newton step only if it is at
     most POLISH_MARGIN * p * eps * (2 + max|v|), below 1e-10 for p <= 61 and
-    |v| <= 100, against the certificate's 1e-6, so a fault here leaves the edges
-    unpolished or fails the certificate.  Interlacing and trace sums skip it.
+    |v| <= 100, against the certificate's verify.EDGE_TOL = 1e-6, so a fault here
+    leaves the edges unpolished or fails the certificate.  Interlacing and trace
+    sums skip it.
     """
     u = np.zeros((order + 1, 2) + E.shape)
     u[0, 0] = 1.0
@@ -226,7 +229,7 @@ def bands_by_period(f: SamplingFunction, max_period: int) -> list[PeriodBands]:
     return [period_bands(f, p) for p in range(1, max_period + 1)]
 
 
-def potential_bands(pots, tol: float = 1e-10) -> list[Band]:
+def potential_bands(pots, tol: float = TOL) -> list[Band]:
     """Spectral bands of the periodic operator with one period pots.
 
     Bands touching within MERGE_FACTOR * tol are merged.
@@ -235,7 +238,7 @@ def potential_bands(pots, tol: float = 1e-10) -> list[Band]:
     return [Band(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
 
 
-def periodic_bands(orbit: PeriodicOrbit, f: SamplingFunction, tol: float = 1e-10) -> list[Band]:
+def periodic_bands(orbit: PeriodicOrbit, f: SamplingFunction, tol: float = TOL) -> list[Band]:
     """Spectral bands of the periodic operator over one orbit.
 
     The potential is the right-continuous one, f(T^n w); orbit_bands also
@@ -245,7 +248,7 @@ def periodic_bands(orbit: PeriodicOrbit, f: SamplingFunction, tol: float = 1e-10
 
 
 def orbit_bands(orbit: PeriodicOrbit, f: SamplingFunction,
-                tol: float = 1e-10) -> list[tuple[str, list[Band]]]:
+                tol: float = TOL) -> list[tuple[str, list[Band]]]:
     """Bands of every potential in orbit.sided_potentials(f), under its label."""
     return [(label, potential_bands(pots, tol=tol)) for label, pots in orbit.sided_potentials(f)]
 
@@ -274,7 +277,7 @@ def merge_bands(per_period, tol: float) -> SpectrumApprox:
 def union_spectrum(
     f: SamplingFunction,
     max_period: int,
-    tol: float = 1e-10,
+    tol: float = TOL,
 ) -> SpectrumApprox:
     """Union of periodic bands over all orbits of minimal period <= max_period.
 

@@ -21,7 +21,13 @@ from .sampling import SamplingFunction, _number, _numbers, forward_orbit
 
 
 #: the least value of each integer key of Params, the library's own ranges
-_LEAST = {"N": 16, "M": 1, "grid_points": 2, "steps": 1, "omega_samples": 1, "depth": 8, "seed": 0}
+_LEAST = {"N": 16, "M": 1, "grid_points": 2, "steps": 1, "omega_samples": 1, "seed": 0}
+#: the bound on a certified band edge's error, in energy units
+EDGE_TOL = 1e-6
+#: the merge tolerance of the disconnection check
+COARSE_TOL = 0.02
+#: the periods of the gap-shrinkage check
+SHRINK_PERIODS = (4, 6, 8, 10, 12)
 
 
 @dataclass(frozen=True)
@@ -34,17 +40,12 @@ class Params:
     """
 
     max_period: int = 6
-    tol: float = 1e-10  # band edge and merge tolerance
-    coarse_tol: float = 0.02  # merge tolerance of the disconnection check
     N: int = 512  # IDS truncation size
     M: int = 64  # IDS sample count
     grid_points: int = 2001
     steps: int = 2000
     omega_samples: int = 32
-    depth: int = 60
-    shrink_periods: tuple[int, ...] = (4, 6, 8, 10, 12)
     energies: tuple[float, ...] = ()
-    integrality_tol: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
@@ -53,13 +54,6 @@ class Params:
             if value < least:
                 where = "command.seed or --seed" if key == "seed" else f"command.{key}"
                 raise InvalidParameter(f"{key} must be >= {least}, got {value} ({where})")
-        if any(p < 1 for p in self.shrink_periods):
-            raise InvalidParameter(f"shrink_periods entries must be >= 1, "
-                                   f"got {list(self.shrink_periods)} (command.shrink_periods)")
-        for key in ("tol", "coarse_tol", "integrality_tol"):
-            value = getattr(self, key)
-            if not value > 0.0:
-                raise InvalidParameter(f"{key} must be > 0, got {value} (command.{key})")
 
     def updated(self, command) -> "Params":
         """These parameters with the keys of a config's "command" object replaced.
@@ -116,30 +110,30 @@ def _check(name: str, fn) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def check_sturm_counts(seed: int = 0, cases: int = 20, max_size: int = 64) -> dict:
+def check_sturm_counts(seed: int = 0) -> dict:
     def run():
         rng = np.random.default_rng(seed)
-        for _ in range(cases):
-            n = int(rng.integers(4, max_size + 1))
+        for _ in range(20):
+            n = int(rng.integers(4, 65))
             values = rng.uniform(-3.0, 3.0, size=n)
             E = float(rng.uniform(-5.0, 5.0))
             a = ids.eigen_count(values, E)
             b = dense_eigen_count(values, E)
             if a != b:
                 return False, f"Sturm {a} != dense {b} at N={n}, E={E:.4f}"
-        return True, f"{cases} cases, N <= {max_size}, exact agreement"
+        return True, "20 cases, N <= 64, exact agreement"
 
     return _check("sturm_vs_dense", run)
 
 
-def _certify(labels, pots: np.ndarray, edges: np.ndarray, tol: float, band_tol: float):
+def _certify(labels, pots: np.ndarray, edges: np.ndarray):
     """The first fault of the edges (n, 2p) of the potentials (n, p) or None, and the worst edge error.
 
     Band k is (edges[2k], edges[2k+1]), and the edges ascend.  The true edges
     are the roots of disc = +-2, signed +, -, -, +, +, ... from the top down.
     An edge's error, in energy units, is its Newton step |disc - want| /
     |disc'| to a root of its sign, so a wrong sign shows as about half its
-    band's width.  Across a gap narrower than MERGE_FACTOR * band_tol, merged
+    band's width.  Across a gap narrower than MERGE_FACTOR * spectrum.TOL, merged
     in every output, disc - want has a double root where disc' vanishes, so
     the error is the second-order step sqrt(2 |disc - want| / |disc''|).  The
     p - 1 Dirichlet eigenvalues of sites 1 .. p-1 lie one in each closed gap
@@ -156,7 +150,7 @@ def _certify(labels, pots: np.ndarray, edges: np.ndarray, tol: float, band_tol: 
     below = ids._sturm_counts(pots[:, 1:].T[:, :, None], mids)
     merged = np.zeros(edges.shape, dtype=bool)
     merged[:, 1:-1:2] = merged[:, 2::2] = (
-        edges[:, 2::2] - edges[:, 1:-1:2] <= spectrum.MERGE_FACTOR * band_tol)
+        edges[:, 2::2] - edges[:, 1:-1:2] <= spectrum.MERGE_FACTOR * spectrum.TOL)
     miss = np.abs(disc - want)
     with np.errstate(divide="ignore", invalid="ignore"):
         error = np.where(merged, np.sqrt(2.0 * miss / np.abs(curvature)), miss / np.abs(slope))
@@ -166,9 +160,9 @@ def _certify(labels, pots: np.ndarray, edges: np.ndarray, tol: float, band_tol: 
         (np.diff(edges, axis=1) < 0.0, lambda i, j: f"edges {j} and {j + 1} out of order"),
         (below != np.arange(p), lambda i, k: (
             f"{below[i, k]} Dirichlet eigenvalues below the midpoint of band {k}, want {k}")),
-        (~(error < tol), lambda i, j: (
+        (~(error < EDGE_TOL), lambda i, j: (
             f"disc {disc[i, j]:.9g} at edge {j}, want {want[j]:+.0f}: off by {error[i, j]:.2e}")),
-        (~(np.abs(sums - trace) < p * tol), lambda i, j: (
+        (~(np.abs(sums - trace) < p * EDGE_TOL), lambda i, j: (
             f"the {'+-'[j]}2 edges sum to {sums[i, j]:.9g}, want the trace {trace[i, j]:.9g}")),
     )
     worst = float(error.max())
@@ -179,8 +173,7 @@ def _certify(labels, pots: np.ndarray, edges: np.ndarray, tol: float, band_tol: 
     return None, worst
 
 
-def check_band_edge_oracle(f: SamplingFunction, per_period,
-                           tol: float = 1e-6, band_tol: float = 1e-10) -> dict:
+def check_band_edge_oracle(f: SamplingFunction, per_period) -> dict:
     # the unmerged edges of per_period (bands_by_period of periods 1 .. P),
     # the very edges the unions merge, certified on the potentials of
     # PeriodicOrbit.sided_potentials, and the period-1 union against its
@@ -197,12 +190,12 @@ def check_band_edge_oracle(f: SamplingFunction, per_period,
         for pb in per_period:
             pots = np.array([x[2] for x in oracle[start:start + len(pb.labels)]])
             start += len(pb.labels)
-            fault, error = _certify(pb.labels, pots, pb.edges, tol, band_tol)
+            fault, error = _certify(pb.labels, pots, pb.edges)
             if fault:
                 return False, fault
             worst = max(worst, error)
         closed = _period_one_closed_form(f)
-        union = [(b.lo, b.hi) for b in spectrum.merge_bands(per_period[:1], band_tol).bands]
+        union = [(b.lo, b.hi) for b in spectrum.merge_bands(per_period[:1], spectrum.TOL).bands]
         if len(union) != len(closed):
             return False, f"period-1 union {union} vs closed form {closed}"
         closed_dev = max(abs(a - b) for u, c in zip(union, closed) for a, b in zip(u, c))
@@ -213,7 +206,7 @@ def check_band_edge_oracle(f: SamplingFunction, per_period,
         if left_count:
             detail += f", incl. {left_count} left-limit potential(s)"
         detail += f"; period-1 union vs closed form {closed_dev:.2e}"
-        return closed_dev < tol, detail
+        return closed_dev < EDGE_TOL, detail
 
     return _check("band_edges_vs_eigen_oracle", run)
 
@@ -251,11 +244,11 @@ def check_determinants(f: SamplingFunction, hull, seed: int = 0) -> dict:
     return _check("unimodularity", run)
 
 
-def check_invariance(f: SamplingFunction, hull, seed: int = 0, depth: int = 60) -> dict:
+def check_invariance(f: SamplingFunction, hull, seed: int = 0) -> dict:
     def run():
         worst = 0.0
         energies = (hull[0] - 0.5, hull[1] + 0.5, hull[1] + 1.5)
-        reports = cocycle.dichotomy_test(f, energies, sample_count=100, depth=depth, seed=seed)
+        reports = cocycle.dichotomy_test(f, energies, sample_count=100, seed=seed)
         for E, rep in zip(energies, reports):
             if not rep.is_hyperbolic:
                 return False, f"E={E} not detected hyperbolic: {rep.diagnostics}"
@@ -265,18 +258,18 @@ def check_invariance(f: SamplingFunction, hull, seed: int = 0, depth: int = 60) 
     return _check("stable_section_invariance", run)
 
 
-def check_digit_independence(f: SamplingFunction, hull, depth: int = 60) -> dict:
+def check_digit_independence(f: SamplingFunction, hull) -> dict:
     # the stable section depends on omega alone, so whichever backward digit
     # picks the preimage pre of w, the step A(pre) = step_matrix(E, f(pre))
     # carries the stable direction at pre onto the one at w
     def run():
         E = hull[1] + 0.5
         w = CirclePoint(372, 1000)
-        target, _ = cocycle.most_contracted_direction(f, E, w, depth)
+        target, _ = cocycle.most_contracted_direction(f, E, w, cocycle.DEPTH)
         worst = 0.0
         for digit in (0, 1):
             pre = extend_backward(w, BackwardDigits([digit]), 1)
-            stable, _ = cocycle.most_contracted_direction(f, E, pre, depth)
+            stable, _ = cocycle.most_contracted_direction(f, E, pre, cocycle.DEPTH)
             image = cocycle.step_matrix(E, f(float(pre))) @ stable.vector()
             worst = max(worst, cocycle.Direction.from_vector(*image).distance(target))
         return worst < cocycle.INVARIANCE_TOL, (
@@ -290,7 +283,7 @@ def check_containment(f: SamplingFunction, per_period, params: Params) -> dict:
         center = float(f(0.0))
         lo, hi = center - 2.0, center + 2.0
         for period in range(1, params.max_period + 1):
-            s = spectrum.merge_bands(per_period[:period], params.tol)
+            s = spectrum.merge_bands(per_period[:period], spectrum.TOL)
             if not covers_interval(s, lo, hi, 1e-6):
                 return False, f"union at max_period={period} misses [{lo}, {hi}]"
         return True, f"[{lo:.3f}, {hi:.3f}] covered at every max_period 1..{params.max_period}"
@@ -298,17 +291,17 @@ def check_containment(f: SamplingFunction, per_period, params: Params) -> dict:
     return _check("fixed_point_containment", run)
 
 
-def check_gap_shrinkage(per_period, params: Params) -> dict:
+def check_gap_shrinkage(per_period) -> dict:
     def run():
         maxgaps = []
-        for period in params.shrink_periods:
-            report = spectrum.gap_report(spectrum.merge_bands(per_period[:period], params.tol))
+        for period in SHRINK_PERIODS:
+            report = spectrum.gap_report(spectrum.merge_bands(per_period[:period], spectrum.TOL))
             maxgaps.append(report[0][1] if report else 0.0)
         seq = ", ".join(f"{g:.3g}" for g in maxgaps)
         nonincreasing = all(b <= a + 1e-12 for a, b in zip(maxgaps, maxgaps[1:]))
-        resolution = spectrum.RESOLUTION_FACTOR * params.tol
+        resolution = spectrum.RESOLUTION_FACTOR * spectrum.TOL
         halved = maxgaps[-1] <= 0.5 * maxgaps[0] or maxgaps[0] < resolution
-        return nonincreasing and halved, f"max interior gaps over periods {params.shrink_periods}: {seq}"
+        return nonincreasing and halved, f"max interior gaps over periods {SHRINK_PERIODS}: {seq}"
 
     return _check("gap_shrinkage", run)
 
@@ -318,7 +311,7 @@ def _rotations(f: SamplingFunction, energies, params: Params):
     stable section off by INVARIANCE_TOL or a closed-form winding off its substep
     oracle by 1e-9.  The first energy that fails the pretest raises its NotHyperbolic."""
     ests = schwartzman.rotation_number(f, energies, omega_samples=params.omega_samples,
-                                       steps=params.steps, seed=params.seed, depth=params.depth)
+                                       steps=params.steps, seed=params.seed)
     bounds = {"max_reanchor_residual": cocycle.INVARIANCE_TOL, "winding_oracle_dev": 1e-9}
     out = []
     for E, est in zip(energies, ests):
@@ -331,7 +324,7 @@ def _rotations(f: SamplingFunction, energies, params: Params):
 
 def check_gap_labelling(f: SamplingFunction, per_period, params: Params) -> dict:
     def run():
-        s = spectrum.merge_bands(per_period[:params.max_period], params.tol)
+        s = spectrum.merge_bands(per_period[:params.max_period], spectrum.TOL)
         grid = ids.default_energy_grid(s.hull, params.grid_points)
         targets = ((s.hull[0] - 0.5, 1), (s.hull[1] + 0.5, 0))
         # k is read at the grid point nearest to each target only
@@ -358,7 +351,7 @@ def check_gap_labelling(f: SamplingFunction, per_period, params: Params) -> dict
 
 def check_disconnection(f: SamplingFunction, per_period, params: Params) -> dict:
     def run():
-        coarse = spectrum.merge_bands(per_period[:params.max_period], params.coarse_tol)
+        coarse = spectrum.merge_bands(per_period[:params.max_period], COARSE_TOL)
         # gaps surviving the coarse merge are genuine at that scale; the
         # below-resolution filter of gap_report is meant for fine tolerances
         if len(coarse.bands) < 2:
@@ -387,28 +380,21 @@ def run_verification(f: SamplingFunction, params: Params = VERIFY_DEFAULTS) -> d
     The unmerged edges of every period are found once, and every union
     below merges a prefix of them at its own tolerance.
     check_band_edge_oracle certifies those same edges, for every period up
-    to params.max_period, on the potentials of enumerate_orbits.  A
-    continuous f needs at least one shrink period; without one this raises
-    InvalidParameter.
+    to params.max_period, on the potentials of enumerate_orbits.
     """
-    periods = params.max_period
-    if f.continuous:
-        if not params.shrink_periods:
-            raise InvalidParameter("command.shrink_periods must name at least one period "
-                                   "for a continuous f")
-        periods = max((periods, *params.shrink_periods))
+    periods = max(params.max_period, *SHRINK_PERIODS) if f.continuous else params.max_period
     per_period = spectrum.bands_by_period(f, periods)
-    hull = spectrum.merge_bands(per_period[:min(params.max_period, 8)], params.tol).hull
+    hull = spectrum.merge_bands(per_period[:min(params.max_period, 8)], spectrum.TOL).hull
     checks = [
         check_sturm_counts(seed=params.seed),
-        check_band_edge_oracle(f, per_period[:params.max_period], band_tol=params.tol),
+        check_band_edge_oracle(f, per_period[:params.max_period]),
         check_determinants(f, hull, seed=params.seed),
-        check_invariance(f, hull, seed=params.seed, depth=params.depth),
-        check_digit_independence(f, hull, depth=params.depth),
+        check_invariance(f, hull, seed=params.seed),
+        check_digit_independence(f, hull),
     ]
     if f.continuous:
         checks.append(check_containment(f, per_period, params))
-        checks.append(check_gap_shrinkage(per_period, params))
+        checks.append(check_gap_shrinkage(per_period))
         checks.append(check_gap_labelling(f, per_period, params))
     else:
         checks.append(check_disconnection(f, per_period, params))

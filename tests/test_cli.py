@@ -204,27 +204,22 @@ class TestRotation:
         code, _ = run_cli(["rotation"])
         assert code == 2
 
-    def test_band_tol_leaves_integrality_alone(self, tmp_path):
-        # "tol" is the band tolerance; the verdicts read "integrality_tol"
-        base = json.loads((CONFIGS / "cosine-half.json").read_text(encoding="utf-8"))
-        verdicts = {}
-        for key, value in (("tol", 1e-10), ("integrality_tol", 1e-10)):
-            cfg = json.loads(json.dumps(base))
-            cfg["command"][key] = value
-            code, out = run_cli(["rotation", "--config", write_config(tmp_path, cfg)])
-            assert code == 0
-            verdicts[key] = [(r["verdict"], r["integer"]) for r in json.loads(out)["rotation"]]
-        assert verdicts["tol"] == [("integer", 0), ("integer", 1)]
-        assert verdicts["integrality_tol"] == [("inconclusive", None)] * 2
+    @pytest.mark.parametrize("const, energy", [(1e200, "3.0"), (0.0, "1e200")],
+                             ids=["const-1e200", "energy-1e200"])
+    def test_winding_oracle_out_of_budget_exits_2(self, tmp_path, capsys, const, energy):
+        # the substep oracle would need far more than ORACLE_ENTRIES substeps
+        cfg = write_config(tmp_path, {"type": "trigpoly", "const": const})
+        code, out = run_cli(["rotation", "--config", cfg, "--energies", energy])
+        assert code == 2 and out == ""
+        assert "max|E - v| = 1e+200" in capsys.readouterr().err
 
 
 class TestVerify:
     def test_small_scale_free_config(self, tmp_path):
         cfg = write_config(tmp_path, {
             "type": "trigpoly", "const": 0.0, "cos": [], "sin": [],
-            "command": {"max_period": 4, "shrink_periods": [2, 3, 4],
-                        "N": 64, "M": 8, "grid_points": 201, "steps": 300,
-                        "omega_samples": 4},
+            "command": {"max_period": 4, "N": 64, "M": 8, "grid_points": 201,
+                        "steps": 300, "omega_samples": 4},
         })
         code, out = run_cli(["verify", "--config", cfg, "--format", "json"])
         payload = json.loads(out)
@@ -250,9 +245,8 @@ class TestVerify:
         # narrower than a scan of the discriminant resolves
         cfg = write_config(tmp_path, {
             "type": "trigpoly", "const": 0.0, "cos": [6.0], "sin": [],
-            "command": {"max_period": 8, "shrink_periods": [4, 6, 8],
-                        "N": 64, "M": 8, "grid_points": 201, "steps": 300,
-                        "omega_samples": 4},
+            "command": {"max_period": 8, "N": 64, "M": 8, "grid_points": 201,
+                        "steps": 300, "omega_samples": 4},
         })
         code, out = run_cli(["verify", "--config", cfg, "--format", "json"])
         payload = json.loads(out)
@@ -268,13 +262,6 @@ class TestVerify:
         payload = json.loads(out)
         assert [c["passed"] for c in payload["checks"]] == [True] * checks, payload["checks"]
         assert payload["all_passed"] and code == 0
-
-    def test_empty_shrink_periods_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {**COSINE_CFG, "command": {"shrink_periods": [],
-                                                                "max_period": 3}})
-        code, out = run_cli(["verify", "--config", cfg])
-        assert code == 2 and out == ""
-        assert "command.shrink_periods" in capsys.readouterr().err
 
 
 class TestErrors:
@@ -302,8 +289,10 @@ class TestErrors:
 
 
 class TestConfigSchema:
-    KEYS = ("max_period tol coarse_tol N M grid_points steps omega_samples "
-            "depth shrink_periods energies integrality_tol seed").split()
+    KEYS = "max_period N M grid_points steps omega_samples energies seed".split()
+    #: keys of earlier versions, now constants of the library, with their values
+    REMOVED = {"tol": 1e-10, "coarse_tol": 0.02, "depth": 60,
+               "shrink_periods": [4, 6, 8, 10, 12], "integrality_tol": 0.01}
 
     def test_fields_are_the_config_keys(self):
         assert sorted(Params.__dataclass_fields__) == sorted(self.KEYS)
@@ -323,10 +312,16 @@ class TestConfigSchema:
         assert f == sampling.cosine(0.5)
         assert params.seed == 7 and params.energies == (3.5, -3.0)
 
+    def test_readme_lists_the_config_keys(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| key | default |")[1].split("\n\n")[0]
+        keys = [row.split("`")[1] for row in table.splitlines() if row.startswith("| `")]
+        assert keys == list(Params.__dataclass_fields__)
+
     def test_values_are_typed(self):
-        params = Params().updated({"tol": 1, "shrink_periods": [2, 3], "energies": [1, 2.5]})
-        assert params.tol == 1.0 and isinstance(params.tol, float)
-        assert params.shrink_periods == (2, 3) and params.energies == (1.0, 2.5)
+        params = Params().updated({"N": 64, "energies": [1, 2.5]})
+        assert params.N == 64 and isinstance(params.N, int)
+        assert params.energies == (1.0, 2.5) and all(isinstance(E, float) for E in params.energies)
 
     @pytest.mark.parametrize("command", ["bands", "verify"])
     def test_unknown_key_lists_valid_keys(self, tmp_path, capsys, command):
@@ -337,10 +332,17 @@ class TestConfigSchema:
         assert "max_perod" in err
         assert all(key in err for key in self.KEYS)
 
+    @pytest.mark.parametrize("command", ["bands", "verify"])
+    @pytest.mark.parametrize("key, value", REMOVED.items())
+    def test_removed_key_is_unknown(self, tmp_path, capsys, command, key, value):
+        cfg = write_config(tmp_path, {**COSINE_CFG, "command": {key: value}})
+        code, out = run_cli([command, "--config", cfg])
+        assert code == 2 and out == ""
+        assert f"unknown command key(s) {key};" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value", [
-        ("N", "abc"), ("max_period", 6.5), ("seed", True), ("tol", float("nan")),
-        ("energies", 3.5), ("energies", [3.5, float("inf")]), ("shrink_periods", [4, "6"]),
-        ("seed", -1),
+        ("N", "abc"), ("max_period", 6.5), ("seed", True), ("energies", 3.5), ("seed", -1),
+        ("energies", [3.5, float("inf")]),
     ])
     def test_bad_value_names_key(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, {**COSINE_CFG, "command": {key: value}})
@@ -350,8 +352,6 @@ class TestConfigSchema:
 
     @pytest.mark.parametrize("key, value", [
         ("N", 8), ("M", 0), ("grid_points", 0), ("steps", 0), ("omega_samples", 0),
-        ("depth", 4), ("shrink_periods", [0, 4]), ("tol", -1.0), ("coarse_tol", -1.0),
-        ("integrality_tol", -1.0),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, key, value):
         # rejected with the config, before any band is computed
@@ -359,15 +359,6 @@ class TestConfigSchema:
         code, out = run_cli(["verify", "--config", cfg])
         assert code == 2 and out == ""
         assert f"command.{key}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("argv", [["bands"], ["spectrum"], ["gaps"], ["ids"],
-                                      ["rotation", "--energies", "3.0"], ["verify"]],
-                             ids=lambda argv: argv[0])
-    def test_zero_tol_exits_2(self, tmp_path, capsys, argv):
-        cfg = write_config(tmp_path, {**COSINE_CFG, "command": {"tol": 0}})
-        code, out = run_cli([*argv, "--config", cfg])
-        assert code == 2 and out == ""
-        assert "command.tol" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec", [
         {"type": "trigpoly", "cos": [float("nan")]},

@@ -148,12 +148,12 @@ class TestMostContracted:
     def test_stable_slope_above_spectrum(self):
         direction, converged = most_contracted_direction(FREE, 3.0, 0.2, 40)
         assert converged
-        assert direction.slope() == pytest.approx((3 + math.sqrt(5)) / 2, abs=1e-9)
+        assert math.tan(direction.angle) == pytest.approx((3 + math.sqrt(5)) / 2, abs=1e-9)
 
     def test_stable_slope_below_spectrum(self):
         direction, converged = most_contracted_direction(FREE, -3.0, 0.2, 40)
         assert converged
-        assert direction.slope() == pytest.approx((-3 - math.sqrt(5)) / 2, abs=1e-9)
+        assert math.tan(direction.angle) == pytest.approx((-3 - math.sqrt(5)) / 2, abs=1e-9)
 
     def test_degenerate_inside_spectrum(self):
         with pytest.raises(DegenerateSingularValues):
@@ -226,7 +226,7 @@ class TestDichotomy:
         assert len(rep.stable_direction_at) == 10
         slope = (3 + math.sqrt(5)) / 2
         for direction in rep.stable_direction_at.values():
-            assert direction.slope() == pytest.approx(slope, abs=1e-6)
+            assert math.tan(direction.angle) == pytest.approx(slope, abs=1e-6)
 
 
 #: configs with energies both hyperbolic and in a band of period <= PROBE_PERIODS

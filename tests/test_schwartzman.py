@@ -95,6 +95,21 @@ class TestWindingStep:
                                              Direction(float(angles[i])), 64)
             assert batch[i] == pytest.approx(delta, abs=1e-12)
 
+    def test_chunks_give_the_same_lift(self, monkeypatch):
+        # 64 entries a chunk take one site at a time; the sites named in a
+        # LiftingAmbiguity count from the first site, not from the chunk
+        from dmspec import LiftingAmbiguity
+        rng = np.random.default_rng(4)
+        pots = rng.uniform(-2, 2, size=7)
+        xs, ys = np.cos(rng.uniform(0, math.pi, size=7)), np.sin(rng.uniform(0, math.pi, size=7))
+        whole = _winding_core(3.7, pots, xs, ys, 64)
+        monkeypatch.setattr(schwartzman, "ORACLE_ENTRIES", 64)
+        assert np.array_equal(_winding_core(3.7, pots, xs, ys, 64), whole)
+        # (1, 2.1) at E - v = 100 turns too fast for 64 substeps to lift
+        pots[5], xs[5], ys[5] = 3.7 - 100.0, 1.0, 2.1
+        with pytest.raises(LiftingAmbiguity, match="at site 5,"):
+            _winding_core(3.7, pots, xs, ys, 64)
+
     def test_delta_is_a_lift_of_the_image_direction(self):
         # the accumulated change must land on the image line: angle(dir_in)
         # + delta == angle(dir_out) mod pi
