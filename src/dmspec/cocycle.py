@@ -42,9 +42,17 @@ PROBE_PERIODS = 8
 CORE_ROWS = 2 ** 12
 
 
-def step_matrix(E: float, v: float) -> np.ndarray:
-    """One-step transfer matrix [[E - v, -1], [1, 0]]."""
-    return np.array([[E - v, -1.0], [1.0, 0.0]])
+def step_matrix(E, v) -> np.ndarray:
+    """One-step transfer matrix [[E - v, -1], [1, 0]].
+
+    E and v broadcast: arrays of shape S give a stack of shape S + (2, 2).
+    """
+    t = np.subtract(E, v, dtype=float)
+    out = np.zeros(t.shape + (2, 2))
+    out[..., 0, 0] = t
+    out[..., 0, 1] = -1.0
+    out[..., 1, 0] = 1.0
+    return out
 
 
 def cocycle_product(f: SamplingFunction, E: float, omega, n: int) -> np.ndarray:
@@ -168,6 +176,21 @@ def _degenerate_mask(log_smax):
     return out
 
 
+def _stable_angles(f: SamplingFunction, E: float, omegas, depth: int, checkpoints=()):
+    """_stable_core's angles and snapshots of the depth-step products at each of omegas.
+
+    Raises DegenerateSingularValues if any product has no contracted direction.
+    """
+    pots = f(np.array([forward_orbit(omega, depth) for omega in omegas]))
+    _, angles, log_smax, snaps = _stable_core(E, pots, checkpoints=checkpoints)
+    if _degenerate_mask(log_smax).any():
+        raise DegenerateSingularValues(
+            f"singular values of the depth-{depth} product at E = {E} differ by "
+            f"less than {DEGENERACY_GAP}; no contracted direction"
+        )
+    return angles, snaps
+
+
 def most_contracted_direction(
     f: SamplingFunction,
     E: float,
@@ -182,16 +205,9 @@ def most_contracted_direction(
     """
     if depth < 2:
         raise InvalidParameter("depth must be >= 2")
-    pots = np.atleast_1d(f(forward_orbit(omega, depth)))
     half = depth // 2
-    vec, angles, log_smax, snaps = _stable_core(E, pots[None, :], checkpoints=(half,))
-    if _degenerate_mask(log_smax)[0]:
-        raise DegenerateSingularValues(
-            f"singular values of the depth-{depth} product at E = {E} differ by "
-            f"less than {DEGENERACY_GAP}; no contracted direction"
-        )
-    angles_half = snaps[half][0]
-    converged = bool(_projective_distance(angles[0], angles_half[0]) < DIRECTION_CONV_TOL)
+    angles, snaps = _stable_angles(f, E, [omega], depth, checkpoints=(half,))
+    converged = bool(_projective_distance(angles[0], snaps[half][0][0]) < DIRECTION_CONV_TOL)
     return Direction(float(angles[0])), converged
 
 

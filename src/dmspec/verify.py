@@ -1,8 +1,9 @@
 """End-to-end verification checks shared by the CLI and the acceptance suite.
 
 Every check returns a dict with name, passed, and detail, and is independent
-of the code path it validates: eigenvalue band edges are certified on the
-orbit potentials by the discriminant of spectrum._discriminant and the
+of the code path it validates: eigenvalue band edges are certified on
+orbit potentials built from Lyndon words, not from the engine's orbit
+table, by the discriminant of spectrum._discriminant and the
 interlacing Dirichlet eigenvalues, Sturm counts are checked against a dense
 solver, winding rates against density-of-states complements, the stable
 direction at a point against the steps from both of its preimages.
@@ -10,12 +11,13 @@ direction at a point against the steps from both of its preimages.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import cocycle, ids, schwartzman, spectrum
-from .dynamics import BackwardDigits, CirclePoint, enumerate_orbits, extend_backward
+from .dynamics import BackwardDigits, CirclePoint, extend_backward
 from .errors import DmspecError, InvalidParameter, NotHyperbolic
 from .sampling import SamplingFunction, _number, _numbers, forward_orbit
 
@@ -111,16 +113,23 @@ def _check(name: str, fn) -> dict:
 
 
 def check_sturm_counts(seed: int = 0) -> dict:
+    # one Sturm pass over all 20 cases, each a column padded with +inf
+    # sites, whose pivots stay +inf (or NaN) and add no count
     def run():
         rng = np.random.default_rng(seed)
+        cases = []
         for _ in range(20):
             n = int(rng.integers(4, 65))
-            values = rng.uniform(-3.0, 3.0, size=n)
-            E = float(rng.uniform(-5.0, 5.0))
-            a = ids.eigen_count(values, E)
+            cases.append((rng.uniform(-3.0, 3.0, size=n), float(rng.uniform(-5.0, 5.0))))
+        columns = np.full((64, len(cases)), np.inf)
+        for j, (values, _) in enumerate(cases):
+            columns[:len(values), j] = values
+        with np.errstate(invalid="ignore"):
+            counts = ids._sturm_counts(columns, np.array([E for _, E in cases])).tolist()
+        for (values, E), a in zip(cases, counts):
             b = dense_eigen_count(values, E)
             if a != b:
-                return False, f"Sturm {a} != dense {b} at N={n}, E={E:.4f}"
+                return False, f"Sturm {a} != dense {b} at N={len(values)}, E={E:.4f}"
         return True, "20 cases, N <= 64, exact agreement"
 
     return _check("sturm_vs_dense", run)
@@ -173,23 +182,78 @@ def _certify(labels, pots: np.ndarray, edges: np.ndarray):
     return None, worst
 
 
+def _lyndon_minima(max_period: int) -> list[list[int]]:
+    """The orbit minima of every period 1 .. max_period, each period's ascending.
+
+    The numerators k * 2^j mod (2^p - 1) of the orbit of k / (2^p - 1) are
+    the p-bit rotations of k, so the orbit minima of minimal period p are
+    the binary Lyndon words of length p.  Duval's algorithm lists every
+    Lyndon word of length <= max_period in lexicographic order, here on the
+    word held as an m-bit integer v.  The word 1 is left out: it is the
+    point 1 = 0.
+    """
+    n = max_period
+    minima = [[] for _ in range(n)]
+    v, m = 0, 1
+    while m:
+        minima[m - 1].append(v)
+        # the word repeated to length n, then its trailing 1s dropped and its
+        # last 0 made a 1
+        reps = -(-n // m)
+        v = v * ((1 << m * reps) - 1) // ((1 << m) - 1) >> (m * reps - n)
+        ones = (~v & (v + 1)).bit_length() - 1
+        v, m = (v >> ones) + 1, n - ones
+    minima[0] = [0]
+    return minima
+
+
+def _oracle_potentials(f: SamplingFunction, max_period: int) -> list[tuple[list[str], np.ndarray]]:
+    """Labels and rows of every sided potential of each period 1 .. max_period.
+
+    The orbits are the bit rotations of the Lyndon minima, and f,
+    f.breakpoint_mask and f.left_limit are called on a whole period's points
+    at once.  An orbit through a breakpoint whose left-limit values differ
+    is followed by them under "<label>-", as in PeriodicOrbit.sided_potentials.
+    """
+    out = []
+    for p, minima in enumerate(_lyndon_minima(max_period), 1):
+        d = 2 ** p - 1
+        table = np.empty((len(minima), p), dtype=np.int64)
+        table[:, 0] = minima
+        for j in range(1, p):
+            table[:, j] = (table[:, j - 1] << 1 | table[:, j - 1] >> (p - 1)) & d
+        points = table / d
+        rows = np.asarray(f(points), dtype=float)
+        sided = f.breakpoint_mask(points).any(axis=1)
+        left = np.asarray(f.left_limit(points), dtype=float) if sided.any() else rows
+        sided &= (left != rows).any(axis=1)
+        labels = []
+        for k, has_left in zip(minima, sided.tolist()):
+            g = math.gcd(k, d)
+            labels.append(f"{k // g}/{d // g}")
+            if has_left:
+                labels.append(labels[-1] + "-")
+        at = np.flatnonzero(sided)
+        out.append((labels, np.insert(rows, at + 1, left[at], axis=0)))
+    return out
+
+
 def check_band_edge_oracle(f: SamplingFunction, per_period) -> dict:
     # the unmerged edges of per_period (bands_by_period of periods 1 .. P),
     # the very edges the unions merge, certified on the potentials of
-    # PeriodicOrbit.sided_potentials, and the period-1 union against its
-    # closed form from f(0) and f(0-), which sees a dropped left limit
+    # _oracle_potentials, which takes the orbits from Lyndon words and not
+    # from the engine's orbit table, and the period-1 union against its
+    # closed form from f(0) and f(0-), which sees a left limit dropped by both
     def run():
         max_period = per_period[-1].period
-        oracle = [(o.period, label, pots) for o in enumerate_orbits(max_period)
-                  for label, pots in o.sided_potentials(f)]
+        oracle = _oracle_potentials(f, max_period)
         engine_labels = [(pb.period, label) for pb in per_period for label in pb.labels]
-        if engine_labels != [x[:2] for x in oracle]:
-            differ = sorted({x[1] for x in oracle} ^ {x[1] for x in engine_labels})
+        oracle_labels = [(p, label) for p, (labels, _) in enumerate(oracle, 1) for label in labels]
+        if engine_labels != oracle_labels:
+            differ = sorted({x[1] for x in oracle_labels} ^ {x[1] for x in engine_labels})
             return False, f"engine and orbit potentials differ: {differ[:5]}"
-        worst, start = 0.0, 0
-        for pb in per_period:
-            pots = np.array([x[2] for x in oracle[start:start + len(pb.labels)]])
-            start += len(pb.labels)
+        worst = 0.0
+        for pb, (_, pots) in zip(per_period, oracle):
             fault, error = _certify(pb.labels, pots, pb.edges)
             if fault:
                 return False, fault
@@ -199,8 +263,8 @@ def check_band_edge_oracle(f: SamplingFunction, per_period) -> dict:
         if len(union) != len(closed):
             return False, f"period-1 union {union} vs closed form {closed}"
         closed_dev = max(abs(a - b) for u, c in zip(union, closed) for a, b in zip(u, c))
-        left_count = sum(label.endswith("-") for _, label, _ in oracle)
-        detail = (f"{len(oracle)} potentials of periods <= {max_period}: Dirichlet interlacing, "
+        left_count = sum(label.endswith("-") for _, label in oracle_labels)
+        detail = (f"{len(oracle_labels)} potentials of periods <= {max_period}: Dirichlet interlacing, "
                   f"disc signs and trace sums hold, max edge error {worst:.2e} "
                   f"(||disc| - 2| / |disc'|; sqrt(2 ||disc| - 2| / |disc''|) at merged gaps)")
         if left_count:
@@ -222,23 +286,25 @@ def _period_one_closed_form(f: SamplingFunction) -> list[tuple[float, float]]:
 def check_determinants(f: SamplingFunction, hull, seed: int = 0) -> dict:
     # the det of an n-step product carries a float error of order
     # |P|^2 * n * eps, so each trial stops before the step whose entries
-    # would pass 3e3, past which 1e-9 * n is not resolvable
+    # would pass 3e3, past which 1e-9 * n is not resolvable; all trials
+    # step together, each product held once its trial has stopped
     def run():
         rng = np.random.default_rng(seed)
-        worst = 0.0
         energies = [float(rng.uniform(hull[0], hull[1])) for _ in range(24)]
-        energies += [hull[0] - 0.5, hull[1] + 0.5]
-        for E in energies:
-            omega = float(rng.random())
-            pots = np.atleast_1d(f(forward_orbit(omega, 64)))
-            P = cocycle.step_matrix(E, pots[0])
-            n = 1
-            for v in pots[1:]:
-                Q = cocycle.step_matrix(E, v) @ P
-                if np.abs(Q).max() > 3e3:
-                    break
-                P, n = Q, n + 1
-            worst = max(worst, abs(float(np.linalg.det(P)) - 1.0) / n)
+        energies = np.array(energies + [hull[0] - 0.5, hull[1] + 0.5])
+        omegas = rng.random(len(energies)).tolist()
+        pots = f(np.array([forward_orbit(omega, 64) for omega in omegas]))
+        P = cocycle.step_matrix(energies, pots[:, 0])
+        n = np.ones(len(energies), dtype=np.int64)
+        going = np.ones(len(energies), dtype=bool)
+        for v in pots[:, 1:].T:
+            Q = cocycle.step_matrix(energies, v) @ P
+            going &= ~(np.abs(Q).max(axis=(1, 2)) > 3e3)  # a NaN product goes on
+            if not going.any():
+                break
+            P = np.where(going[:, None, None], Q, P)
+            n += going
+        worst = max([0.0, *(np.abs(np.linalg.det(P) - 1.0) / n).tolist()])
         return worst < 1e-9, f"max |det - 1|/n = {worst:.2e} over 26 products with entries <= 3e3"
 
     return _check("unimodularity", run)
@@ -261,15 +327,16 @@ def check_invariance(f: SamplingFunction, hull, seed: int = 0) -> dict:
 def check_digit_independence(f: SamplingFunction, hull) -> dict:
     # the stable section depends on omega alone, so whichever backward digit
     # picks the preimage pre of w, the step A(pre) = step_matrix(E, f(pre))
-    # carries the stable direction at pre onto the one at w
+    # carries the stable direction at pre onto the one at w; the directions
+    # at w and both preimages come from one _stable_core pass
     def run():
         E = hull[1] + 0.5
         w = CirclePoint(372, 1000)
-        target, _ = cocycle.most_contracted_direction(f, E, w, cocycle.DEPTH)
+        pres = [extend_backward(w, BackwardDigits([digit]), 1) for digit in (0, 1)]
+        angles, _ = cocycle._stable_angles(f, E, [w, *pres], cocycle.DEPTH)
+        target, *stables = (cocycle.Direction(a) for a in angles.tolist())
         worst = 0.0
-        for digit in (0, 1):
-            pre = extend_backward(w, BackwardDigits([digit]), 1)
-            stable, _ = cocycle.most_contracted_direction(f, E, pre, cocycle.DEPTH)
+        for pre, stable in zip(pres, stables):
             image = cocycle.step_matrix(E, f(float(pre))) @ stable.vector()
             worst = max(worst, cocycle.Direction.from_vector(*image).distance(target))
         return worst < cocycle.INVARIANCE_TOL, (
@@ -380,7 +447,8 @@ def run_verification(f: SamplingFunction, params: Params = VERIFY_DEFAULTS) -> d
     The unmerged edges of every period are found once, and every union
     below merges a prefix of them at its own tolerance.
     check_band_edge_oracle certifies those same edges, for every period up
-    to params.max_period, on the potentials of enumerate_orbits.
+    to params.max_period, on its own potentials, whose orbits it takes from
+    binary Lyndon words, not from the engine's orbit table.
     """
     periods = max(params.max_period, *SHRINK_PERIODS) if f.continuous else params.max_period
     per_period = spectrum.bands_by_period(f, periods)

@@ -47,6 +47,23 @@ class TestStepMatrix:
     def test_unit_determinant(self):
         assert np.linalg.det(step_matrix(2.3, -0.7)) == pytest.approx(1.0, abs=1e-14)
 
+    def test_scalar_output_is_the_literal_matrix(self):
+        v = np.float64(-0.7)
+        got = step_matrix(2.3, v)
+        assert got.shape == (2, 2) and got.dtype == np.float64
+        assert np.array_equal(got, np.array([[2.3 - v, -1.0], [1.0, 0.0]]))
+
+    def test_arrays_give_a_stack_of_the_scalar_matrices(self):
+        rng = np.random.default_rng(4)
+        E, v = rng.normal(size=(3, 1)), rng.normal(size=(3, 5))
+        got = step_matrix(E, v)
+        assert got.shape == (3, 5, 2, 2)
+        for i in range(3):
+            for j in range(5):
+                assert np.array_equal(got[i, j], step_matrix(float(E[i, 0]), float(v[i, j])))
+        assert step_matrix(1.5, v).shape == (3, 5, 2, 2)
+        assert np.array_equal(step_matrix(1.5, v[0])[2], step_matrix(1.5, v[0, 2]))
+
 
 class TestCocycleProduct:
     def test_single_step(self):

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,19 +18,29 @@ from dmspec import (
     bernoulli,
     cocycle,
     cosine,
+    dynamics,
+    enumerate_orbits,
+    ids,
     schwartzman,
     spectrum,
     union_spectrum,
+    verify,
 )
+from dmspec.dynamics import orbit_table
+from dmspec.sampling import forward_orbit, from_json
 from dmspec.spectrum import MERGE_FACTOR, bands_by_period, merge_bands
 from dmspec.verify import (
     Params,
+    _lyndon_minima,
+    _oracle_potentials,
     check_band_edge_oracle,
     check_determinants,
     check_digit_independence,
     check_disconnection,
     check_gap_labelling,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _faulty_edges(monkeypatch, fault):
@@ -114,15 +128,39 @@ class TestBandEdgeCheck:
         assert res["detail"].startswith("orbit 1/7: ") and seen_by in res["detail"]
 
     def test_sees_a_dropped_left_limit(self, monkeypatch):
-        # bernoulli-five without its left-limit potential f(0-) = 0: the
-        # engine and the orbit path agree with each other, and only the
-        # closed form f(0-) +- 2 of the period-1 union sees the missing band
+        # bernoulli-five without its left-limit potential f(0-) = 0 in the
+        # engine: the oracle builds its own sided potentials and lists 0/1-
         original = PeriodicOrbit.sided_potentials
         monkeypatch.setattr(PeriodicOrbit, "sided_potentials",
                             lambda self, f: original(self, f)[:1])
         res = check_band_edge_oracle(bernoulli(5.0), bands_by_period(bernoulli(5.0), 8))
         assert not res["passed"]
-        assert "closed form" in res["detail"]
+        assert res["detail"] == "engine and orbit potentials differ: ['0/1-']"
+
+    def test_sees_a_left_limit_dropped_by_engine_and_oracle(self, monkeypatch):
+        # with no breakpoint seen, neither path lists f(0-) = 0, the two
+        # agree, and only the closed form f(0-) +- 2 of the period-1 union
+        # sees the missing band
+        monkeypatch.setattr(Step, "breakpoint_mask",
+                            lambda self, omega: np.zeros(np.shape(omega), dtype=bool))
+        res = check_band_edge_oracle(bernoulli(5.0), bands_by_period(bernoulli(5.0), 8))
+        assert not res["passed"]
+        assert res["detail"].startswith("period-1 union") and "closed form" in res["detail"]
+
+    def test_sees_an_orbit_dropped_from_the_orbit_table(self, monkeypatch):
+        # the oracle's orbits owe nothing to orbit_table: dropped there, an
+        # orbit goes missing from the engine alone, and the check names it
+        table = dynamics.orbit_table
+        missing = f"{table(7)[5, 0]}/127"
+
+        def dropped(p):
+            return np.delete(table(p), 5, axis=0) if p == 7 else table(p)
+
+        monkeypatch.setattr(dynamics, "orbit_table", dropped)
+        monkeypatch.setattr(spectrum, "orbit_table", dropped)
+        res = check_band_edge_oracle(cosine(0.5), bands_by_period(cosine(0.5), 8))
+        assert not res["passed"]
+        assert res["detail"] == f"engine and orbit potentials differ: ['{missing}']"
 
     def test_sees_a_fault_in_the_shared_recursion(self, monkeypatch):
         # the polish and the certificate share spectrum._discriminant; with
@@ -139,6 +177,20 @@ class TestBandEdgeCheck:
         res = check_band_edge_oracle(f, per_period)
         assert not res["passed"]
         assert "disc" in res["detail"] and "off by" in res["detail"]
+
+
+class TestOraclePotentials:
+    def test_lyndon_minima_are_the_table_minima(self):
+        assert _lyndon_minima(14) == [orbit_table(p)[:, 0].tolist() for p in range(1, 15)]
+
+    @pytest.mark.parametrize("f", [TrigPoly(), cosine(0.5), bernoulli(5.0), Step((0.0, 1 / 3), (1.0, -1.0))],
+                             ids=["free", "cos-0.5", "bernoulli-5", "step-1/3"])
+    def test_rows_are_the_sided_potentials_of_enumerate_orbits(self, f):
+        want = [(o.period, label, pots) for o in enumerate_orbits(10)
+                for label, pots in o.sided_potentials(f)]
+        got = [(p, label, row) for p, (labels, rows) in enumerate(_oracle_potentials(f, 10), 1)
+               for label, row in zip(labels, rows.tolist(), strict=True)]
+        assert got == want
 
 
 class TestEdgeTable:
@@ -198,6 +250,35 @@ class TestUnimodularity:
             res = check_determinants(f, hull, seed=seed)
             assert res["passed"], (seed, res["detail"])
 
+    @pytest.mark.parametrize("f, hull", [
+        (TrigPoly(), (-2.0, 2.0)),
+        (cosine(0.5), (-3.0, 3.0)),
+        (bernoulli(5.0), (-2.0, 7.0)),
+        (Step((0.0, 1 / 3), (1.0, -1.0)), (-3.0, 3.0)),
+        (lambda w: np.where(np.asarray(w) < 0.5, np.nan, 1.0), (-3.0, 3.0)),
+    ], ids=["free", "cos-0.5", "bernoulli-5", "step-1/3", "nan-on-half"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in det")
+    def test_detail_equals_a_loop_per_energy(self, f, hull):
+        # the batched trials against one product per energy, each stopped
+        # at its own first step past 3e3; a NaN product never stops
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            energies = [float(rng.uniform(hull[0], hull[1])) for _ in range(24)]
+            energies += [hull[0] - 0.5, hull[1] + 0.5]
+            worst = 0.0
+            for E in energies:
+                pots = np.atleast_1d(f(forward_orbit(float(rng.random()), 64)))
+                P, n = np.array([[E - pots[0], -1.0], [1.0, 0.0]]), 1
+                for v in pots[1:]:
+                    Q = np.array([[E - v, -1.0], [1.0, 0.0]]) @ P
+                    if np.abs(Q).max() > 3e3:
+                        break
+                    P, n = Q, n + 1
+                worst = max(worst, abs(float(np.linalg.det(P)) - 1.0) / n)
+            res = check_determinants(f, hull, seed=seed)
+            assert res["detail"] == f"max |det - 1|/n = {worst:.2e} over 26 products with entries <= 3e3"
+            assert res["passed"] == (worst < 1e-9)
+
     def test_sees_a_step_off_det_one(self, monkeypatch):
         step = cocycle.step_matrix
         monkeypatch.setattr(cocycle, "step_matrix", lambda E, v: step(E, v) * np.sqrt(1.0 + 1e-8))
@@ -223,6 +304,55 @@ class TestDigitIndependence:
         monkeypatch.setattr(cocycle, "step_matrix", lambda E, v: step(E, f(0.372)))
         res = check_digit_independence(f, hull)
         assert not res["passed"], res["detail"]
+
+
+def _counted(monkeypatch, fn) -> list:
+    """Replace fn wherever a dmspec module binds it by a wrapper; its calls append to the list."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "dmspec" or name.startswith("dmspec."):
+            for attr in [a for a, value in vars(module).items() if value is fn]:
+                monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def _during(monkeypatch, check: str, calls: list) -> list:
+    """The number of entries added to calls during each run of verify.<check>."""
+    seen = []
+    fn = getattr(verify, check)
+
+    def measured(*args, **kwargs):
+        before = len(calls)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            seen.append(len(calls) - before)
+
+    monkeypatch.setattr(verify, check, measured)
+    return seen
+
+
+class TestBatchedChecks:
+    # the call counts of the batched checks are fixed, so a return to one
+    # call per case or per orbit shows here
+    @pytest.mark.parametrize("name", ["bernoulli-five", "cosine-half"])
+    def test_call_counts_of_a_verify_round(self, monkeypatch, name):
+        obj = json.loads((CONFIGS / f"{name}.json").read_text())
+        params = verify.VERIFY_DEFAULTS.updated(obj.pop("command"))
+        f = from_json(obj)
+        orbits = _counted(monkeypatch, dynamics.enumerate_orbits)
+        cores = _counted(monkeypatch, cocycle._stable_core)
+        sturms = _counted(monkeypatch, ids._sturm_counts)
+        digit = _during(monkeypatch, "check_digit_independence", cores)
+        sturm = _during(monkeypatch, "check_sturm_counts", sturms)
+        assert verify.run_verification(f, params)["all_passed"]
+        assert orbits == []
+        assert digit == [1] and sturm == [1]
 
 
 class TestRotationEvidence:
