@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 
 from . import ids, sampling, schwartzman, spectrum, svgplot, verify
 from .errors import DmspecError, NotHyperbolic
@@ -55,10 +56,52 @@ def _energy_list(text: str) -> tuple[float, ...]:
     return energies
 
 
+def _json(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, built by joins.
+
+    With an indent, json.dumps runs its pure-Python encoder one token at a
+    time.  Here a list of floats is one join over float.__repr__, as json
+    writes a float (np.float64 included), and only a list holding anything
+    else, or a NaN or an infinity, goes item by item.  Strings and keys go
+    through json's own encode_basestring_ascii, so a key that is not a str
+    raises TypeError, as any other type does; tuples are written as lists.
+    pad is the newline and indent of the enclosing level.
+    """
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        try:
+            text = ("," + inner).join(map(float.__repr__, obj))
+        except TypeError:  # an item is not a float
+            text = "n"
+        if "n" in text:  # "nan", "inf", or an item that is not a float
+            text = ("," + inner).join([_json(x, inner) for x in obj])
+        return "[" + inner + text + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(key) + ": " + _json(value, inner)
+             for key, value in sorted(obj.items())]) + pad + "}"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    if obj is None or obj is True or obj is False:
+        return {None: "null", True: "true", False: "false"}[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(args, payload_json, rows, header):
     """Write either the JSON payload or CSV rows, to --out or stdout."""
     if args.format == "json":
-        text = json.dumps(payload_json, indent=2, sort_keys=True) + "\n"
+        text = _json(payload_json) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -154,6 +197,10 @@ def cmd_rotation(args) -> int:
         if isinstance(est, NotHyperbolic):
             rows.append([_fmt(E), "", "", "not_hyperbolic", ""])
             payload.append({"E": E, "verdict": "not_hyperbolic"})
+            continue
+        if isinstance(est, DmspecError):  # this energy's estimate failed; the rest stand
+            rows.append([_fmt(E), "", "", "error", ""])
+            payload.append({"E": E, "verdict": "error", "error": str(est)})
             continue
         verdict = schwartzman.integrality_check(est)
         rows.append([

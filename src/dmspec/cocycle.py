@@ -18,7 +18,7 @@ import numpy as np
 from .dynamics import PeriodicOrbit
 from .errors import DegenerateSingularValues, InvalidParameter
 from .sampling import SamplingFunction, forward_orbit, random_orbits
-from .spectrum import _discriminant, period_potentials
+from .spectrum import _discriminant, _sided_rows
 
 #: the default depth of the stable-direction products of dichotomy_test and
 #: rotation_number, and the depth of verify's digit check
@@ -250,7 +250,7 @@ def dichotomy_test(
     points of minimal period <= PROBE_PERIODS: the dichotomy must be uniform
     over the whole support, and on a periodic orbit whose band contains E the
     monodromy is elliptic and the direction estimates never settle.  The
-    probes are the rows of spectrum.period_potentials, each tiled to depth + 1
+    probes are the rows of spectrum._sided_rows, each tiled to depth + 1
     sites: the same potentials whose bands make up union_spectrum.
 
     So True certifies contraction at a rate >= RATE_FLOOR, with settled and
@@ -267,7 +267,7 @@ def dichotomy_test(
     orbits = random_orbits(np.random.default_rng(seed), sample_count, depth + 1)
     rows = [np.asarray(f(orbits), dtype=float)]
     for p in range(1, PROBE_PERIODS + 1):
-        rows.append(np.tile(period_potentials(f, p)[1], depth // p + 2)[:, : depth + 1])
+        rows.append(np.tile(_sided_rows(f, p)[1], depth // p + 2)[:, : depth + 1])
     pots = np.concatenate(rows)
     total = pots.shape[0]
 

@@ -63,10 +63,14 @@ def _sturm_counts(values: np.ndarray, energies: np.ndarray) -> np.ndarray:
     E = np.asarray(energies, dtype=float)
     d = np.full_like(E, np.inf)  # so the first step has no 1/d term
     counts = np.zeros(E.shape, dtype=np.int64)
-    for v in values:
-        d = v - E - 1.0 / d
-        d[d == 0.0] = ZERO_PIVOT
-        counts += d < 0.0
+    # a subnormal pivot overflows 1/d to +-inf; the next pivot is then -+inf,
+    # of the sign the exact recursion gives, and the one after it sees
+    # 1/d = -0.0, as it would see a pivot too large to matter
+    with np.errstate(over="ignore"):
+        for v in values:
+            d = v - E - 1.0 / d
+            d[d == 0.0] = ZERO_PIVOT
+            counts += d < 0.0
     return counts
 
 

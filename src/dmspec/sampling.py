@@ -10,7 +10,6 @@ f(omega-), which differ from f only on the breakpoints of a step function.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -256,16 +255,25 @@ def forward_orbit(omega, count: int) -> np.ndarray:
     if isinstance(omega, (CirclePoint, Fraction)):
         num, den = omega.numerator, omega.denominator
         return np.array([num * pow(2, k, den) % den / den for k in range(count)])
-    anchor = x = float(omega) % 1.0
-    out = np.empty(count)
+    return _float_orbits(np.array([float(omega)]), count)[0]
+
+
+def _float_orbits(anchors: np.ndarray, count: int) -> np.ndarray:
+    """forward_orbit of each float anchor, one row each, the doubling done on all rows at once."""
+    anchors = np.mod(anchors, 1.0)
+    out = np.empty((len(anchors), count))
+    x = anchors
     for k in range(min(count, FLOAT_ITERATION_LIMIT)):
-        out[k] = x
-        x = (2 * x) % 1.0
+        out[:, k] = x
+        x = 2 * x % 1.0
     if count > FLOAT_ITERATION_LIMIT:
-        lead = int(anchor * 2 ** _MANTISSA_BITS) >> np.arange(_MANTISSA_BITS - 1, -1, -1) & 1
-        seed = struct.unpack("<Q", struct.pack("<d", anchor))[0]
-        tail = np.random.default_rng(seed).integers(0, 2, size=count, dtype=np.int64)
-        out[FLOAT_ITERATION_LIMIT:] = _window(np.concatenate([lead, tail]), count)[FLOAT_ITERATION_LIMIT:]
+        shifts = np.arange(_MANTISSA_BITS - 1, -1, -1)
+        lead = (anchors * 2 ** _MANTISSA_BITS).astype(np.int64)[:, None] >> shifts & 1
+        # each anchor's generator is seeded by its bit pattern
+        tails = [np.random.default_rng(seed).integers(0, 2, size=count, dtype=np.int64)
+                 for seed in anchors.view(np.uint64).tolist()]
+        digits = np.concatenate([lead, np.reshape(tails, (len(anchors), count))], axis=1)
+        out[:, FLOAT_ITERATION_LIMIT:] = _window(digits, count)[:, FLOAT_ITERATION_LIMIT:]
     return out
 
 

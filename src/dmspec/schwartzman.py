@@ -27,7 +27,7 @@ from .cocycle import (
     scaling_profile,
     step_matrix,
 )
-from .errors import InvalidParameter, LiftingAmbiguity, NotHyperbolic
+from .errors import DmspecError, InvalidParameter, LiftingAmbiguity, NotHyperbolic
 from .sampling import SamplingFunction, spawned_potentials
 
 PI = math.pi
@@ -164,7 +164,7 @@ def rotation_number(
     steps: int = 2000,
     seed: int = 0,
     depth: int = DEPTH,
-) -> RotationEstimate | list[RotationEstimate | NotHyperbolic]:
+) -> RotationEstimate | list[RotationEstimate | DmspecError]:
     """Winding rate of the stable section along random forward orbits.
 
     The stable directions of all omega samples come from one backward sweep
@@ -176,14 +176,15 @@ def rotation_number(
     closed form with the substep lift of _winding_core, whose substeps keep
     every sub-increment below a quarter turn (|d angle / dt| <= 4 |E - v|).
     An energy whose oracle would need more than ORACLE_ENTRIES substeps
-    raises InvalidParameter.
+    fails with InvalidParameter.
 
     E is one energy or a sequence of them.  A sequence shares one dichotomy
     pretest, one draw of the omega samples and one backward sweep per
     SWEEP_ROWS rows, and gives a list in the order of E: each energy's
-    estimate, equal to the one it gets alone, or the NotHyperbolic error it
-    would raise alone.  A float returns its estimate or raises NotHyperbolic,
-    as before.
+    estimate, equal to the one it gets alone, or the error it would raise
+    alone (NotHyperbolic, or the DmspecError of its estimate), so one failed
+    energy does not sink the others.  A float returns its estimate or raises
+    its error, as before.
     """
     if steps < 1 or omega_samples < 1:
         raise InvalidParameter("steps and omega_samples must be >= 1")
@@ -208,8 +209,13 @@ def rotation_number(
             x, y = _stable_sweep(energies[chunk][:, None, None], pots, depth)
             for j, i in enumerate(chunk):
                 block = slice(omega_samples * j, omega_samples * (j + 1))
-                out[i] = _estimate(energies[i], pots, x[block], y[block], steps, depth,
-                                   reports[i].growth_rate)
+                try:
+                    out[i] = _estimate(energies[i], pots, x[block], y[block], steps, depth,
+                                       reports[i].growth_rate)
+                except DmspecError as exc:
+                    if np.ndim(E) == 0:
+                        raise
+                    out[i] = exc
     return out if np.ndim(E) else out[0]
 
 

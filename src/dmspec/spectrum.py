@@ -189,38 +189,94 @@ def _row_bands(edges: np.ndarray, tol: float):
     return lo[starts], hi[ends], starts.sum(axis=1)
 
 
-def period_potentials(f: SamplingFunction, period: int):
-    """Labels and potentials (rows) of every sided potential of minimal period `period`.
+def _sided_rows(f: SamplingFunction, period: int):
+    """The orbit table of `period`, its sided potentials as rows, and which rows are left limits.
 
-    f is called once on the whole orbit table.  Each orbit through a
-    breakpoint is followed by the further potentials of its
-    PeriodicOrbit.sided_potentials: its left-limit potential under label
-    "<point>-" when the left-limit values differ.
+    f is called once on the whole table, whose rows come in its order.  Each
+    orbit through a breakpoint is followed by the further potentials of its
+    PeriodicOrbit.sided_potentials: its left-limit potential when the
+    left-limit values differ.
     """
     table = orbit_table(period)
     d = 2 ** period - 1
     points = table / d
     rows = np.asarray(f(points), dtype=float).reshape(table.shape)
-    labels = []
-    for k in table[:, 0].tolist():
-        p0 = CirclePoint(k, d)
-        labels.append(f"{p0.numerator}/{p0.denominator}")
-    hits = np.flatnonzero(f.breakpoint_mask(points).any(axis=1))
-    for i in hits[::-1].tolist():
+    at, left = [], []
+    for i in np.flatnonzero(f.breakpoint_mask(points).any(axis=1)).tolist():
         orbit = PeriodicOrbit(period, tuple(CirclePoint(q, d) for q in table[i].tolist()))
-        for label, pots in orbit.sided_potentials(f)[:0:-1]:
-            rows = np.insert(rows, i + 1, pots, axis=0)
-            labels.insert(i + 1, label)
-    return labels, rows
+        for _, pots in orbit.sided_potentials(f)[1:]:
+            at.append(i + 1)
+            left.append(pots)
+    is_left = np.zeros(len(table), dtype=bool)
+    if at:
+        rows = np.insert(rows, at, left, axis=0)
+        is_left = np.insert(is_left, at, True)
+    return table, rows, is_left
+
+
+def _labels(minima: np.ndarray, period: int, is_left: np.ndarray) -> list[str]:
+    """The label of each sided row: "k/d", or "k/d-" on a left limit.
+
+    k/d is the minimum of the row's orbit, over 2^p - 1, in lowest terms.
+    """
+    d = 2 ** period - 1
+    g = np.gcd(minima, d)
+    names = [f"{k}/{q}" for k, q in zip((minima // g).tolist(), (d // g).tolist())]
+    orbit = np.cumsum(~is_left) - 1
+    return [names[i] + "-" if left else names[i]
+            for i, left in zip(orbit.tolist(), is_left.tolist())]
+
+
+def _paired_edges(table: np.ndarray, rows: np.ndarray, is_left: np.ndarray) -> np.ndarray:
+    """_edges of the sided rows, an orbit reusing its conjugate's edges where the rows allow.
+
+    The conjugate of the orbit of k/d, d = 2^p - 1, is the orbit of -k/d:
+    its point j is minus point j + J of the orbit, where J is the argmax of
+    the orbit's numerators, so its minimum is d - max_j k 2^j mod d.  The
+    orbit's row turned by J lines up with the conjugate's row, w against -w.
+    Of each pair the orbit with the larger minimum reuses the other's
+    solved edges when
+    - the rows agree within 8 p eps (1 + max|v|) (f even, as a TrigPoly
+      without sine terms): it takes the same edges, off by no more than
+      that by Weyl's inequality;
+    - the rows sum to one exact constant c (f(-w) = c - f(w), as
+      bernoulli(5)): it takes c - edges reversed, since c - H is the
+      operator with potential c - v after the gauge psi(n) -> (-1)^n psi(n),
+      which keeps or swaps the periodic and antiperiodic spectra.
+    Every other row is solved: left limits, self-conjugate orbits, and the
+    fixed point 0, whose conjugate 1/1 lies past the table's end.
+    """
+    n, p = table.shape
+    turn = table.argmax(axis=1)
+    conj = np.searchsorted(table[:, 0], 2 ** p - 1 - table[np.arange(n), turn])
+    late = np.flatnonzero(conj < np.arange(n))
+    right = np.flatnonzero(~is_left)
+    dst, src = right[late], right[conj[late]]
+    mine = rows[dst[:, None], (turn[late, None] + np.arange(p)) % p]
+    theirs = rows[src]
+    reach = np.maximum(np.abs(mine), np.abs(theirs)).max(axis=1)
+    same = np.abs(mine - theirs).max(axis=1) <= 8 * p * np.finfo(float).eps * (1.0 + reach)
+    total = mine + theirs
+    mirror = ~same & (total == total[:, :1]).all(axis=1)
+    solve = np.ones(len(rows), dtype=bool)
+    solve[dst[same | mirror]] = False
+    edges = np.empty((len(rows), 2 * p))
+    edges[solve] = _edges(rows[solve])
+    edges[dst[same]] = edges[src[same]]
+    edges[dst[mirror]] = total[mirror, :1] - edges[src[mirror], ::-1]
+    return edges
 
 
 def period_bands(f: SamplingFunction, period: int) -> PeriodBands:
     """The unmerged edges of every sided potential of minimal period `period`.
 
-    See period_potentials for the potentials and their labels.
+    The potentials are those of _sided_rows, each labelled "k/d" by its
+    orbit minimum in lowest terms, a left limit "k/d-"; an orbit may share
+    its conjugate's edges (_paired_edges).
     """
-    labels, rows = period_potentials(f, period)
-    return PeriodBands(period, labels, _edges(rows))
+    table, rows, is_left = _sided_rows(f, period)
+    edges = _paired_edges(table, rows, is_left)
+    return PeriodBands(period, _labels(table[:, 0], period, is_left), edges)
 
 
 def bands_by_period(f: SamplingFunction, max_period: int) -> list[PeriodBands]:
@@ -283,7 +339,7 @@ def union_spectrum(
 
     Each orbit contributes the bands of its right-continuous potential and,
     when it passes through a breakpoint of a step function, of its
-    left-limit potential too (see period_potentials).  Both lie in the hull,
+    left-limit potential too (see _sided_rows).  Both lie in the hull,
     so the union approximates the almost-sure spectrum from inside; for
     5 * chi_[0,1/2) the left limit at the fixed point 0 is the free potential
     and supplies the band [-2, 2] from period 1 on.

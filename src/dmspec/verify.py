@@ -19,7 +19,7 @@ import numpy as np
 from . import cocycle, ids, schwartzman, spectrum
 from .dynamics import BackwardDigits, CirclePoint, extend_backward
 from .errors import DmspecError, InvalidParameter, NotHyperbolic
-from .sampling import SamplingFunction, _number, _numbers, forward_orbit
+from .sampling import SamplingFunction, _float_orbits, _number, _numbers
 
 
 #: the least value of each integer key of Params, the library's own ranges
@@ -292,8 +292,7 @@ def check_determinants(f: SamplingFunction, hull, seed: int = 0) -> dict:
         rng = np.random.default_rng(seed)
         energies = [float(rng.uniform(hull[0], hull[1])) for _ in range(24)]
         energies = np.array(energies + [hull[0] - 0.5, hull[1] + 0.5])
-        omegas = rng.random(len(energies)).tolist()
-        pots = f(np.array([forward_orbit(omega, 64) for omega in omegas]))
+        pots = f(_float_orbits(rng.random(len(energies)), 64))
         P = cocycle.step_matrix(energies, pots[:, 0])
         n = np.ones(len(energies), dtype=np.int64)
         going = np.ones(len(energies), dtype=bool)
@@ -376,13 +375,13 @@ def check_gap_shrinkage(per_period) -> dict:
 def _rotations(f: SamplingFunction, energies, params: Params):
     """rotation_number at each of the energies, with its failed evidence ("" if none): a
     stable section off by INVARIANCE_TOL or a closed-form winding off its substep
-    oracle by 1e-9.  The first energy that fails the pretest raises its NotHyperbolic."""
+    oracle by 1e-9.  The first energy that fails the pretest or its estimate raises its error."""
     ests = schwartzman.rotation_number(f, energies, omega_samples=params.omega_samples,
                                        steps=params.steps, seed=params.seed)
     bounds = {"max_reanchor_residual": cocycle.INVARIANCE_TOL, "winding_oracle_dev": 1e-9}
     out = []
     for E, est in zip(energies, ests):
-        if isinstance(est, NotHyperbolic):
+        if isinstance(est, DmspecError):
             raise est
         out.append((est, "".join(f", {key} {est.diagnostics[key]:.2e} at E={E:.3f}"
                                  for key, bound in bounds.items() if not est.diagnostics[key] < bound)))

@@ -6,14 +6,18 @@ import argparse
 import csv
 import io
 import json
+import math
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmspec import sampling
-from dmspec.cli import _load_config, main
+from dmspec.cli import _fmt, _json, _load_config, main
 from dmspec.verify import VERIFY_DEFAULTS, Params
 
 
@@ -132,7 +136,8 @@ class TestIds:
         code, _ = run_cli(["ids", "--config", cfg, "--format", "csv",
                            "--out", str(out_path), "--plot", str(plot)])
         assert code == 0
-        rows = list(csv.DictReader(out_path.open()))
+        with out_path.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 101
         ks = [float(r["k"]) for r in rows]
         assert ks == sorted(ks)
@@ -206,12 +211,25 @@ class TestRotation:
 
     @pytest.mark.parametrize("const, energy", [(1e200, "3.0"), (0.0, "1e200")],
                              ids=["const-1e200", "energy-1e200"])
-    def test_winding_oracle_out_of_budget_exits_2(self, tmp_path, capsys, const, energy):
+    def test_winding_oracle_out_of_budget_gets_an_error_row(self, tmp_path, const, energy):
         # the substep oracle would need far more than ORACLE_ENTRIES substeps
         cfg = write_config(tmp_path, {"type": "trigpoly", "const": const})
-        code, out = run_cli(["rotation", "--config", cfg, "--energies", energy])
-        assert code == 2 and out == ""
-        assert "max|E - v| = 1e+200" in capsys.readouterr().err
+        code, out = run_cli(["rotation", "--config", cfg, "--energies", energy, "--format", "json"])
+        assert code == 0
+        [row] = json.loads(out)["rotation"]
+        assert row["E"] == float(energy) and row["verdict"] == "error"
+        assert set(row) == {"E", "verdict", "error"} and "max|E - v| = 1e+200" in row["error"]
+        code, out = run_cli(["rotation", "--config", cfg, "--energies", energy, "--format", "csv"])
+        assert code == 0 and out.splitlines()[1] == f"{_fmt(float(energy))},,,error,"
+
+    def test_one_energy_past_the_oracle_budget_leaves_the_others(self):
+        # 3.0 alone and 3.0 next to 1e200 give the same row
+        code, out = run_cli(["rotation", "--energies", "3.0,1e200", "--format", "json"])
+        assert code == 0
+        together = json.loads(out)["rotation"]
+        assert together[0] == json.loads(run_cli(["rotation", "--energies", "3.0",
+                                                  "--format", "json"])[1])["rotation"][0]
+        assert together[1]["verdict"] == "error"
 
 
 class TestVerify:
@@ -262,6 +280,48 @@ class TestVerify:
         payload = json.loads(out)
         assert [c["passed"] for c in payload["checks"]] == [True] * checks, payload["checks"]
         assert payload["all_passed"] and code == 0
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+#: JSON scalars, numpy floats and lists of floats, where _json takes one join
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                     st.floats().map(np.float64), st.text(), st.lists(st.floats()))
+_PAYLOADS = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner), st.lists(inner).map(tuple), st.dictionaries(st.text(), inner)), max_leaves=20)
+
+
+class TestJsonWriter:
+    # _emit writes the bytes of json.dumps(indent=2, sort_keys=True) without
+    # its pure-Python encoder
+    @given(payload=_PAYLOADS)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_json_dumps(self, payload):
+        assert _json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("payload", [
+        [0.5, -0.0, 5e-324, math.inf, -math.inf, math.nan, np.float64(0.1)],
+        {"\u00e9\n": ["\u2603", (), {}, [[]]], "": (1.5, True, None, 2 ** 70)},
+        np.float64(-1e-310), "\ud800",
+    ])
+    def test_edge_values(self, payload):
+        assert _json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("payload", [np.int64(1), [1.0, np.int64(1)], {"a": {1, 2}},
+                                         np.bool_(True), [object()]])
+    def test_other_types_raise_type_error(self, payload):
+        with pytest.raises(TypeError):
+            json.dumps(payload)
+        with pytest.raises(TypeError):
+            _json(payload)
+
+    @pytest.mark.parametrize("config", ["free", "cosine-half", "bernoulli-five"])
+    @pytest.mark.parametrize("command", ["bands", "spectrum", "gaps", "ids", "rotation"])
+    def test_every_subcommand_writes_json_dumps_bytes(self, command, config):
+        # verify's payload is checked in TestVerify.test_shipped_configs_pass
+        config = str(CONFIGS / f"{config}.json")
+        code, out = run_cli([command, "--config", config, "--format", "json"])
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 class TestErrors:

@@ -17,7 +17,7 @@ from dmspec import (
     gap_label,
     ids_estimate,
 )
-from dmspec import ids
+from dmspec import ids, verify
 from dmspec.ids import default_energy_grid
 from dmspec.sampling import random_orbit
 
@@ -68,6 +68,16 @@ class TestEigenCount:
         for i, e in enumerate(eigs):
             assert eigen_count(values, e + 1e-12) == i + 1
             assert eigen_count(values, e - 1e-12) == i
+
+    @pytest.mark.parametrize("tiny", [1e-310, -1e-310, 5e-324],
+                             ids=["subnormal", "negative", "least"])
+    def test_subnormal_pivot(self, tiny):
+        # the first pivot V_1 - E is subnormal, so 1/d overflows to +-inf; the
+        # count still equals the dense one, and no overflow warning is raised
+        values = [tiny, 0.5, -0.3, 1.2, 0.0]
+        assert verify.dense_eigen_count(values, 0.0) == 3
+        assert eigen_count(values, 0.0) == 3
+        assert ids._sturm_counts(np.array(values)[:, None], np.array([[0.0]]))[0, 0] == 3
 
 
 class TestIdsEstimate:

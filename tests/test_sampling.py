@@ -187,6 +187,19 @@ class TestForwardOrbit:
         if n:
             assert long[0] == x % 1.0
 
+    # the float orbits of many anchors at once, as check_determinants takes
+    # them, are bit-equal to one forward_orbit call per anchor
+    @given(xs=st.lists(st.one_of(st.floats(-4.0, 4.0),
+                                 st.sampled_from([-0.0, -1e-20, -5e-324, 0.75])),
+                       min_size=1, max_size=8),
+           n=st.integers(0, 120))
+    @settings(max_examples=100, deadline=None)
+    def test_float_orbits_equal_forward_orbit(self, xs, n):
+        rows = sampling._float_orbits(np.array(xs), n)
+        assert rows.shape == (len(xs), n)
+        for x, row in zip(xs, rows):
+            assert row.tobytes() == forward_orbit(x, n).tobytes()
+
     def test_random_orbit_uniformish(self):
         rng = np.random.default_rng(5)
         orbit = sampling.random_orbit(rng, 4000)

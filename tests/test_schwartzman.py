@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dmspec import (
     Direction,
+    InvalidParameter,
     NotHyperbolic,
     RotationEstimate,
     TrigPoly,
@@ -252,6 +253,15 @@ class TestRotationOverEnergies:
         [error] = rotation_number(FREE, [0.0], omega_samples=2, steps=100, seed=1)
         with pytest.raises(NotHyperbolic, match="^E = 0.0 failed the dichotomy pretest") as raised:
             rotation_number(FREE, 0.0, omega_samples=2, steps=100, seed=1)
+        assert repr(error) == repr(raised.value)
+
+    def test_an_energy_past_the_oracle_budget_holds_its_error(self):
+        # 1e200 would need more than ORACLE_ENTRIES substeps: a float raises,
+        # in a sequence it holds the InvalidParameter and 3.0 is unchanged
+        with pytest.raises(InvalidParameter, match="winding oracle substeps") as raised:
+            rotation_number(FREE, 1e200, omega_samples=2, steps=100, seed=1)
+        est, error = rotation_number(FREE, [3.0, 1e200], omega_samples=2, steps=100, seed=1)
+        assert repr(est) == repr(rotation_number(FREE, 3.0, omega_samples=2, steps=100, seed=1))
         assert repr(error) == repr(raised.value)
 
 

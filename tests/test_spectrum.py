@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from dmspec import (
     Band,
     SpectrumApprox,
+    Step,
     TrigPoly,
     bernoulli,
     cosine,
@@ -325,3 +326,105 @@ class TestDichotomySpectrumConsistency:
             deep = any(b.lo + 0.1 < E < b.hi - 0.1 for b in s.bands)
             if deep:
                 assert not rep.is_hyperbolic
+
+
+#: spectrum._edges as imported, before any test wraps it: every row solved, no pairing
+_full_edges = spectrum._edges
+
+
+def _solved_rows(monkeypatch) -> list:
+    """Wrap spectrum._edges; the row count of each call appends to the list."""
+    counts = []
+
+    def counting(rows):
+        counts.append(len(rows))
+        return _full_edges(rows)
+
+    monkeypatch.setattr(spectrum, "_edges", counting)
+    return counts
+
+
+class Bumped:
+    """cosine(0.5) raised by `bump` on the points k 2^j / d of one orbit, and nowhere else."""
+
+    continuous = True
+
+    def __init__(self, k: int, period: int, bump: float):
+        d = 2 ** period - 1
+        self.points = np.array([k * 2 ** j % d for j in range(period)]) / d
+        self.bump = bump
+
+    def __call__(self, omega):
+        w = np.asarray(omega, dtype=float)
+        return cosine(0.5)(w) + self.bump * np.isin(w, self.points)
+
+    def left_limit(self, omega):
+        return self(omega)
+
+    def breakpoint_mask(self, omega):
+        return np.zeros(np.shape(omega), dtype=bool)
+
+
+class TestConjugatePairs:
+    # the orbit of -w reuses the edges of the orbit of w only when the rows
+    # check out: equal within 8 p eps (1 + max|v|), or summing to a constant
+    @pytest.mark.parametrize("f", [FREE, cosine(0.5), cosine(3.0), bernoulli(5.0)],
+                             ids=["free", "cos-0.5", "cos-3", "bernoulli-5"])
+    def test_paired_edges_are_within_the_bound_of_a_full_solve(self, monkeypatch, f):
+        eps = np.finfo(float).eps
+        solved = _solved_rows(monkeypatch)
+        for p in range(1, 15):
+            pb = period_bands(f, p)
+            _, rows, _ = spectrum._sided_rows(f, p)
+            full = _full_edges(rows)
+            scale = 2.0 + np.abs(rows).max()
+            bound = spectrum.POLISH_MARGIN * p * eps * scale + 8 * p * eps * scale
+            assert np.abs(pb.edges - full).max() <= bound, p
+            counts = spectrum._row_bands(full, spectrum.TOL)[2]
+            assert np.array_equal(spectrum._row_bands(pb.edges, spectrum.TOL)[2], counts)
+            if p >= 3:
+                # every orbit but the self-conjugate ones has a partner
+                assert solved[-1] < len(rows)
+        # periods 1 .. 14 hold 2537 right-continuous rows; about half are solved
+        assert sum(solved) < 0.51 * 2537 + 2
+
+    @pytest.mark.parametrize("f", [TrigPoly(cos_coeffs=(1.0,), sin_coeffs=(0.5,)),
+                                   Step((0.0, 0.3), (1.0, 0.0))],
+                             ids=["sine-term", "asymmetric-step"])
+    def test_asymmetric_f_solves_every_row(self, monkeypatch, f):
+        solved = _solved_rows(monkeypatch)
+        for p in range(1, 11):
+            pb = period_bands(f, p)
+            assert solved[-1] == len(pb.labels)
+
+    def test_an_orbit_altered_alone_loses_its_pair_only(self, monkeypatch):
+        # 3/31 and its conjugate 7/31 (28 = 7 * 2^2 mod 31): the row of 3/31
+        # bumped by 1e-9, far above the pairing bound, is solved with 7/31,
+        # and every other row keeps its edges bit for bit
+        solved = _solved_rows(monkeypatch)
+        plain = period_bands(cosine(0.5), 5)
+        bumped = period_bands(Bumped(3, 5, 1e-9), 5)
+        assert solved == [3, 4]
+        pair = [plain.labels.index("3/31"), plain.labels.index("7/31")]
+        rest = np.setdiff1d(np.arange(len(plain.labels)), pair)
+        assert np.array_equal(bumped.edges[rest], plain.edges[rest])
+        _, rows, _ = spectrum._sided_rows(Bumped(3, 5, 1e-9), 5)
+        assert np.array_equal(bumped.edges[pair], _full_edges(rows[pair]))
+        assert not np.array_equal(bumped.edges[pair[0]], plain.edges[pair[0]])
+
+
+class TestLabels:
+    # labels come from the int64 orbit minima; they equal PeriodicOrbit.label(),
+    # left limits included, and the rows are the sided potentials
+    @pytest.mark.parametrize("f", [bernoulli(5.0),
+                                   Step((0.0, 1 / 7, 1 / 3, 0.6), (1.0, 2.0, -1.0, 0.5))],
+                             ids=["bernoulli-5", "step-1/7-1/3-3/5"])
+    def test_labels_and_rows_equal_the_sided_potentials(self, f):
+        lefts = set()
+        for p in range(1, 11):
+            sided = [x for o in enumerate_orbits(p) if o.period == p for x in o.sided_potentials(f)]
+            pb = period_bands(f, p)
+            assert pb.labels == [label for label, _ in sided]
+            assert np.array_equal(spectrum._sided_rows(f, p)[1], [pots for _, pots in sided])
+            lefts |= {label for label in pb.labels if label.endswith("-")}
+        assert lefts == ({"0/1-"} if f == bernoulli(5.0) else {"0/1-", "1/3-", "1/5-", "1/7-"})

@@ -21,6 +21,7 @@ from dmspec import (
     dynamics,
     enumerate_orbits,
     ids,
+    sampling,
     schwartzman,
     spectrum,
     union_spectrum,
@@ -354,6 +355,23 @@ class TestBatchedChecks:
         assert orbits == []
         assert digit == [1] and sturm == [1]
 
+    def test_determinant_orbits_are_one_array_pass(self, monkeypatch):
+        orbits = _counted(monkeypatch, forward_orbit)
+        batches = _counted(monkeypatch, sampling._float_orbits)
+        assert check_determinants(cosine(0.5), (-3.0, 3.0), seed=3)["passed"]
+        assert orbits == [] and batches == ["_float_orbits"]
+
+    def test_dichotomy_probes_build_no_labels(self, monkeypatch):
+        labels = _counted(monkeypatch, spectrum._labels)
+        points = []
+        init = dynamics.CirclePoint.__post_init__
+        monkeypatch.setattr(dynamics.CirclePoint, "__post_init__",
+                            lambda self: (points.append(self), init(self)))
+        assert cocycle.dichotomy_test(bernoulli(5.0), [-3.0, 8.0], sample_count=20)[0].is_hyperbolic
+        assert labels == []
+        # only the left limit of the fixed point 0 builds its orbit
+        assert len(points) == 1
+
 
 class TestRotationEvidence:
     # the gap checks fail when a rotation number's section or winding loses
@@ -366,6 +384,15 @@ class TestRotationEvidence:
         res = check(f, bands_by_period(f, 4), self.SMALL)
         assert res["passed"], res["detail"]
         assert "winding_oracle_dev" not in res["detail"]
+
+    @pytest.mark.parametrize("f, check", CHECKS, ids=["labelling", "disconnection"])
+    def test_fails_on_an_energy_past_the_oracle_budget(self, monkeypatch, f, check):
+        # the estimate's error reaches the check, which fails and names it
+        monkeypatch.setattr(schwartzman, "ORACLE_ENTRIES", 32)
+        res = check(f, bands_by_period(f, 4), self.SMALL)
+        assert not res["passed"]
+        assert res["detail"].startswith("error: E = ")
+        assert "winding oracle substeps" in res["detail"]
 
     @pytest.mark.parametrize("f, check", CHECKS, ids=["labelling", "disconnection"])
     def test_sees_a_winding_off_its_oracle(self, monkeypatch, f, check):
