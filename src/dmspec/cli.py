@@ -13,12 +13,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
+import itertools
 import json
 import math
 import sys
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from . import ids, sampling, schwartzman, spectrum, svgplot, verify
 from .errors import DmspecError, NotHyperbolic
@@ -65,6 +69,7 @@ def _json(obj, pad: str = "\n") -> str:
     else, or a NaN or an infinity, goes item by item.  Strings and keys go
     through json's own encode_basestring_ascii, so a key that is not a str
     raises TypeError, as any other type does; tuples are written as lists.
+    A callable writes its own text, given pad (as _orbits_json does).
     pad is the newline and indent of the enclosing level.
     """
     if isinstance(obj, (list, tuple)):
@@ -95,6 +100,8 @@ def _json(obj, pad: str = "\n") -> str:
         return {None: "null", True: "true", False: "false"}[obj]
     if isinstance(obj, int):
         return int.__repr__(obj)
+    if callable(obj):  # a writer of its own text, given the pad
+        return obj(pad)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -106,8 +113,7 @@ def _emit(args, payload_json, rows, header):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
         text = buf.getvalue()
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -116,24 +122,59 @@ def _emit(args, payload_json, rows, header):
         sys.stdout.write(text)
 
 
+def _orbit_bands(per_period, tol):
+    """(period, labels, lo, hi, counts) of each PeriodBands, its rows' bands by _row_bands."""
+    return [(pb.period, pb.labels, *spectrum._row_bands(pb.edges, tol)) for pb in per_period]
+
+
+def _orbits_json(per_period, tol, pad):
+    """_json of [{"bands": [[lo, hi], ...], "period": p, "point": label}, ...] over every row.
+
+    Written straight from the edge tables: one float.__repr__ pass over all
+    edges fills one % template, whose pieces are constant strings, one per
+    row by its band count, where _json would recurse once per band.
+    """
+    tables = _orbit_bands(per_period, tol)
+    edges = np.concatenate([np.stack([lo, hi], axis=1).ravel() for *_, lo, hi, _ in tables])
+    write = float.__repr__ if np.isfinite(edges).all() else _json  # _json writes NaN, Infinity
+    text = list(map(write, edges.tolist()))
+    i1, i2, i3, i4 = (pad + "  " * k for k in range(1, 5))
+    band = i3 + "[" + i4 + "%s," + i4 + "%s" + i3 + "]"
+    tail = "," + i2 + '"period": %s,' + i2 + '"point": %s' + i1 + "}"
+    counts, values, start = [], [], 0
+    for period, labels, _, _, row_counts in tables:
+        period = int.__repr__(period)
+        for label, count in zip(labels, row_counts.tolist()):
+            values += text[start:start + 2 * count]
+            values += (period, encode_basestring_ascii(label))
+            counts.append(count)
+            start += 2 * count
+    piece = {c: i1 + "{" + i2 + '"bands": [' + ",".join([band] * c) + i2 + "]" + tail
+             for c in set(counts)}
+    return "[" + ",".join([piece[c] for c in counts]) % tuple(values) + pad + "]"
+
+
+def _orbit_rows(per_period, tol):
+    """The CSV rows of every row's bands, in label order: orbit, period, label, index, lo, hi."""
+    for period, labels, lo, hi, counts in _orbit_bands(per_period, tol):
+        lo, hi = map(_fmt, lo.tolist()), map(_fmt, hi.tolist())
+        for label, count in zip(labels, counts.tolist()):
+            for j in range(count):
+                yield ["orbit", period, label, j, next(lo), next(hi)]
+
+
 def cmd_bands(args) -> int:
     f, params = _load_config(args)
     max_period, tol = params.max_period, spectrum.TOL
     # a left-limit potential follows its orbit under the label "<point>-"
     per_period = spectrum.bands_by_period(f, max_period)
     merged = spectrum.merge_bands(per_period, tol)
-    orbits = [(pb.period, label, lo, hi) for pb in per_period
-              for label, (lo, hi) in zip(pb.labels, pb.band_edges(tol))]
-    payload, rows = None, []  # only the requested format is built
-    if args.format == "json":
-        payload = {"orbits": [{"period": p, "point": label, "bands": [list(b) for b in zip(lo, hi)]}
-                              for p, label, lo, hi in orbits],
-                   "merged": merged.to_json()}
-    else:
-        rows = [["orbit", p, label, j, _fmt(a), _fmt(b)]
-                for p, label, lo, hi in orbits for j, (a, b) in enumerate(zip(lo, hi))]
-        rows += [["merged", max_period, "", i, _fmt(b.lo), _fmt(b.hi)]
-                 for i, b in enumerate(merged.bands)]
+    # the orbits are written from the edge tables inside _emit, in the requested format only
+    payload = {"orbits": functools.partial(_orbits_json, per_period, tol),
+               "merged": merged.to_json()}
+    rows = itertools.chain(_orbit_rows(per_period, tol),
+                           (["merged", max_period, "", i, _fmt(b.lo), _fmt(b.hi)]
+                            for i, b in enumerate(merged.bands)))
     _emit(args, payload, rows, ["source", "period", "point", "band_index", "lo", "hi"])
     if args.plot:
         per_period_merged = {pb.period: spectrum.merge_bands([pb], tol).bands for pb in per_period}

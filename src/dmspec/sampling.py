@@ -42,6 +42,11 @@ class TrigPoly:
         object.__setattr__(self, "sin_coeffs", tuple(float(c) for c in self.sin_coeffs))
         if not all(map(math.isfinite, (self.constant, *self.cos_coeffs, *self.sin_coeffs))):
             raise InvalidParameter("trigpoly coefficients must be finite")
+        # the bound on |f|; past the largest float, f and the band edges overflow
+        if not math.isfinite(abs(self.constant) + sum(map(abs, self.cos_coeffs + self.sin_coeffs))):
+            raise InvalidParameter(
+                f"trigpoly coefficients overflow: |const| + sum|cos| + sum|sin| is not finite "
+                f"(const {self.constant!r}, cos {list(self.cos_coeffs)}, sin {list(self.sin_coeffs)})")
 
     def __call__(self, omega):
         w = np.mod(np.asarray(omega, dtype=float), 1.0)

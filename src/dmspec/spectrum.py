@@ -98,27 +98,27 @@ class PeriodBands:
     Row i of edges (n, 2p) holds the sorted, polished periodic and
     antiperiodic eigenvalues of the potential labelled labels[i]; its band k
     runs from edges[i, 2k] to edges[i, 2k + 1].  Nothing is merged: a
-    tolerance enters only when bands are merged (band_edges, merge_bands).
+    tolerance enters only when bands are merged (_row_bands, merge_bands).
     """
 
     period: int
     labels: list[str]
     edges: np.ndarray
 
-    def band_edges(self, tol: float) -> list[tuple[list[float], list[float]]]:
-        """Each potential's bands as (lo, hi) lists in label order, merged like potential_bands."""
-        lo, hi, counts = _row_bands(self.edges, tol)
-        lo, hi, off = lo.tolist(), hi.tolist(), np.concatenate([[0], np.cumsum(counts)]).tolist()
-        return [(lo[j0:j1], hi[j0:j1]) for j0, j1 in zip(off, off[1:])]
 
+def _edges(rows: np.ndarray, solve: np.ndarray | None = None) -> np.ndarray:
+    """Sorted periodic and antiperiodic eigenvalues of each row's Jacobi matrix, (n, 2p).
 
-def _edges(rows: np.ndarray) -> np.ndarray:
-    """Sorted periodic and antiperiodic eigenvalues of each row's Jacobi matrix, (n, 2p)."""
+    Given a mask solve, only its rows are solved, in place in the table; the
+    other rows are left unset for the caller to fill.
+    """
     n, p = rows.shape
     i = np.arange(p)
+    at = np.arange(n) if solve is None else np.flatnonzero(solve)
     out = np.empty((n, 2 * p))
-    for start in range(0, n, EIGEN_BLOCK):
-        v = rows[start:start + EIGEN_BLOCK]
+    for start in range(0, len(at), EIGEN_BLOCK):
+        block = at[start:start + EIGEN_BLOCK]
+        v = rows[block]
         h = np.zeros((2, len(v), p, p))
         h[:, :, i, i] = v
         h[:, :, i[:-1], i[1:]] = 1.0
@@ -130,7 +130,7 @@ def _edges(rows: np.ndarray) -> np.ndarray:
             h[phase, :, p - 1, 0] += sign
         ev = np.linalg.eigvalsh(h)
         edges = np.sort(np.concatenate([ev[0], ev[1]], axis=1), axis=1)
-        out[start:start + len(v)] = _polish(v, edges)
+        out[block] = _polish(v, edges)
     return out
 
 
@@ -164,10 +164,11 @@ def _polish(rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
     a narrow band |disc| runs from -2 to 2, so that error shows as a large
     residual of |disc| - 2; the Newton step removes it.  A step longer than
     POLISH_MARGIN times that error bound is no correction (near a closed gap
-    disc' vanishes) and is dropped.
+    disc' vanishes) and is dropped, as is a step that is not finite (the
+    recursion overflows at large |v|, where no step is within the bound).
     """
-    disc, slope = _discriminant(rows, edges, 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        disc, slope = _discriminant(rows, edges, 1)
         step = (disc - np.copysign(2.0, disc)) / slope
     scale = 2.0 + np.abs(rows).max(axis=1, keepdims=True)
     bound = POLISH_MARGIN * rows.shape[1] * np.finfo(float).eps * scale
@@ -260,8 +261,7 @@ def _paired_edges(table: np.ndarray, rows: np.ndarray, is_left: np.ndarray) -> n
     mirror = ~same & (total == total[:, :1]).all(axis=1)
     solve = np.ones(len(rows), dtype=bool)
     solve[dst[same | mirror]] = False
-    edges = np.empty((len(rows), 2 * p))
-    edges[solve] = _edges(rows[solve])
+    edges = _edges(rows, solve)
     edges[dst[same]] = edges[src[same]]
     edges[dst[mirror]] = total[mirror, :1] - edges[src[mirror], ::-1]
     return edges

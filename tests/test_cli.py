@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
+import warnings
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmspec import sampling
+from dmspec import cli, sampling, spectrum
 from dmspec.cli import _fmt, _json, _load_config, main
 from dmspec.verify import VERIFY_DEFAULTS, Params
 
@@ -324,6 +326,73 @@ class TestJsonWriter:
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
+def _orbits_payload(per_period, tol=spectrum.TOL):
+    """The orbits list of bands' JSON as lists: each row's bands by _row_bands, split by count."""
+    orbits = []
+    for pb in per_period:
+        lo, hi, counts = spectrum._row_bands(pb.edges, tol)
+        off = np.concatenate([[0], np.cumsum(counts)]).tolist()
+        lo, hi = lo.tolist(), hi.tolist()
+        orbits += [{"period": pb.period, "point": label,
+                    "bands": [list(b) for b in zip(lo[j0:j1], hi[j0:j1])]}
+                   for label, j0, j1 in zip(pb.labels, off, off[1:])]
+    return orbits
+
+
+class TestOrbitsWriter:
+    # bands writes its orbits from the edge tables with one template fill;
+    # the bytes are those of json.dumps of the payload as lists
+    @pytest.mark.parametrize("config", [
+        *(json.loads((CONFIGS / f"{name}.json").read_text())
+          for name in ("free", "cosine-half", "bernoulli-five")),
+        {"type": "step", "breaks": [0.0, 1 / 3], "values": [1.0, -1.0]},
+        {"type": "trigpoly", "const": 0.25, "cos": [1.0], "sin": [0.5]},
+    ], ids=["free", "cosine-half", "bernoulli-five", "step-1/3", "sine-term"])
+    def test_bands_equal_json_dumps_of_the_list_payload(self, tmp_path, config):
+        config = {**config, "command": {"max_period": 12}}
+        code, out = run_cli(["bands", "--config", write_config(tmp_path, config)])
+        assert code == 0
+        config.pop("command")
+        per_period = spectrum.bands_by_period(sampling.from_json(config), 12)
+        reference = {"orbits": _orbits_payload(per_period),
+                     "merged": spectrum.merge_bands(per_period, spectrum.TOL).to_json()}
+        assert out == json.dumps(reference, indent=2, sort_keys=True) + "\n"
+
+    def test_edge_values(self):
+        edges = np.array([[-math.inf, -0.0, 1.0, math.inf],
+                          [-1.0, -0.0, 1.0, 5e-324],
+                          [5e-324, 0.5, math.nan, math.nan]])
+        per_period = [spectrum.PeriodBands(2, ["1/3", 'a"\u00e9%s', "2/3-"], edges),
+                      spectrum.PeriodBands(1, ["0/1"], np.array([[-2.0, 2.0]]))]
+        reference = _orbits_payload(per_period)
+        writer = functools.partial(cli._orbits_json, per_period, spectrum.TOL)
+        for payload, want in ((writer, reference), ({"orbits": writer, "x": 1},
+                                                    {"orbits": reference, "x": 1})):
+            assert _json(payload) == _json(want) == json.dumps(want, indent=2, sort_keys=True)
+
+    def test_csv_rows_come_from_the_edge_tables(self, tmp_path):
+        cfg = write_config(tmp_path, {**BERNOULLI_CFG, "command": {"max_period": 8}})
+        _, out = run_cli(["bands", "--config", cfg, "--format", "csv"])
+        per_period = spectrum.bands_by_period(sampling.bernoulli(5.0), 8)
+        rows = [["orbit", str(o["period"]), o["point"], str(j), _fmt(lo), _fmt(hi)]
+                for o in _orbits_payload(per_period) for j, (lo, hi) in enumerate(o["bands"])]
+        got = list(csv.reader(io.StringIO(out)))
+        assert got[0] == ["source", "period", "point", "band_index", "lo", "hi"]
+        assert got[1:1 + len(rows)] == rows
+        assert {r[0] for r in got[1 + len(rows):]} == {"merged"}
+
+    def test_json_calls_are_not_one_per_band(self, tmp_path, monkeypatch):
+        # the orbits are one _json call, the merged union one per band of
+        # the union, where writing the orbits as lists made one per band
+        calls = []
+        monkeypatch.setattr(cli, "_json", lambda obj, pad="\n": (calls.append(1), _json(obj, pad))[1])
+        cfg = write_config(tmp_path, {**BERNOULLI_CFG, "command": {"max_period": 12}})
+        code, out = run_cli(["bands", "--config", cfg])
+        payload = json.loads(out)
+        assert code == 0 and len(payload["orbits"]) > 700
+        assert len(calls) == len(payload["merged"]["bands"]) + 6
+
+
 class TestErrors:
     def test_missing_config_file(self):
         code, _ = run_cli(["bands", "--config", "/nonexistent/zzz.json"])
@@ -339,6 +408,25 @@ class TestErrors:
         cfg = write_config(tmp_path, {"type": "mystery"})
         code, _ = run_cli(["bands", "--config", cfg])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["bands", "spectrum", "verify"])
+    def test_trigpoly_whose_bound_overflows(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, {"type": "trigpoly", "const": 1e308, "cos": [1e308],
+                                      "command": {"max_period": 2}})
+        code, out = run_cli([command, "--config", cfg])
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert "trigpoly coefficients overflow" in err and "const 1e+308, cos [1e+308]" in err
+
+    @pytest.mark.parametrize("command", ["bands", "spectrum", "gaps"])
+    def test_huge_coefficient_warns_nothing(self, tmp_path, capsys, command):
+        # the polish's discriminant overflows at |v| near 1e300; the steps it
+        # drops must not print RuntimeWarnings
+        cfg = write_config(tmp_path, {"type": "trigpoly", "cos": [1e300]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run_cli([command, "--config", cfg])
+        assert code == 0 and capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("command", ["bands", "spectrum"])
     def test_period_over_table_capacity(self, tmp_path, capsys, command):

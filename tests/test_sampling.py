@@ -353,6 +353,17 @@ class TestFinite:
         with pytest.raises(InvalidParameter, match="finite"):
             TrigPoly(*args)
 
+    @pytest.mark.parametrize("args", [
+        (1e308, (1e308,)), (0.0, (1e308,), (-1e308,)), (0.0, (), (1e308,) * 2),
+    ])
+    def test_trigpoly_rejects_a_bound_that_overflows(self, args):
+        # every coefficient is finite, but |f| may reach past the largest float
+        with pytest.raises(InvalidParameter, match=r"overflow.*1e\+308"):
+            TrigPoly(*args)
+
+    def test_trigpoly_keeps_a_bound_that_is_finite(self):
+        assert TrigPoly(8e307, (8e307,))(0.0) == 1.6e308
+
     @pytest.mark.parametrize("breaks, values", [
         ((0.0, float("nan")), (1.0, 0.0)), ((0.0, 0.5), (1.0, float("nan"))),
     ])

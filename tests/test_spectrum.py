@@ -127,7 +127,8 @@ class TestPeriodicBands:
         # the discriminant scan found 8 of these 12 bands, missing the two
         # slivers near 6.5 and closing the gaps near -0.2 and 3.71
         pb = period_bands(bernoulli(5.0), 12)
-        bands = [Band(*e) for e in zip(*pb.band_edges(1e-10)[pb.labels.index("109/1365")])]
+        lo, hi, _ = spectrum._row_bands(pb.edges[[pb.labels.index("109/1365")]], 1e-10)
+        bands = [Band(a, b) for a, b in zip(lo, hi)]
         assert len(bands) == 12
         for lo, hi in ((6.4933, 6.4953), (6.5038, 6.5057)):
             assert any(abs(b.lo - lo) < 1e-4 and abs(b.hi - hi) < 1e-4 for b in bands)
@@ -138,7 +139,8 @@ class TestPeriodicBands:
         orbit = next(o for o in enumerate_orbits(12) if o.label() == "103/455")
         oracle = eigen_band_oracle(orbit.potential_values(f))
         pb = period_bands(f, 12)
-        bands = [Band(*e) for e in zip(*pb.band_edges(1e-10)[pb.labels.index("103/455")])]
+        lo, hi, _ = spectrum._row_bands(pb.edges[[pb.labels.index("103/455")]], 1e-10)
+        bands = [Band(a, b) for a, b in zip(lo, hi)]
         assert len(bands) == len(oracle)
         for b, (lo, hi) in zip(bands, oracle):
             assert abs(b.lo - lo) < 1e-6 and abs(b.hi - hi) < 1e-6
@@ -153,8 +155,9 @@ class TestPeriodicBands:
             sided = [x for o in enumerate_orbits(p) if o.period == p
                      for x in orbit_bands(o, f)]
             assert pb.labels == [label for label, _ in sided]
-            for (_, bands), edges in zip(sided, pb.band_edges(1e-10), strict=True):
-                got = [Band(*e) for e in zip(*edges)]
+            for (_, bands), row in zip(sided, pb.edges, strict=True):
+                lo, hi, _ = spectrum._row_bands(row[None], 1e-10)
+                got = [Band(a, b) for a, b in zip(lo, hi)]
                 assert len(got) == len(bands)
                 for a, b in zip(got, bands):
                     assert abs(a.lo - b.lo) < 1e-12 and abs(a.hi - b.hi) < 1e-12
@@ -333,12 +336,12 @@ _full_edges = spectrum._edges
 
 
 def _solved_rows(monkeypatch) -> list:
-    """Wrap spectrum._edges; the row count of each call appends to the list."""
+    """Wrap spectrum._edges; the count of rows each call solves appends to the list."""
     counts = []
 
-    def counting(rows):
-        counts.append(len(rows))
-        return _full_edges(rows)
+    def counting(rows, solve=None):
+        counts.append(len(rows) if solve is None else int(solve.sum()))
+        return _full_edges(rows, solve)
 
     monkeypatch.setattr(spectrum, "_edges", counting)
     return counts

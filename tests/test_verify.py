@@ -29,7 +29,7 @@ from dmspec import (
 )
 from dmspec.dynamics import orbit_table
 from dmspec.sampling import forward_orbit, from_json
-from dmspec.spectrum import MERGE_FACTOR, bands_by_period, merge_bands
+from dmspec.spectrum import MERGE_FACTOR, _row_bands, bands_by_period, merge_bands
 from dmspec.verify import (
     Params,
     _lyndon_minima,
@@ -45,9 +45,16 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _faulty_edges(monkeypatch, fault):
-    """Make spectrum._edges return fault(its edges), a copy to change."""
+    """Make spectrum._edges return fault(its edges) on the rows it solves, a copy to change."""
     original = spectrum._edges
-    monkeypatch.setattr(spectrum, "_edges", lambda rows: fault(original(rows).copy()))
+
+    def faulty(rows, solve=None):
+        edges = original(rows, solve)
+        solved = slice(None) if solve is None else solve
+        edges[solved] = fault(edges[solved].copy())
+        return edges
+
+    monkeypatch.setattr(spectrum, "_edges", faulty)
 
 
 class TestBandEdgeCheck:
@@ -212,14 +219,14 @@ class TestEdgeTable:
            coupling=st.floats(0.05, 6.0), tol=st.sampled_from([1e-10, 0.02]),
            max_period=st.integers(1, 9))
     def test_merging_edges_equals_merging_potential_bands(self, kind, coupling, tol, max_period):
-        # a gap that band_edges closes in one potential is closed by the
+        # a gap that _row_bands closes in one potential is closed by the
         # union too, so merging the raw edges gives the very same floats
         f = {"cosine": cosine, "bernoulli": bernoulli,
              "step-1/3": lambda c: Step((0.0, 1.0 / 3.0), (c, -c))}[kind](coupling)
         per_period = bands_by_period(f, max_period)
         want = []
-        for lo, hi in sorted((a, b) for pb in per_period for los, his in pb.band_edges(tol)
-                             for a, b in zip(los, his)):
+        for lo, hi in sorted((a, b) for pb in per_period
+                             for a, b in zip(*_row_bands(pb.edges, tol)[:2])):
             if want and lo - want[-1][1] <= MERGE_FACTOR * tol:
                 want[-1][1] = max(want[-1][1], hi)
             else:
