@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import itertools
 import json
@@ -37,7 +36,10 @@ def _load_config(args, defaults: verify.Params = verify.Params()):
     f, params = sampling.TrigPoly(), defaults
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            try:
+                obj = json.load(fh)
+            except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
+                raise DmspecError(f"cannot read config {args.config}: {exc}") from None
         if not isinstance(obj, dict):
             raise DmspecError("config must be a JSON object")
         params = defaults.updated(obj.pop("command", {}))
@@ -60,55 +62,14 @@ def _energy_list(text: str) -> tuple[float, ...]:
     return energies
 
 
-def _json(obj, pad: str = "\n") -> str:
-    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, built by joins.
+def _emit(args, payload, rows, header):
+    """Write either the JSON payload or CSV rows, to --out or stdout.
 
-    With an indent, json.dumps runs its pure-Python encoder one token at a
-    time.  Here a list of floats is one join over float.__repr__, as json
-    writes a float (np.float64 included), and only a list holding anything
-    else, or a NaN or an infinity, goes item by item.  Strings and keys go
-    through json's own encode_basestring_ascii, so a key that is not a str
-    raises TypeError, as any other type does; tuples are written as lists.
-    A callable writes its own text, given pad (as _orbits_json does).
-    pad is the newline and indent of the enclosing level.
+    payload is a dict, or a function of no arguments that returns the JSON text.
     """
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = pad + "  "
-        try:
-            text = ("," + inner).join(map(float.__repr__, obj))
-        except TypeError:  # an item is not a float
-            text = "n"
-        if "n" in text:  # "nan", "inf", or an item that is not a float
-            text = ("," + inner).join([_json(x, inner) for x in obj])
-        return "[" + inner + text + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = pad + "  "
-        return "{" + inner + ("," + inner).join(
-            [encode_basestring_ascii(key) + ": " + _json(value, inner)
-             for key, value in sorted(obj.items())]) + pad + "}"
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, float):
-        if math.isfinite(obj):
-            return float.__repr__(obj)
-        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
-    if obj is None or obj is True or obj is False:
-        return {None: "null", True: "true", False: "false"}[obj]
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if callable(obj):  # a writer of its own text, given the pad
-        return obj(pad)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _emit(args, payload_json, rows, header):
-    """Write either the JSON payload or CSV rows, to --out or stdout."""
     if args.format == "json":
-        text = _json(payload_json) + "\n"
+        text = payload() if callable(payload) else json.dumps(payload, indent=2, sort_keys=True)
+        text += "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -127,18 +88,19 @@ def _orbit_bands(per_period, tol):
     return [(pb.period, pb.labels, *spectrum._row_bands(pb.edges, tol)) for pb in per_period]
 
 
-def _orbits_json(per_period, tol, pad):
-    """_json of [{"bands": [[lo, hi], ...], "period": p, "point": label}, ...] over every row.
+def _orbits_json(per_period, tol):
+    """The text of the "orbits" list in the bands document, at its indent: json.dumps of
+    [{"bands": [[lo, hi], ...], "period": p, "point": label}, ...] over every row.
 
     Written straight from the edge tables: one float.__repr__ pass over all
     edges fills one % template, whose pieces are constant strings, one per
-    row by its band count, where _json would recurse once per band.
+    row by its band count, where json.dumps would go token by token.
     """
     tables = _orbit_bands(per_period, tol)
     edges = np.concatenate([np.stack([lo, hi], axis=1).ravel() for *_, lo, hi, _ in tables])
-    write = float.__repr__ if np.isfinite(edges).all() else _json  # _json writes NaN, Infinity
+    write = float.__repr__ if np.isfinite(edges).all() else json.dumps  # NaN, Infinity
     text = list(map(write, edges.tolist()))
-    i1, i2, i3, i4 = (pad + "  " * k for k in range(1, 5))
+    i1, i2, i3, i4 = ("\n" + "  " * k for k in range(2, 6))
     band = i3 + "[" + i4 + "%s," + i4 + "%s" + i3 + "]"
     tail = "," + i2 + '"period": %s,' + i2 + '"point": %s' + i1 + "}"
     counts, values, start = [], [], 0
@@ -151,7 +113,7 @@ def _orbits_json(per_period, tol, pad):
             start += 2 * count
     piece = {c: i1 + "{" + i2 + '"bands": [' + ",".join([band] * c) + i2 + "]" + tail
              for c in set(counts)}
-    return "[" + ",".join([piece[c] for c in counts]) % tuple(values) + pad + "]"
+    return "".join(["[", ",".join([piece[c] for c in counts]), "\n  ]"]) % tuple(values)
 
 
 def _orbit_rows(per_period, tol):
@@ -169,13 +131,15 @@ def cmd_bands(args) -> int:
     # a left-limit potential follows its orbit under the label "<point>-"
     per_period = spectrum.bands_by_period(f, max_period)
     merged = spectrum.merge_bands(per_period, tol)
-    # the orbits are written from the edge tables inside _emit, in the requested format only
-    payload = {"orbits": functools.partial(_orbits_json, per_period, tol),
-               "merged": merged.to_json()}
+
+    def document():  # called by _emit under --format json only
+        head = json.dumps({"merged": merged.to_json()}, indent=2, sort_keys=True)
+        return "".join([head[:-2], ',\n  "orbits": ', _orbits_json(per_period, tol), "\n}"])
+
     rows = itertools.chain(_orbit_rows(per_period, tol),
                            (["merged", max_period, "", i, _fmt(b.lo), _fmt(b.hi)]
                             for i, b in enumerate(merged.bands)))
-    _emit(args, payload, rows, ["source", "period", "point", "band_index", "lo", "hi"])
+    _emit(args, document, rows, ["source", "period", "point", "band_index", "lo", "hi"])
     if args.plot:
         per_period_merged = {pb.period: spectrum.merge_bands([pb], tol).bands for pb in per_period}
         svgplot.band_diagram(per_period_merged, merged, args.plot)
@@ -274,20 +238,21 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="64-bit seed (overrides config)")
     common.add_argument("--out", help="output file (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="json")
-    common.add_argument("--plot", help="write an SVG figure to this path")
+    plot = argparse.ArgumentParser(add_help=False)
+    plot.add_argument("--plot", help="write an SVG figure to this path")
     parser = argparse.ArgumentParser(
         prog="dmspec",
         description="Spectra, density of states, and rotation numbers for "
                     "Schrodinger operators driven by the doubling map.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("bands", parents=[common],
+    sub.add_parser("bands", parents=[common, plot],
                    help="per-orbit band spectra and their union").set_defaults(fn=cmd_bands)
-    sub.add_parser("spectrum", parents=[common],
+    sub.add_parser("spectrum", parents=[common, plot],
                    help="merged band union").set_defaults(fn=cmd_spectrum)
     sub.add_parser("gaps", parents=[common],
                    help="interior gaps of the band union").set_defaults(fn=cmd_gaps)
-    sub.add_parser("ids", parents=[common],
+    sub.add_parser("ids", parents=[common, plot],
                    help="integrated density of states table").set_defaults(fn=cmd_ids)
     rot = sub.add_parser("rotation", parents=[common],
                          help="rotation numbers with integrality verdicts")
@@ -304,7 +269,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (DmspecError, OSError, json.JSONDecodeError) as exc:
+    except (DmspecError, OSError) as exc:
         print(f"dmspec: error: {exc}", file=sys.stderr)
         return 2
 

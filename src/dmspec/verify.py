@@ -361,12 +361,12 @@ def check_gap_shrinkage(per_period) -> dict:
     def run():
         maxgaps = []
         for period in SHRINK_PERIODS:
-            report = spectrum.gap_report(spectrum.merge_bands(per_period[:period], spectrum.TOL))
+            union = spectrum.merge_bands(per_period[:period], spectrum.TOL)
+            report = spectrum.gap_report(union)
             maxgaps.append(report[0][1] if report else 0.0)
         seq = ", ".join(f"{g:.3g}" for g in maxgaps)
         nonincreasing = all(b <= a + 1e-12 for a, b in zip(maxgaps, maxgaps[1:]))
-        resolution = spectrum.RESOLUTION_FACTOR * spectrum.TOL
-        halved = maxgaps[-1] <= 0.5 * maxgaps[0] or maxgaps[0] < resolution
+        halved = maxgaps[-1] <= 0.5 * maxgaps[0] or maxgaps[0] < union.resolution
         return nonincreasing and halved, f"max interior gaps over periods {SHRINK_PERIODS}: {seq}"
 
     return _check("gap_shrinkage", run)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import math
@@ -15,11 +14,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dmspec import cli, sampling, spectrum
-from dmspec.cli import _fmt, _json, _load_config, main
+from dmspec.cli import _fmt, _load_config, main
 from dmspec.verify import VERIFY_DEFAULTS, Params
 
 
@@ -112,6 +109,13 @@ class TestSpectrumAndGaps:
         assert code == 0
         direct = union_spectrum(bernoulli(5.0), 4)
         assert json.loads(out)["bands"] == [[b.lo, b.hi] for b in direct.bands]
+
+    def test_spectrum_plot(self, tmp_path):
+        plot = tmp_path / "spectrum.svg"
+        code, _ = run_cli(["spectrum", "--config", write_config(tmp_path, BERNOULLI_CFG),
+                           "--plot", str(plot)])
+        assert code == 0
+        assert ET.parse(plot).getroot().tag.endswith("svg")
 
     def test_gaps_report(self, tmp_path):
         cfg = write_config(tmp_path, BERNOULLI_CFG)
@@ -285,37 +289,9 @@ class TestVerify:
         assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-#: JSON scalars, numpy floats and lists of floats, where _json takes one join
-_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
-                     st.floats().map(np.float64), st.text(), st.lists(st.floats()))
-_PAYLOADS = st.recursive(_SCALARS, lambda inner: st.one_of(
-    st.lists(inner), st.lists(inner).map(tuple), st.dictionaries(st.text(), inner)), max_leaves=20)
-
-
 class TestJsonWriter:
-    # _emit writes the bytes of json.dumps(indent=2, sort_keys=True) without
-    # its pure-Python encoder
-    @given(payload=_PAYLOADS)
-    @settings(max_examples=150, deadline=None)
-    def test_equals_json_dumps(self, payload):
-        assert _json(payload) == json.dumps(payload, indent=2, sort_keys=True)
-
-    @pytest.mark.parametrize("payload", [
-        [0.5, -0.0, 5e-324, math.inf, -math.inf, math.nan, np.float64(0.1)],
-        {"\u00e9\n": ["\u2603", (), {}, [[]]], "": (1.5, True, None, 2 ** 70)},
-        np.float64(-1e-310), "\ud800",
-    ])
-    def test_edge_values(self, payload):
-        assert _json(payload) == json.dumps(payload, indent=2, sort_keys=True)
-
-    @pytest.mark.parametrize("payload", [np.int64(1), [1.0, np.int64(1)], {"a": {1, 2}},
-                                         np.bool_(True), [object()]])
-    def test_other_types_raise_type_error(self, payload):
-        with pytest.raises(TypeError):
-            json.dumps(payload)
-        with pytest.raises(TypeError):
-            _json(payload)
-
+    # every payload is written by json.dumps(indent=2, sort_keys=True); the
+    # orbits of bands, which are not, are checked in TestOrbitsWriter
     @pytest.mark.parametrize("config", ["free", "cosine-half", "bernoulli-five"])
     @pytest.mark.parametrize("command", ["bands", "spectrum", "gaps", "ids", "rotation"])
     def test_every_subcommand_writes_json_dumps_bytes(self, command, config):
@@ -358,17 +334,18 @@ class TestOrbitsWriter:
                      "merged": spectrum.merge_bands(per_period, spectrum.TOL).to_json()}
         assert out == json.dumps(reference, indent=2, sort_keys=True) + "\n"
 
-    def test_edge_values(self):
+    def test_edge_values(self, monkeypatch):
         edges = np.array([[-math.inf, -0.0, 1.0, math.inf],
                           [-1.0, -0.0, 1.0, 5e-324],
                           [5e-324, 0.5, math.nan, math.nan]])
         per_period = [spectrum.PeriodBands(2, ["1/3", 'a"\u00e9%s', "2/3-"], edges),
                       spectrum.PeriodBands(1, ["0/1"], np.array([[-2.0, 2.0]]))]
-        reference = _orbits_payload(per_period)
-        writer = functools.partial(cli._orbits_json, per_period, spectrum.TOL)
-        for payload, want in ((writer, reference), ({"orbits": writer, "x": 1},
-                                                    {"orbits": reference, "x": 1})):
-            assert _json(payload) == _json(want) == json.dumps(want, indent=2, sort_keys=True)
+        monkeypatch.setattr(spectrum, "bands_by_period", lambda f, max_period: per_period)
+        code, out = run_cli(["bands"])
+        reference = {"orbits": _orbits_payload(per_period),
+                     "merged": spectrum.merge_bands(per_period, spectrum.TOL).to_json()}
+        assert code == 0
+        assert out == json.dumps(reference, indent=2, sort_keys=True) + "\n"
 
     def test_csv_rows_come_from_the_edge_tables(self, tmp_path):
         cfg = write_config(tmp_path, {**BERNOULLI_CFG, "command": {"max_period": 8}})
@@ -382,15 +359,16 @@ class TestOrbitsWriter:
         assert {r[0] for r in got[1 + len(rows):]} == {"merged"}
 
     def test_json_calls_are_not_one_per_band(self, tmp_path, monkeypatch):
-        # the orbits are one _json call, the merged union one per band of
-        # the union, where writing the orbits as lists made one per band
-        calls = []
-        monkeypatch.setattr(cli, "_json", lambda obj, pad="\n": (calls.append(1), _json(obj, pad))[1])
+        # one json.dumps call, of the merged union, where writing the orbits
+        # as lists made one encoder call per band, over 8,000
         cfg = write_config(tmp_path, {**BERNOULLI_CFG, "command": {"max_period": 12}})
+        calls = []
+        dumps = json.dumps
+        monkeypatch.setattr(cli.json, "dumps", lambda *a, **k: (calls.append(1), dumps(*a, **k))[1])
         code, out = run_cli(["bands", "--config", cfg])
         payload = json.loads(out)
         assert code == 0 and len(payload["orbits"]) > 700
-        assert len(calls) == len(payload["merged"]["bands"]) + 6
+        assert len(calls) == 1
 
 
 class TestErrors:
@@ -427,6 +405,19 @@ class TestErrors:
             warnings.simplefilter("error")
             code, _ = run_cli([command, "--config", cfg])
         assert code == 0 and capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("name, text", [
+        ("latin-1.json", '{"x\u00e9": 1}'.encode("latin-1")),
+        ("deep.json", b"[" * 100_000 + b"]" * 100_000),
+    ], ids=["not-utf-8", "nested-too-deep"])
+    def test_undecodable_config(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_bytes(text)
+        code, out = run_cli(["spectrum", "--config", str(path)])
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"dmspec: error: cannot read config {path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["bands", "spectrum"])
     def test_period_over_table_capacity(self, tmp_path, capsys, command):
@@ -533,6 +524,17 @@ class TestConfigSchema:
         code, _ = run_cli(["rotation", "--config", cfg, "--energies", "3.5"])
         assert code == 2
         assert "unknown command key(s) substeps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["gaps"], ["rotation", "--energies", "3.0"], ["verify"]],
+                             ids=lambda argv: argv[0])
+    def test_plot_is_refused_where_no_figure_is_drawn(self, tmp_path, capsys, argv):
+        # bands, spectrum and ids draw theirs: TestBands, TestSpectrumAndGaps, TestIds
+        plot = tmp_path / "figure.svg"
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*argv, "--plot", str(plot)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --plot" in capsys.readouterr().err
+        assert not plot.exists()
 
     def test_threads_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,16 +1,19 @@
 """The public names of the package resolve, every error class is in use, no
-signature takes a map base, and every function has a caller."""
+signature takes a map base, every function has a caller and every CLI option
+is read."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 import importlib
 import inspect
 import re
+import textwrap
 from pathlib import Path
 
 import dmspec
-from dmspec import errors
+from dmspec import cli, errors
 
 SRC = Path(dmspec.__file__).resolve().parent
 
@@ -67,3 +70,30 @@ def test_every_function_has_a_caller():
               if isinstance(node, ast.FunctionDef) and node.name not in used
               and node.name not in dmspec.__all__ and f"{stem}.{node.name}" not in TEST_REFERENCES]
     assert unused == []
+
+
+def _args_read(fn) -> set[str]:
+    """The names fn reads off its args: args.name and getattr(args, "name", ...)."""
+    read = set()
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "args":
+            read.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "getattr" and isinstance(node.args[0], ast.Name) \
+                and node.args[0].id == "args" and isinstance(node.args[1], ast.Constant):
+            read.add(node.args[1].value)
+    return read
+
+
+def test_every_cli_option_is_read():
+    # an option a subcommand accepts is read on that subcommand's path: its
+    # cmd_* function, _load_config or _emit
+    shared = _args_read(cli._load_config) | _args_read(cli._emit)
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for name, parser in sub.choices.items():
+        read = shared | _args_read(parser.get_default("fn"))
+        unread += [f"{name} {action.option_strings[0]}" for action in parser._actions
+                   if action.option_strings and action.dest != "help" and action.dest not in read]
+    assert unread == []
