@@ -92,14 +92,17 @@ def _orbits_json(per_period, tol):
     """The text of the "orbits" list in the bands document, at its indent: json.dumps of
     [{"bands": [[lo, hi], ...], "period": p, "point": label}, ...] over every row.
 
-    Written straight from the edge tables: one float.__repr__ pass over all
-    edges fills one % template, whose pieces are constant strings, one per
-    row by its band count, where json.dumps would go token by token.
+    Written straight from the edge tables: one float.__repr__ of each
+    distinct edge fills one % template, whose pieces are constant strings,
+    one per row by its band count, where json.dumps would go token by token.
+    Edges are told apart by their bits, so -0.0 and 0.0 stay apart.
     """
     tables = _orbit_bands(per_period, tol)
     edges = np.concatenate([np.stack([lo, hi], axis=1).ravel() for *_, lo, hi, _ in tables])
     write = float.__repr__ if np.isfinite(edges).all() else json.dumps  # NaN, Infinity
-    text = list(map(write, edges.tolist()))
+    bits, inverse = np.unique(edges.view(np.int64), return_inverse=True)
+    distinct = list(map(write, bits.view(np.float64).tolist()))
+    text = np.array(distinct, dtype=object)[inverse].tolist()
     i1, i2, i3, i4 = ("\n" + "  " * k for k in range(2, 6))
     band = i3 + "[" + i4 + "%s," + i4 + "%s" + i3 + "]"
     tail = "," + i2 + '"period": %s,' + i2 + '"point": %s' + i1 + "}"
@@ -141,8 +144,10 @@ def cmd_bands(args) -> int:
                             for i, b in enumerate(merged.bands)))
     _emit(args, document, rows, ["source", "period", "point", "band_index", "lo", "hi"])
     if args.plot:
-        per_period_merged = {pb.period: spectrum.merge_bands([pb], tol).bands for pb in per_period}
-        svgplot.band_diagram(per_period_merged, merged, args.plot)
+        rows_by_period = {pb.period: spectrum._merged(pb.edges[:, 0::2].ravel(),
+                                                      pb.edges[:, 1::2].ravel(), tol)
+                          for pb in per_period}
+        svgplot.band_diagram(rows_by_period, merged, args.plot)
     return 0
 
 

@@ -88,6 +88,10 @@ class Step:
             raise InvalidParameter("first breakpoint must be 0")
         if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])) or bp[-1] >= 1.0:
             raise InvalidParameter("breakpoints must be strictly increasing within [0, 1)")
+        # the spread of f; past the largest float, differences of f and of the band edges overflow
+        if not math.isfinite(max(vals) - min(vals)):
+            raise InvalidParameter(
+                f"step values overflow: max(values) - min(values) is not finite (values {list(vals)})")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
 

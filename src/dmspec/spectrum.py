@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ids
 from .dynamics import CirclePoint, PeriodicOrbit, check_period, orbit_table
 from .errors import InvalidParameter
 from .sampling import SamplingFunction
@@ -228,7 +229,8 @@ def _labels(minima: np.ndarray, period: int, is_left: np.ndarray) -> list[str]:
             for i, left in zip(orbit.tolist(), is_left.tolist())]
 
 
-def _paired_edges(table: np.ndarray, rows: np.ndarray, is_left: np.ndarray) -> np.ndarray:
+def _paired_edges(table: np.ndarray, rows: np.ndarray, is_left: np.ndarray,
+                  need: np.ndarray | None = None) -> np.ndarray:
     """_edges of the sided rows, an orbit reusing its conjugate's edges where the rows allow.
 
     The conjugate of the orbit of k/d, d = 2^p - 1, is the orbit of -k/d:
@@ -245,7 +247,9 @@ def _paired_edges(table: np.ndarray, rows: np.ndarray, is_left: np.ndarray) -> n
       operator with potential c - v after the gauge psi(n) -> (-1)^n psi(n),
       which keeps or swaps the periodic and antiperiodic spectra.
     Every other row is solved: left limits, self-conjugate orbits, and the
-    fixed point 0, whose conjugate 1/1 lies past the table's end.
+    fixed point 0, whose conjugate 1/1 lies past the table's end.  Given a
+    mask need, only the needed rows' edges are set, each as without the
+    mask: the needed rows are solved, with the partner of each that reuses.
     """
     n, p = table.shape
     turn = table.argmax(axis=1)
@@ -259,8 +263,11 @@ def _paired_edges(table: np.ndarray, rows: np.ndarray, is_left: np.ndarray) -> n
     same = np.abs(mine - theirs).max(axis=1) <= 8 * p * np.finfo(float).eps * (1.0 + reach)
     total = mine + theirs
     mirror = ~same & (total == total[:, :1]).all(axis=1)
-    solve = np.ones(len(rows), dtype=bool)
+    solve = np.ones(len(rows), dtype=bool) if need is None else need.copy()
+    same &= solve[dst]
+    mirror &= solve[dst]
     solve[dst[same | mirror]] = False
+    solve[src[same | mirror]] = True
     edges = _edges(rows, solve)
     edges[dst[same]] = edges[src[same]]
     edges[dst[mirror]] = total[mirror, :1] - edges[src[mirror], ::-1]
@@ -309,6 +316,22 @@ def orbit_bands(orbit: PeriodicOrbit, f: SamplingFunction,
     return [(label, potential_bands(pots, tol=tol)) for label, pots in orbit.sided_potentials(f)]
 
 
+def _merged(lo: np.ndarray, hi: np.ndarray, tol: float):
+    """The union of the bands [lo_i, hi_i], gaps <= MERGE_FACTOR * tol closed: sorted (lo, hi).
+
+    Its bands are the pieces of the union once every gap of at most
+    MERGE_FACTOR * tol is filled, so merging a union again with more bands
+    equals merging all the bands at once, bit for bit.
+    """
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    # sorted by lo, a band opens a new group when it starts beyond the reach
+    # of every band before it
+    reach = np.maximum.accumulate(hi)
+    first = np.flatnonzero(np.concatenate([[True], lo[1:] - reach[:-1] > MERGE_FACTOR * tol]))
+    return lo[first], np.maximum.reduceat(hi, first)
+
+
 def merge_bands(per_period, tol: float) -> SpectrumApprox:
     """Union of the bands of several PeriodBands, closing gaps up to MERGE_FACTOR * tol.
 
@@ -317,17 +340,47 @@ def merge_bands(per_period, tol: float) -> SpectrumApprox:
     """
     if tol <= 0.0:
         raise InvalidParameter("tol must be positive")
-    lo = np.concatenate([pb.edges[:, 0::2].ravel() for pb in per_period])
-    hi = np.concatenate([pb.edges[:, 1::2].ravel() for pb in per_period])
-    order = np.lexsort((hi, lo))
-    lo, hi = lo[order], hi[order]
-    # sorted by lo, a band opens a new group when it starts beyond the reach
-    # of every band before it
-    reach = np.maximum.accumulate(hi)
-    first = np.flatnonzero(np.concatenate([[True], lo[1:] - reach[:-1] > MERGE_FACTOR * tol]))
-    hi = np.maximum.reduceat(hi, first)
-    bands = [Band(a, b) for a, b in zip(lo[first].tolist(), hi.tolist())]
+    lo, hi = _merged(np.concatenate([pb.edges[:, 0::2].ravel() for pb in per_period]),
+                     np.concatenate([pb.edges[:, 1::2].ravel() for pb in per_period]), tol)
+    bands = [Band(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
     return SpectrumApprox(bands, max_period_used=per_period[-1].period, tol=tol)
+
+
+def _inside_union(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Which rows (n, p) have their spectrum certified inside one band [lo_k, hi_k] of a union.
+
+    k is the band that holds min v.  With the margin
+    m = 4 POLISH_MARGIN p eps (2 + max|v|), more than twice the engine's
+    edge error, let a = lo_k + m and b = hi_k - m.  The diagonal entries are
+    Rayleigh quotients, so a row whose min v < a or max v > b cannot pass
+    and is not tested further.  The p - 1 Dirichlet eigenvalues of sites
+    1 .. p-1 lie one in each closed gap (Teschl, Jacobi Operators and
+    Completely Integrable Nonlinear Lattices, AMS 2000, ch. 7), and disc
+    runs from (-1)^p 2 at the lowest edge to 2 at the highest, past +-2 in
+    every gap.  So no Dirichlet eigenvalue below a and (-1)^p disc(a) > 2
+    put a below every edge; all p - 1 below b and disc(b) > 2 put b above
+    every edge.  The row's computed edges then lie in [lo_k, hi_k], and
+    merging them into the union would change none of its bands.  A row
+    with non-finite values fails the comparisons.
+    """
+    n, p = rows.shape
+    inside = np.zeros(n, dtype=bool)
+    if not len(lo):
+        return inside
+    low, high = rows.min(axis=1), rows.max(axis=1)
+    # below the union, k = -1 reads the last band, whose lo is above min v too
+    k = np.searchsorted(lo, low, side="right") - 1
+    margin = 4 * POLISH_MARGIN * p * np.finfo(float).eps * (2.0 + np.maximum(-low, high))
+    a, b = lo[k] + margin, hi[k] - margin
+    test = np.flatnonzero((low >= a) & (high <= b))
+    if test.size:
+        E = np.stack([a[test], b[test]], axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            disc = _discriminant(rows[test], E)[0]
+        dirichlet = ids._sturm_counts(rows[test, 1:].T[:, :, None], E)
+        inside[test] = ((dirichlet == [0, p - 1]).all(axis=1)
+                        & ((-1) ** p * disc[:, 0] > 2.0) & (disc[:, 1] > 2.0))
+    return inside
 
 
 def union_spectrum(
@@ -343,8 +396,24 @@ def union_spectrum(
     so the union approximates the almost-sure spectrum from inside; for
     5 * chi_[0,1/2) the left limit at the fixed point 0 is the free potential
     and supplies the band [-2, 2] from period 1 on.
+
+    The union is merged period by period.  A row whose spectrum is
+    certified inside one band of the union so far (_inside_union) is not
+    solved, as its edges could change no band; the result equals
+    merge_bands(bands_by_period(f, max_period), tol) bit for bit.
     """
-    return merge_bands(bands_by_period(f, max_period), tol)
+    check_period(max_period)
+    if tol <= 0.0:
+        raise InvalidParameter("tol must be positive")
+    lo = hi = np.empty(0)
+    for p in range(1, max_period + 1):
+        table, rows, is_left = _sided_rows(f, p)
+        need = ~_inside_union(rows, lo, hi)
+        edges = _paired_edges(table, rows, is_left, need)[need]
+        lo, hi = _merged(np.concatenate([lo, edges[:, 0::2].ravel()]),
+                         np.concatenate([hi, edges[:, 1::2].ravel()]), tol)
+    bands = [Band(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+    return SpectrumApprox(bands, max_period_used=max_period, tol=tol)
 
 
 def gap_report(

@@ -39,6 +39,12 @@ class SvgCanvas:
             f'fill="{fill}"/>'
         )
 
+    def rects(self, x, y, w, h, fill):
+        """One rect per entry of the arrays x and w, all at y with height h."""
+        one = f'<rect x="%.2f" y="{_fmt(y)}" width="%.2f" height="{_fmt(h)}" fill="{fill}"/>'
+        values = np.stack([x, w], axis=1).ravel().tolist()
+        self.parts.append("\n".join([one] * len(x)) % tuple(values))
+
     def polyline(self, points, color="#1f3d99", width=1.2):
         pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
         self.parts.append(
@@ -71,7 +77,8 @@ def _axis(canvas, x0, x1, y, e_lo, e_hi, ticks=9):
 def band_diagram(per_period, merged, path):
     """Stacked band rows, one per period, with the merged union at the bottom.
 
-    per_period maps period -> list of Band; merged is a SpectrumApprox.
+    per_period maps period -> the arrays (lo, hi) of its merged bands;
+    merged is a SpectrumApprox.
     """
     periods = sorted(per_period)
     left, right, row_h, top = 60, 740, 22, 30
@@ -81,18 +88,17 @@ def band_diagram(per_period, merged, path):
     pad = 0.05 * (e_hi - e_lo) or 1.0
     e_lo, e_hi = e_lo - pad, e_hi + pad
 
-    def px(e):
-        return left + (e - e_lo) / (e_hi - e_lo) * (right - left)
+    def row(lo, hi, y, fill):  # px of each edge, the same float operations as a scalar's
+        x0, x1 = (left + (e - e_lo) / (e_hi - e_lo) * (right - left) for e in (lo, hi))
+        canvas.rects(x0, y, np.maximum(x1 - x0, 0.5), row_h - 8, fill)
 
-    for row, p in enumerate(periods):
-        y = top + row * row_h
+    for i, p in enumerate(periods):
+        y = top + i * row_h
         canvas.text(10, y + 10, f"p={p}", size=10)
-        for b in per_period[p]:
-            canvas.rect(px(b.lo), y, max(px(b.hi) - px(b.lo), 0.5), row_h - 8, fill="#4a6fce")
+        row(*per_period[p], y, "#4a6fce")
     y = top + (len(periods) + 1) * row_h
     canvas.text(10, y + 10, "union", size=10)
-    for b in merged.bands:
-        canvas.rect(px(b.lo), y, max(px(b.hi) - px(b.lo), 0.5), row_h - 8, fill="#163a7a")
+    row(*np.array([(b.lo, b.hi) for b in merged.bands]).T, y, "#163a7a")
     _axis(canvas, left, right, y + row_h + 6, e_lo, e_hi)
     canvas.write(path)
 

@@ -396,6 +396,17 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "trigpoly coefficients overflow" in err and "const 1e+308, cos [1e+308]" in err
 
+    @pytest.mark.parametrize("command", ["bands", "spectrum", "verify"])
+    def test_step_whose_spread_overflows(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, {"type": "step", "breaks": [0.0, 0.5],
+                                      "values": [1e308, -1e308], "command": {"max_period": 2}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli([command, "--config", cfg])
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert "step values overflow" in err and "values [1e+308, -1e+308]" in err
+
     @pytest.mark.parametrize("command", ["bands", "spectrum", "gaps"])
     def test_huge_coefficient_warns_nothing(self, tmp_path, capsys, command):
         # the polish's discriminant overflows at |v| near 1e300; the steps it

@@ -371,6 +371,17 @@ class TestFinite:
         with pytest.raises(InvalidParameter, match="finite"):
             Step(breaks, values)
 
+    @pytest.mark.parametrize("values", [
+        (1e308, -1e308), (0.0, 1e308, -1e308), (-1.7e308, 0.0, 1.7e308),
+    ])
+    def test_step_rejects_a_spread_that_overflows(self, values):
+        # every value is finite, but differences of f and of the band edges overflow
+        with pytest.raises(InvalidParameter, match=r"step values overflow.*e\+308"):
+            Step((0.0, 0.25, 0.5)[:len(values)], values)
+
+    def test_step_keeps_a_spread_that_is_finite(self):
+        assert Step((0.0, 0.5), (8e307, -8e307)).values == (8e307, -8e307)
+
 
 def _exact_orbit(x: Fraction, count: int):
     out = []

@@ -431,3 +431,105 @@ class TestLabels:
             assert np.array_equal(spectrum._sided_rows(f, p)[1], [pots for _, pots in sided])
             lefts |= {label for label in pb.labels if label.endswith("-")}
         assert lefts == ({"0/1-"} if f == bernoulli(5.0) else {"0/1-", "1/3-", "1/5-", "1/7-"})
+
+
+def _bits(s: SpectrumApprox):
+    return [(b.lo, b.hi) for b in s.bands], s.max_period_used
+
+
+def _orbit_breaks():
+    # orbit points too, so that left limits occur
+    return st.one_of(st.floats(0.01, 0.99),
+                     st.sampled_from([1 / 7, 1 / 5, 1 / 3, 3 / 7, 0.5, 2 / 3]))
+
+
+trigpolys = st.builds(
+    TrigPoly, st.floats(-3.0, 3.0), st.lists(st.floats(-3.0, 3.0), max_size=3).map(tuple),
+    st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3).map(tuple))
+steps = st.lists(_orbit_breaks(), max_size=3, unique=True).flatmap(lambda inner: st.builds(
+    Step, st.just((0.0, *sorted(inner))),
+    st.lists(st.floats(-5.0, 5.0), min_size=len(inner) + 1, max_size=len(inner) + 1).map(tuple)))
+
+
+class TestStreamedUnion:
+    # union_spectrum merges period by period and solves no row certified
+    # inside one band of the union so far; it must equal merging every
+    # row's edges, bit for bit
+    @given(f=st.one_of(trigpolys, steps), P=st.integers(1, 9), tol=st.sampled_from([1e-10, 0.02]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_merging_every_row(self, f, P, tol):
+        assert _bits(union_spectrum(f, P, tol)) == _bits(spectrum.merge_bands(
+            spectrum.bands_by_period(f, P), tol))
+
+    @pytest.mark.parametrize("f", [FREE, cosine(0.5), cosine(3.0), bernoulli(5.0),
+                                   TrigPoly(0.3, (1.0, 0.5), (0.7,))],
+                             ids=["free", "cos-0.5", "cos-3", "bernoulli-5", "sine-term"])
+    def test_equals_merging_every_row_at_period_twelve(self, f):
+        for tol in (1e-10, 0.02, 0.5):
+            assert _bits(union_spectrum(f, 12, tol)) == _bits(spectrum.merge_bands(
+                spectrum.bands_by_period(f, 12), tol))
+
+    @pytest.mark.parametrize("f", [cosine(3.0), TrigPoly(0.3, (1.0, 0.5), (0.7,))],
+                             ids=["cos-3", "sine-term"])
+    def test_certifying_every_row_fails(self, monkeypatch, f):
+        # negative control: skipping rows that are not inside the union shows.
+        # bernoulli(5) cannot serve: its union is [-2, 2] u [3, 7] to the bit
+        # from period 1 on, so no skipped row changes it
+        monkeypatch.setattr(spectrum, "_inside_union",
+                            lambda rows, lo, hi: np.full(len(rows), len(lo) > 0))
+        assert any(_bits(union_spectrum(f, P, tol)) != _bits(spectrum.merge_bands(
+            spectrum.bands_by_period(f, P), tol)) for P in range(2, 10) for tol in (1e-10, 0.02))
+
+    @pytest.mark.parametrize("f", [cosine(0.5), TrigPoly(0.3, (1.0, 0.5), (0.7,))],
+                             ids=["cos-0.5", "sine-term"])
+    def test_certified_rows_lie_inside_their_band(self, f):
+        certified = 0
+        for P in range(2, 11):
+            s = union_spectrum(f, P - 1)
+            lo, hi = (np.array(x) for x in zip(*_bits(s)[0]))
+            _, rows, _ = spectrum._sided_rows(f, P)
+            for v in rows[spectrum._inside_union(rows, lo, hi)]:
+                k = np.searchsorted(lo, v.min(), side="right") - 1
+                dense = eigen_band_oracle(v)
+                assert lo[k] <= dense[0][0] and dense[-1][1] <= hi[k], (P, v)
+                certified += 1
+        # of the 224 rows of periods 2 .. 10, all but the first few periods'
+        assert certified >= 200
+
+    def test_bands_below_min_v_are_not_certified(self):
+        # min v = -2 sits in the union's band, but two of the row's bands lie
+        # below it: there (-1)^p disc > 2 as below the spectrum, and only the
+        # Dirichlet count tells the gap above band 1 from the region below band 0
+        v = np.array([[-2.0, 2.1, -1.8, 3.3, 1.9]])
+        assert eigen_band_oracle(v[0])[0][1] < -2.0
+        lo, hi = np.array([-2.0 - 1e-9]), np.array([100.0])
+        assert (-1) ** 5 * spectrum._discriminant(v, lo[:, None] + 1e-9)[0][0, 0] > 2.0
+        assert not spectrum._inside_union(v, lo, hi)[0]
+        assert spectrum._inside_union(v, np.array([-3.0]), hi)[0]
+
+    @pytest.mark.parametrize("f", [cosine(3.0), bernoulli(5.0)], ids=["cos-3", "bernoulli-5"])
+    def test_needed_rows_get_their_edges_when_their_partner_is_not_needed(self, f):
+        # a needed row that reuses its conjugate's edges has them solved,
+        # whether or not the conjugate itself is needed
+        table, rows, is_left = spectrum._sided_rows(f, 8)
+        full = spectrum._paired_edges(table, rows, is_left)
+        for seed in range(4):
+            need = np.random.default_rng(seed).random(len(rows)) < 0.3
+            edges = spectrum._paired_edges(table, rows, is_left, need)
+            assert np.array_equal(edges[need], full[need])
+
+    def test_cosine_solves_only_the_first_periods(self, monkeypatch):
+        # the union of cosine(0.5) is [-2.5, 3] from period 2 on, and holds
+        # every later orbit's bands
+        solved = _solved_rows(monkeypatch)
+        union_spectrum(cosine(0.5), 12)
+        assert sum(solved) <= 4
+
+    def test_bernoulli_solves_every_row_bands_by_period_solves(self, monkeypatch):
+        # every row holds both 0 and 5, so no row lies in one band of [-2, 2] u [3, 7]
+        solved = _solved_rows(monkeypatch)
+        union_spectrum(bernoulli(5.0), 10)
+        streamed = list(solved)
+        solved.clear()
+        spectrum.bands_by_period(bernoulli(5.0), 10)
+        assert streamed == solved
