@@ -107,6 +107,41 @@ def _projective_distance(ang1, ang2):
     return np.minimum(da, np.pi - da)
 
 
+def _max_line_angle(x1, y1, x2, y2) -> float:
+    """The largest projective distance between the lines through (x1, y1) and (x2, y2),
+    taken elementwise: the arcsine of |x1 y2 - y1 x2| over the product of the norms."""
+    # in place, so that few arrays of the inputs' size are alive at once
+    sine2 = x1 * y2
+    sine2 -= y1 * x2
+    sine2 *= sine2
+    norms = x1 * x1
+    norms += y1 * y1
+    other = x2 * x2
+    other += y2 * y2
+    norms *= other
+    sine2 /= norms
+    return float(np.arcsin(np.sqrt(np.minimum(sine2.max(), 1.0))))
+
+
+def _rescale_interval(t) -> int:
+    """Steps between the power-of-two rescales of a transfer recursion with step entries t.
+
+    One step (u, w) <- (t u - w, u) grows the larger of |u|, |w| by at most
+    1 + |t| < 2 + max|t|, so rows that start below 1 stay under 2 ** 500, far
+    from overflow, for this many steps.  Non-finite entries rescale every step.
+    """
+    reach = max(np.max(t, initial=0.0), -np.min(t, initial=0.0))  # nan if t holds one
+    return max(1, int(500 // math.log2(2.0 + reach))) if reach < math.inf else 1
+
+
+def _pow2_rescaled(*rows):
+    """The 2-d arrays rows scaled, column by column, by the power of two 2 ** -e that
+    puts the column's largest |entry| in [0.5, 1), and e.  The scaling is exact, so
+    where a linear recursion is rescaled changes none of its bits."""
+    _, e = np.frexp(np.abs(np.concatenate(rows)).max(axis=0))
+    return [np.ldexp(r, -e) for r in rows], e
+
+
 def _stable_core(E, windows: np.ndarray, checkpoints=()):
     """Most-contracted directions of depth-step products, batched over rows.
 
@@ -114,8 +149,10 @@ def _stable_core(E, windows: np.ndarray, checkpoints=()):
     v_0 .. v_{depth-1} seen along the orbit piece starting at site b.  E is
     one energy, or K energies of shape (K, 1, 1), which take the rows once
     per energy, energy by energy, so the batch is K * rows.  The running
-    product is renormalized every step; its true largest singular value is
-    recovered from the accumulated log scale (det = 1 pins the smaller one).
+    product steps unscaled and is rescaled by exact powers of two every
+    _rescale_interval steps and before each checkpoint, so its bits do not
+    depend on the interval; its true largest singular value is recovered
+    from the summed exponents (det = 1 pins the smaller one).
     Returns unit vectors (batch, 2) spanning the directions, angles, log
     sigma_max, and per-checkpoint snapshots of (angles, log sigma_max) taken
     after the given numbers of steps.
@@ -123,15 +160,22 @@ def _stable_core(E, windows: np.ndarray, checkpoints=()):
     windows = np.asarray(windows, dtype=float)
     # row j holds E - v_j of every window
     steps = (E - windows).reshape(-1, windows.shape[1]).T
-    batch = steps.shape[1]
+    depth, batch = steps.shape
+    every = _rescale_interval(steps)
     # the running product [[a, b], [c, d]] as its rows (a, b) and (c, d)
     top = np.stack([np.ones(batch), np.zeros(batch)])
     bottom = top[::-1].copy()
-    logscale = np.zeros(batch)
+    exponent = np.zeros(batch, dtype=np.int64)
     snaps = {}
     want = set(checkpoints)
 
+    def rescale():
+        nonlocal top, bottom, exponent
+        (top, bottom), e = _pow2_rescaled(top, bottom)
+        exponent += e
+
     def current_state():
+        rescale()
         (a, b), (c, d) = top, bottom
         g11 = a * a + c * c
         g12 = a * b + c * d
@@ -150,20 +194,18 @@ def _stable_core(E, windows: np.ndarray, checkpoints=()):
         vec = vec / safe
         vec[norms[:, 0] == 0.0] = np.array([1.0, 0.0])
         angles = np.mod(np.arctan2(vec[:, 1], vec[:, 0]), np.pi)
-        log_smax = logscale + 0.5 * np.log(np.maximum(lmax, np.finfo(float).tiny))
+        log_smax = exponent * math.log(2.0) + 0.5 * np.log(np.maximum(lmax, np.finfo(float).tiny))
         return vec, angles, log_smax
 
     for j, t in enumerate(steps, 1):
         top, bottom = t * top - bottom, top
-        scale = np.maximum(*np.maximum(np.abs(top), np.abs(bottom)))
-        scale = np.where(scale > 0.0, scale, 1.0)
-        top, bottom = top / scale, bottom / scale
-        logscale += np.log(scale)
-        if j in want:
-            snaps[j] = current_state()[1:]
-
-    vec, angles, log_smax = current_state()
-    return vec, angles, log_smax, snaps
+        if j in want or j == depth:
+            state = current_state()
+            if j in want:
+                snaps[j] = state[1:]
+        elif j % every == 0:
+            rescale()
+    return (*state, snaps)
 
 
 def _degenerate_mask(log_smax):

@@ -20,7 +20,9 @@ import numpy as np
 from .cocycle import (
     DEPTH,
     Direction,
-    _projective_distance,
+    _max_line_angle,
+    _pow2_rescaled,
+    _rescale_interval,
     _stable_core,
     dichotomy_test,
     rotation_profile,
@@ -145,16 +147,40 @@ def _stable_sweep(E, pots: np.ndarray, depth: int):
     once per energy, energy by energy, into K * rows rows.  The last site's
     direction is the most contracted one of the depth steps from it
     (_stable_core); the sweep L_n = A_n^-1 L_{n+1} pulls it back to site 0,
-    so every site sees at least depth steps ahead.
+    so every site sees at least depth steps ahead.  With t_n = E - v_n it is
+    the three-term recurrence u_n = t_n u_{n+1} - u_{n+2}, (x_n, y_n) being
+    (u_{n+1}, u_n) normalized.  u is rescaled by exact powers of two every
+    _rescale_interval steps and normalized once at the end, so its bits do
+    not depend on the interval.
     """
-    t = (E - pots).reshape(-1, pots.shape[1]).T
-    x, y = np.empty((2, t.shape[0] - depth, t.shape[1]))
-    x[-1], y[-1] = _stable_core(E, pots[:, -depth - 1 : -1])[0].T
-    for n in range(len(x) - 2, -1, -1):
-        a, b = y[n + 1], t[n] * y[n + 1] - x[n + 1]
-        r = np.hypot(a, b)
-        x[n], y[n] = a / r, b / r
-    return x.T, y.T
+    # row n holds t_n of every row until the sweep puts u_n in its place
+    u = (E - pots).reshape(-1, pots.shape[1]).T
+    m = u.shape[0] - depth
+    every = _rescale_interval(u)
+    u[m], u[m - 1] = _stable_core(E, pots[:, -depth - 1 : -1])[0].T
+    # a rescale at n scales u_n, u_{n+1} by 2^-e but not u_{n+2}: site n + 1 is a seam
+    seams = []
+    for n in range(m - 2, -1, -1):
+        u[n] = u[n] * u[n + 1] - u[n + 2]
+        if (m - 1 - n) % every == 0:
+            (pair,), e = _pow2_rescaled(u[n:n + 2])
+            u[n:n + 2] = pair
+            seams.append((n + 1, e))
+    # (x, y) / sqrt(x^2 + y^2), whose bits power-of-two scalings do not change; a
+    # seam mixes two scales, which may under- or overflow here, and is redone below
+    x, y = u[1:m + 1], u[:m]
+    with np.errstate(all="ignore"):
+        r = x * x
+        r += y * y
+        np.sqrt(r, out=r)
+        unit_x = x / r
+        unit_y = np.divide(y, r, out=r)
+    if seams:
+        at = [n for n, _ in seams]
+        a, b = x[at], np.ldexp(y[at], np.array([e for _, e in seams]))
+        r = np.sqrt(a * a + b * b)
+        unit_x[at], unit_y[at] = a / r, b / r
+    return unit_x.T, unit_y.T
 
 
 def rotation_number(
@@ -170,13 +196,14 @@ def rotation_number(
     The stable directions of all omega samples come from one backward sweep
     (_stable_sweep), and each site's winding from its closed form
     (_winding_closed).  max_reanchor_residual bounds how closely the followed
-    directions reproduce the section: the invariance A_n L_n = L_{n+1} at
-    every site, and the windowed _stable_core directions at every
-    RESIDUAL_STRIDE-th site.  At those sites winding_oracle_dev compares the
-    closed form with the substep lift of _winding_core, whose substeps keep
-    every sub-increment below a quarter turn (|d angle / dt| <= 4 |E - v|).
-    An energy whose oracle would need more than ORACLE_ENTRIES substeps
-    fails with InvalidParameter.
+    directions reproduce the section, as the largest angle, from its sine
+    by a cross product, of the invariance A_n L_n = L_{n+1} at every site
+    and of the windowed _stable_core directions at every RESIDUAL_STRIDE-th
+    site.  At those sites winding_oracle_dev compares the closed form with
+    the substep lift of _winding_core, whose 64 (1 + floor(|E - v| / 16))
+    substeps at each site keep every sub-increment below a quarter turn
+    (|d angle / dt| <= 4 |E - v|).  An energy whose oracle would need more
+    than ORACLE_ENTRIES substeps at a site fails with InvalidParameter.
 
     E is one energy or a sequence of them.  A sequence shares one dichotomy
     pretest, one draw of the omega samples and one backward sweep per
@@ -225,19 +252,27 @@ def _estimate(E, pots, x, y, steps: int, depth: int, growth_rate: float) -> Rota
     deltas = _winding_closed(E, pots[:, :steps], x[:, :steps], y[:, :steps])
     values = deltas.sum(axis=1) / (PI * steps)
 
-    angles = np.arctan2(y, x)
-    images = np.arctan2(x[:, :-1], (E - pots[:, :steps]) * x[:, :-1] - y[:, :-1])
     sites = np.arange(0, steps, RESIDUAL_STRIDE)
-    windows = pots[:, sites[:, None] + np.arange(depth)].reshape(-1, depth)
-    residual = max(_projective_distance(images, angles[:, 1:]).max(),
-                   _projective_distance(angles[:, sites].ravel(), _stable_core(E, windows)[1]).max())
     v, xs, ys = (a[:, sites].ravel() for a in (pots, x, y))
-    reach = float(np.abs(E - v).max())
-    substeps = 64 * (1 + reach // 16)  # nan for an infinite reach
+    reach = np.abs(E - v)
+    substeps = 64 * (1 + float(reach.max()) // 16)  # nan for an infinite reach
     if not substeps <= ORACLE_ENTRIES:
-        raise InvalidParameter(f"E = {E}: max|E - v| = {reach:.3g} needs {substeps:.3g} winding "
-                               f"oracle substeps, more than {ORACLE_ENTRIES}")
-    oracle = _winding_core(E, v, xs, ys, int(substeps))
+        raise InvalidParameter(f"E = {E}: max|E - v| = {reach.max():.3g} needs {substeps:.3g} "
+                               f"winding oracle substeps, more than {ORACLE_ENTRIES}")
+    # each site takes its own substeps, one _winding_core pass per distinct count
+    budgets = 64 * (1 + reach // 16)
+    oracle = np.empty(len(v))
+    for budget in np.unique(budgets):
+        at = budgets == budget
+        oracle[at] = _winding_core(E, v[at], xs[at], ys[at], int(budget))
+
+    # the image A_n (x_n, y_n) = (t_n x_n - y_n, x_n) against (x_{n+1}, y_{n+1}) at every
+    # site, and the windowed directions at the strided sites
+    x0, y0 = x[:, :-1], y[:, :-1]
+    windows = pots[:, sites[:, None] + np.arange(depth)].reshape(-1, depth)
+    vec = _stable_core(E, windows)[0]
+    residual = max(_max_line_angle((E - pots[:, :steps]) * x0 - y0, x0, x[:, 1:], y[:, 1:]),
+                   _max_line_angle(xs, ys, vec[:, 0], vec[:, 1]))
     return RotationEstimate(
         value=float(values.mean()),
         stderr=float(values.std(ddof=1) / math.sqrt(omega_samples)) if omega_samples > 1 else 0.0,

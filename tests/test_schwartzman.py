@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,100 @@ class TestStableSweep:
         monkeypatch.setattr(schwartzman, "_stable_sweep", steep)
         est = rotation_number(FREE, 100.0, omega_samples=2, steps=200, seed=0)
         assert est.diagnostics["winding_oracle_dev"] < 1e-12
+
+    def test_each_oracle_site_takes_its_own_substeps(self, monkeypatch):
+        # |30 - v| runs over [27, 33] on cosine(3.0): 128 substeps below 32, 192 from 32 on
+        core = schwartzman._winding_core
+        calls = []
+
+        def spy(E, pots, x, y, substeps):
+            calls.append((np.asarray(pots), substeps))
+            return core(E, pots, x, y, substeps)
+
+        monkeypatch.setattr(schwartzman, "_winding_core", spy)
+        est = rotation_number(cosine(3.0), 30.0, omega_samples=4, steps=300)
+        assert sorted(substeps for _, substeps in calls) == [128, 192]
+        v = np.concatenate([pots for pots, _ in calls])
+        assert len(v) == 4 * 5  # sites 0, 64, .., 256 of each sample
+        assert sum(len(pots) * substeps for pots, substeps in calls) == np.sum(
+            64 * (1 + np.abs(30.0 - v) // 16))
+        for pots, substeps in calls:
+            assert (64 * (1 + np.abs(30.0 - pots) // 16) == substeps).all()
+        assert est.diagnostics["winding_oracle_dev"] < 1e-9
+
+
+#: functions with energies outside and inside their spectra, and far outside
+RESCALE_CASES = [(FREE, (3.0, -2.5, 0.5, 1e6)), (cosine(0.5), (3.5, -3.0, 0.3, 1e6)),
+                 (cosine(3.0), (0.323, 9.0, 1.0, -40.0)), (bernoulli(5.0), (2.5, 7.5, 1.0, 60.0))]
+RESCALE_IDS = ["free", "cos-0.5", "cos-3", "bernoulli-5"]
+
+
+def _core_bits(E, windows):
+    vec, angles, log_smax, snaps = _stable_core(E, windows, checkpoints=(15, 100, 200))
+    return [a.tobytes() for a in (vec, angles, log_smax)] + [
+        (k, a.tobytes(), b.tobytes()) for k, (a, b) in sorted(snaps.items())]
+
+
+class TestRescaledRecursions:
+    # _stable_core and _stable_sweep step their recursions unscaled and
+    # rescale them by exact powers of two every _rescale_interval steps, so
+    # the interval changes no bit
+
+    @pytest.mark.parametrize("f, energies", RESCALE_CASES, ids=RESCALE_IDS)
+    def test_the_rescale_interval_changes_no_bit(self, monkeypatch, f, energies):
+        rng = np.random.default_rng(12)
+        pots = np.stack([f(random_orbit(rng, 361)) for _ in range(3)])
+        batch = np.array(energies)[:, None, None]
+        assert cocycle._rescale_interval(batch - pots) > 1
+
+        def run():
+            return [_core_bits(E, pots[:, :200]) + [a.tobytes() for a in _stable_sweep(E, pots, 60)]
+                    for E in (*energies, batch)]
+
+        default = run()
+        monkeypatch.setattr(cocycle, "_rescale_interval", lambda t: 1)
+        monkeypatch.setattr(schwartzman, "_rescale_interval", lambda t: 1)
+        assert run() == default
+
+    @pytest.mark.parametrize("f, energies", RESCALE_CASES, ids=RESCALE_IDS)
+    def test_stable_core_matches_the_svd_of_the_product(self, f, energies):
+        # the two energies outside the spectrum, and 1e12, which rescales once within the 20 steps
+        rng = np.random.default_rng(13)
+        pots = np.stack([f(random_orbit(rng, 20)) for _ in range(4)])
+        for E in (*energies[:2], 1e12):
+            vec, _, log_smax, _ = _stable_core(E, pots)
+            for row, (x, y), log_s in zip(pots, vec, log_smax):
+                product = np.eye(2)
+                for v in row:
+                    product = cocycle.step_matrix(E, v) @ product
+                _, s, vh = np.linalg.svd(product)
+                assert log_s == pytest.approx(math.log(s[0]), abs=1e-12)
+                # the sine of the angle to the most contracted right singular vector
+                assert abs(x * vh[1, 1] - y * vh[1, 0]) < 1e-12
+
+    def test_a_large_energy_raises_no_warning(self):
+        rng = np.random.default_rng(14)
+        pots = np.stack([FREE(random_orbit(rng, 300)) for _ in range(2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for E in (1e6, 1e200):
+                x, y = _stable_sweep(E, pots, 60)
+                assert np.allclose(np.hypot(x, y), 1.0, rtol=0, atol=1e-15)
+                assert cocycle.dichotomy_test(FREE, E, sample_count=20).is_hyperbolic
+            # 1e6 needs more winding oracle substeps than ORACLE_ENTRIES
+            with pytest.raises(InvalidParameter, match="winding oracle substeps"):
+                rotation_number(FREE, 1e6, omega_samples=2, steps=100, seed=1)
+
+    @given(angle=st.floats(-10.0, 10.0), turn=st.floats(-1.0, 1.0),
+           r1=st.floats(-1e3, 1e3).filter(lambda r: abs(r) > 1e-3),
+           r2=st.floats(-1e3, 1e3).filter(lambda r: abs(r) > 1e-3))
+    @settings(max_examples=300, deadline=None)
+    def test_max_line_angle_is_the_projective_distance(self, angle, turn, r1, r2):
+        # the lines through (x1, y1) and (x2, y2) whatever the lengths and signs
+        x1, y1 = r1 * math.cos(angle), r1 * math.sin(angle)
+        x2, y2 = r2 * math.cos(angle + turn), r2 * math.sin(angle + turn)
+        line_angle = cocycle._max_line_angle(*(np.array([c]) for c in (x1, y1, x2, y2)))
+        assert line_angle == pytest.approx(float(_projective_distance(angle, angle + turn)), abs=1e-12)
 
 
 def _rotation_or_error(f, E, **kwargs):

@@ -507,6 +507,25 @@ class TestStreamedUnion:
         assert not spectrum._inside_union(v, lo, hi)[0]
         assert spectrum._inside_union(v, np.array([-3.0]), hi)[0]
 
+    def test_a_row_whose_edge_is_a_union_edge_is_solved(self):
+        # f sees (b, a) on the period-2 orbit and (a, b, a, b) on the orbit of
+        # 3/15: the same potential twice over, so in exact arithmetic its
+        # lowest edge is the union's lowest edge after period 3.  The rounded
+        # union edge sits within the margin m of the true edge; without m this
+        # row is certified and its rounded edge falls just below the union's.
+        # (a, b) is one of the 12 in 1,500 random draws that show it.
+        a, b = 0.2888725384110351, -0.123604435287746
+        f = Step((0.0, 0.3, 0.65), (a, b, a))
+        lo, hi = (np.array(x) for x in zip(*_bits(union_spectrum(f, 3))[0]))
+        _, rows, _ = spectrum._sided_rows(f, 4)
+        [doubled] = np.flatnonzero((rows == [a, b, a, b]).all(axis=1))
+        s, d = (a + b) / 2, (a - b) / 2
+        margin = 4 * spectrum.POLISH_MARGIN * 4 * np.finfo(float).eps * (2.0 + a)
+        assert abs(lo[0] - (s - np.hypot(d, 2.0))) < margin
+        assert not spectrum._inside_union(rows, lo, hi)[doubled]
+        assert _bits(union_spectrum(f, 4)) == _bits(spectrum.merge_bands(
+            spectrum.bands_by_period(f, 4), spectrum.TOL))
+
     @pytest.mark.parametrize("f", [cosine(3.0), bernoulli(5.0)], ids=["cos-3", "bernoulli-5"])
     def test_needed_rows_get_their_edges_when_their_partner_is_not_needed(self, f):
         # a needed row that reuses its conjugate's edges has them solved,
