@@ -196,9 +196,9 @@ def rotation_number(
     The stable directions of all omega samples come from one backward sweep
     (_stable_sweep), and each site's winding from its closed form
     (_winding_closed).  max_reanchor_residual bounds how closely the followed
-    directions reproduce the section, as the largest angle, from its sine
-    by a cross product, of the invariance A_n L_n = L_{n+1} at every site
-    and of the windowed _stable_core directions at every RESIDUAL_STRIDE-th
+    directions reproduce the section: the largest angle, as the arcsine of
+    a cross product, of the invariance A_n L_n = L_{n+1} at every site and
+    of the windowed _stable_core directions at every RESIDUAL_STRIDE-th
     site.  At those sites winding_oracle_dev compares the closed form with
     the substep lift of _winding_core, whose 64 (1 + floor(|E - v| / 16))
     substeps at each site keep every sub-increment below a quarter turn
