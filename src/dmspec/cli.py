@@ -140,8 +140,8 @@ def cmd_bands(args) -> int:
         return "".join([head[:-2], ',\n  "orbits": ', _orbits_json(per_period, tol), "\n}"])
 
     rows = itertools.chain(_orbit_rows(per_period, tol),
-                           (["merged", max_period, "", i, _fmt(b.lo), _fmt(b.hi)]
-                            for i, b in enumerate(merged.bands)))
+                           (["merged", max_period, "", i, _fmt(a), _fmt(b)]
+                            for i, (a, b) in enumerate(zip(merged.lo.tolist(), merged.hi.tolist()))))
     _emit(args, document, rows, ["source", "period", "point", "band_index", "lo", "hi"])
     if args.plot:
         rows_by_period = {pb.period: spectrum._merged(pb.edges[:, 0::2].ravel(),
@@ -154,7 +154,7 @@ def cmd_bands(args) -> int:
 def cmd_spectrum(args) -> int:
     f, params = _load_config(args)
     s = spectrum.union_spectrum(f, params.max_period)
-    rows = [[i, _fmt(b.lo), _fmt(b.hi)] for i, b in enumerate(s.bands)]
+    rows = [[i, _fmt(a), _fmt(b)] for i, (a, b) in enumerate(zip(s.lo.tolist(), s.hi.tolist()))]
     payload = s.to_json()
     payload["hull"] = list(s.hull)
     payload["gaps"] = [list(g) for g in s.gaps]
@@ -191,7 +191,7 @@ def cmd_ids(args) -> int:
     payload["tolerance"] = table.tolerance
     _emit(args, payload, rows, ["E", "k"])
     if args.plot:
-        svgplot.ids_staircase(table, s.bands, args.plot)
+        svgplot.ids_staircase(table, s, args.plot)
     return 0
 
 

@@ -20,8 +20,8 @@ from .errors import DegenerateSingularValues, InvalidParameter
 from .sampling import SamplingFunction, forward_orbit, random_orbits
 from .spectrum import _discriminant, _sided_rows
 
-#: the default depth of the stable-direction products of dichotomy_test and
-#: rotation_number, and the depth of verify's digit check
+#: the default depth of the stable-direction products of dichotomy_test, and
+#: the depth of rotation_number's and of verify's digit check
 DEPTH = 60
 #: singular values closer than this admit no contracted direction
 DEGENERACY_GAP = 1e-9

@@ -189,7 +189,6 @@ def rotation_number(
     omega_samples: int = 32,
     steps: int = 2000,
     seed: int = 0,
-    depth: int = DEPTH,
 ) -> RotationEstimate | list[RotationEstimate | DmspecError]:
     """Winding rate of the stable section along random forward orbits.
 
@@ -216,7 +215,7 @@ def rotation_number(
     if steps < 1 or omega_samples < 1:
         raise InvalidParameter("steps and omega_samples must be >= 1")
     energies = np.ravel(np.asarray(E, dtype=float))
-    reports = dichotomy_test(f, energies, depth=depth, seed=seed)
+    reports = dichotomy_test(f, energies, depth=DEPTH, seed=seed)
     failures = [None if report.is_hyperbolic else (
         f"E = {float(e)} failed the dichotomy pretest "
         f"(diagnostics: {report.diagnostics}); the stable section and its "
@@ -227,17 +226,17 @@ def rotation_number(
     out = [failure and NotHyperbolic(failure) for failure in failures]
     hyperbolic = [i for i, failure in enumerate(failures) if failure is None]
     if hyperbolic:
-        pots = spawned_potentials(f, seed, omega_samples, steps + depth + 1)
+        pots = spawned_potentials(f, seed, omega_samples, steps + DEPTH + 1)
         # one block of omega_samples rows per hyperbolic energy, at most
         # SWEEP_ROWS rows a sweep
         per_sweep = max(1, SWEEP_ROWS // omega_samples)
         for start in range(0, len(hyperbolic), per_sweep):
             chunk = hyperbolic[start:start + per_sweep]
-            x, y = _stable_sweep(energies[chunk][:, None, None], pots, depth)
+            x, y = _stable_sweep(energies[chunk][:, None, None], pots, DEPTH)
             for j, i in enumerate(chunk):
                 block = slice(omega_samples * j, omega_samples * (j + 1))
                 try:
-                    out[i] = _estimate(energies[i], pots, x[block], y[block], steps, depth,
+                    out[i] = _estimate(energies[i], pots, x[block], y[block], steps, DEPTH,
                                        reports[i].growth_rate)
                 except DmspecError as exc:
                     if np.ndim(E) == 0:

@@ -49,32 +49,37 @@ class Band:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def covers(self, x: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= x <= self.hi + slack
-
 
 @dataclass
 class SpectrumApprox:
-    """Sorted disjoint bands with derived gap structure."""
+    """A band union as the sorted arrays of its band edges: band k is [lo[k], hi[k]]."""
 
-    bands: list[Band]
+    lo: np.ndarray
+    hi: np.ndarray
     max_period_used: int
     tol: float = TOL
 
     def __post_init__(self):
-        self.bands = sorted(self.bands, key=lambda b: b.lo)
-        for prev, nxt in zip(self.bands, self.bands[1:]):
-            if prev.hi >= nxt.lo:
-                raise InvalidParameter("bands must be disjoint after merging")
+        self.lo, self.hi = np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
+        if self.lo.ndim != 1 or self.lo.shape != self.hi.shape or not len(self.lo):
+            raise InvalidParameter("a band union needs 1-D lo and hi of one nonzero length")
+        if (self.lo > self.hi).any():
+            raise InvalidParameter("every band needs lo <= hi")
+        if (self.hi[:-1] >= self.lo[1:]).any():
+            raise InvalidParameter("bands must be sorted and disjoint after merging")
+
+    @property
+    def bands(self) -> list[Band]:
+        return [Band(a, b) for a, b in zip(self.lo.tolist(), self.hi.tolist())]
 
     @property
     def hull(self) -> tuple[float, float]:
-        return (self.bands[0].lo, self.bands[-1].hi)
+        return (self.lo[0].item(), self.hi[-1].item())
 
     @property
     def gaps(self) -> list[tuple[float, float]]:
         """All open intervals between consecutive bands."""
-        return [(a.hi, b.lo) for a, b in zip(self.bands, self.bands[1:])]
+        return list(zip(self.hi[:-1].tolist(), self.lo[1:].tolist()))
 
     @property
     def resolution(self) -> float:
@@ -82,11 +87,11 @@ class SpectrumApprox:
         return RESOLUTION_FACTOR * self.tol
 
     def covers(self, x: float, slack: float = 0.0) -> bool:
-        return any(b.covers(x, slack) for b in self.bands)
+        return bool(((self.lo - slack <= x) & (x <= self.hi + slack)).any())
 
     def to_json(self) -> dict:
         return {
-            "bands": [[b.lo, b.hi] for b in self.bands],
+            "bands": np.stack([self.lo, self.hi], axis=1).tolist(),
             "max_period_used": self.max_period_used,
             "tol": self.tol,
         }
@@ -342,8 +347,7 @@ def merge_bands(per_period, tol: float) -> SpectrumApprox:
         raise InvalidParameter("tol must be positive")
     lo, hi = _merged(np.concatenate([pb.edges[:, 0::2].ravel() for pb in per_period]),
                      np.concatenate([pb.edges[:, 1::2].ravel() for pb in per_period]), tol)
-    bands = [Band(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
-    return SpectrumApprox(bands, max_period_used=per_period[-1].period, tol=tol)
+    return SpectrumApprox(lo, hi, max_period_used=per_period[-1].period, tol=tol)
 
 
 def _inside_union(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -412,8 +416,7 @@ def union_spectrum(
         edges = _paired_edges(table, rows, is_left, need)[need]
         lo, hi = _merged(np.concatenate([lo, edges[:, 0::2].ravel()]),
                          np.concatenate([hi, edges[:, 1::2].ravel()]), tol)
-    bands = [Band(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
-    return SpectrumApprox(bands, max_period_used=max_period, tol=tol)
+    return SpectrumApprox(lo, hi, max_period_used=max_period, tol=tol)
 
 
 def gap_report(

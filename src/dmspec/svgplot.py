@@ -33,12 +33,6 @@ class SvgCanvas:
             f'stroke="{color}" stroke-width="{width}"/>'
         )
 
-    def rect(self, x, y, w, h, fill="#dddddd"):
-        self.parts.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" '
-            f'fill="{fill}"/>'
-        )
-
     def rects(self, x, y, w, h, fill):
         """One rect per entry of the arrays x and w, all at y with height h."""
         one = f'<rect x="%.2f" y="{_fmt(y)}" width="%.2f" height="{_fmt(h)}" fill="{fill}"/>'
@@ -98,13 +92,13 @@ def band_diagram(per_period, merged, path):
         row(*per_period[p], y, "#4a6fce")
     y = top + (len(periods) + 1) * row_h
     canvas.text(10, y + 10, "union", size=10)
-    row(*np.array([(b.lo, b.hi) for b in merged.bands]).T, y, "#163a7a")
+    row(merged.lo, merged.hi, y, "#163a7a")
     _axis(canvas, left, right, y + row_h + 6, e_lo, e_hi)
     canvas.write(path)
 
 
-def ids_staircase(table, bands, path):
-    """k(E) polyline over the energy axis with the band union shaded."""
+def ids_staircase(table, merged, path):
+    """k(E) polyline over the energy axis, shaded over the bands of merged, a SpectrumApprox."""
     left, right, top, bottom = 60, 740, 30, 330
     canvas = SvgCanvas(800, 380)
     e_lo, e_hi = float(table.energies[0]), float(table.energies[-1])
@@ -115,8 +109,8 @@ def ids_staircase(table, bands, path):
     def py(k):
         return bottom - k * (bottom - top)
 
-    for b in bands:
-        canvas.rect(px(b.lo), top, max(px(b.hi) - px(b.lo), 0.5), bottom - top, fill="#e3e9f7")
+    x0, x1 = px(merged.lo), px(merged.hi)
+    canvas.rects(x0, top, np.maximum(x1 - x0, 0.5), bottom - top, "#e3e9f7")
     for frac in (0.0, 0.5, 1.0):
         canvas.line(left, py(frac), right, py(frac), color="#cccccc", width=0.6)
         canvas.text(20, py(frac) + 4, f"{frac:.1f}", size=9)

@@ -97,11 +97,7 @@ def covers_interval(s: spectrum.SpectrumApprox, lo: float, hi: float, tol: float
     """Every point of [lo, hi] lies within tol of the band union."""
     if lo < s.hull[0] - tol or hi > s.hull[1] + tol:
         return False
-    for g0, g1 in s.gaps:
-        a, b = max(g0, lo), min(g1, hi)
-        if b - a > 2.0 * tol:
-            return False
-    return True
+    return not (np.minimum(s.lo[1:], hi) - np.maximum(s.hi[:-1], lo) > 2.0 * tol).any()
 
 
 def _check(name: str, fn) -> dict:
@@ -259,7 +255,8 @@ def check_band_edge_oracle(f: SamplingFunction, per_period) -> dict:
                 return False, fault
             worst = max(worst, error)
         closed = _period_one_closed_form(f)
-        union = [(b.lo, b.hi) for b in spectrum.merge_bands(per_period[:1], spectrum.TOL).bands]
+        one = spectrum.merge_bands(per_period[:1], spectrum.TOL)
+        union = list(zip(one.lo.tolist(), one.hi.tolist()))
         if len(union) != len(closed):
             return False, f"period-1 union {union} vs closed form {closed}"
         closed_dev = max(abs(a - b) for u, c in zip(union, closed) for a, b in zip(u, c))
@@ -420,7 +417,7 @@ def check_disconnection(f: SamplingFunction, per_period, params: Params) -> dict
         coarse = spectrum.merge_bands(per_period[:params.max_period], COARSE_TOL)
         # gaps surviving the coarse merge are genuine at that scale; the
         # below-resolution filter of gap_report is meant for fine tolerances
-        if len(coarse.bands) < 2:
+        if len(coarse.lo) < 2:
             return False, f"no interior gap found at max_period={params.max_period}"
         g0, g1 = max(coarse.gaps, key=lambda g: g[1] - g[0])
         width = g1 - g0
@@ -433,7 +430,7 @@ def check_disconnection(f: SamplingFunction, per_period, params: Params) -> dict
         verdict = schwartzman.integrality_check(est)
         consistent = abs(est.value - (1.0 - label)) < 0.03
         return consistent and not fault, (
-            f"{len(coarse.bands)} bands, top gap ({g0:.3f}, {g1:.3f}), "
+            f"{len(coarse.lo)} bands, top gap ({g0:.3f}, {g1:.3f}), "
             f"label {label:.4f}, rotation {est.value:.4f} -> {verdict.verdict.value}{fault}"
         )
 

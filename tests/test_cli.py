@@ -131,6 +131,35 @@ class TestSpectrumAndGaps:
         assert payload["bands"][0] == pytest.approx([-2.0, 2.0], abs=1e-8)
 
 
+class TestFigureUnionRows:
+    # spectrum's union row and ids's shading draw one rect per band of the
+    # spectrum payload, at the pixels of its edges
+    CONFIG = str(CONFIGS / "bernoulli-five.json")
+
+    @pytest.mark.parametrize("command, fill", [("spectrum", "#163a7a"), ("ids", "#e3e9f7")])
+    def test_one_rect_per_band_at_its_pixels(self, tmp_path, command, fill):
+        _, out = run_cli(["spectrum", "--config", self.CONFIG, "--format", "json"])
+        union = json.loads(out)
+        plot = tmp_path / "figure.svg"
+        code, out = run_cli([command, "--config", self.CONFIG, "--plot", str(plot)])
+        assert code == 0
+        if command == "spectrum":
+            e_lo, e_hi = union["hull"]
+            pad = 0.05 * (e_hi - e_lo) or 1.0
+            e_lo, e_hi = e_lo - pad, e_hi + pad
+        else:
+            energies = json.loads(out)["energies"]
+            e_lo, e_hi = energies[0], energies[-1]
+
+        def px(e):
+            return 60 + (e - e_lo) / (e_hi - e_lo) * (740 - 60)
+
+        rects = [r for r in ET.parse(plot).getroot().iter("{http://www.w3.org/2000/svg}rect")
+                 if r.get("fill") == fill]
+        assert [(r.get("x"), r.get("width")) for r in rects] == [
+            (f"{px(lo):.2f}", f"{max(px(hi) - px(lo), 0.5):.2f}") for lo, hi in union["bands"]]
+
+
 class TestIds:
     def test_table_and_plot(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -23,7 +23,9 @@ from dmspec import (
     union_spectrum,
 )
 from dmspec import spectrum
+from dmspec.errors import InvalidParameter
 from dmspec.spectrum import RESOLUTION_FACTOR, orbit_bands, period_bands, potential_bands
+from dmspec.verify import covers_interval
 
 FREE = TrigPoly()
 
@@ -285,30 +287,86 @@ class TestUnionProperty:
 
 class TestGapReport:
     def test_single_band_no_gaps(self):
-        s = SpectrumApprox(bands=[Band(-2.0, 2.0)], max_period_used=3)
+        s = SpectrumApprox(np.array([-2.0]), np.array([2.0]), max_period_used=3)
         assert gap_report(s) == []
 
     def test_two_bands(self):
-        s = SpectrumApprox(bands=[Band(-2.0, 2.0), Band(3.0, 7.0)], max_period_used=1)
+        s = SpectrumApprox(np.array([-2.0, 3.0]), np.array([2.0, 7.0]), max_period_used=1)
         assert gap_report(s) == [((2.0, 3.0), 1.0)]
 
     def test_sorted_by_length(self):
-        s = SpectrumApprox(
-            bands=[Band(0.0, 1.0), Band(1.5, 2.0), Band(4.0, 5.0)], max_period_used=1
-        )
+        s = SpectrumApprox(np.array([0.0, 1.5, 4.0]), np.array([1.0, 2.0, 5.0]), max_period_used=1)
         report = gap_report(s)
         assert report[0] == ((2.0, 4.0), 2.0)
         assert report[1] == ((1.0, 1.5), 0.5)
 
     def test_below_resolution_filtered(self):
         tiny = 5e-9  # below resolution for tol = 1e-10
-        s = SpectrumApprox(
-            bands=[Band(0.0, 1.0), Band(1.0 + tiny, 2.0)], max_period_used=1, tol=1e-10
-        )
+        s = SpectrumApprox(np.array([0.0, 1.0 + tiny]), np.array([1.0, 2.0]), max_period_used=1,
+                           tol=1e-10)
         assert gap_report(s) == []
         [(gap, width)] = gap_report(s, include_below_resolution=True)
         assert gap == (1.0, 1.0 + tiny)
         assert width == pytest.approx(tiny, rel=1e-6)
+
+
+class TestSpectrumApproxValidation:
+    @pytest.mark.parametrize("lo, hi", [
+        ([0.0, 3.0], [1.0, 2.0]),
+        ([0.0, 1.0], [2.0, 3.0]),
+        ([0.0, 1.0], [1.0, 2.0]),
+        ([3.0, 0.0], [4.0, 1.0]),
+        ([0.0, 3.0], [1.0]),
+        ([], []),
+    ], ids=["lo-above-hi", "overlapping", "touching", "unsorted", "mismatched-lengths", "empty"])
+    def test_constructor_rejects(self, lo, hi):
+        with pytest.raises(InvalidParameter):
+            SpectrumApprox(np.array(lo), np.array(hi), max_period_used=1)
+
+
+def _covers_loop(bands, x, slack):
+    """SpectrumApprox.covers as one Band at a time."""
+    return any(lo - slack <= x <= hi + slack for lo, hi in bands)
+
+
+def _covers_interval_loop(bands, lo, hi, tol):
+    """verify.covers_interval as one gap at a time."""
+    if lo < bands[0][0] - tol or hi > bands[-1][1] + tol:
+        return False
+    for (_, g0), (g1, _) in zip(bands, bands[1:]):
+        a, b = max(g0, lo), min(g1, hi)
+        if b - a > 2.0 * tol:
+            return False
+    return True
+
+
+# quarter steps make edges, points and slacks coincide often
+_grid = st.integers(-40, 40).map(lambda k: k / 4)
+_point = st.one_of(_grid, st.floats(-10.0, 10.0))
+_margin = st.one_of(st.integers(0, 8).map(lambda k: k / 4), st.floats(0.0, 2.0))
+
+
+class TestSpectrumApproxProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(start=_grid, widths=st.lists(st.integers(-1, 6), min_size=1, max_size=5),
+           steps=st.lists(st.integers(-2, 4), min_size=4, max_size=4),
+           x=_point, slack=_margin, lo=_point, hi=_point, tol=_margin)
+    def test_matches_the_band_loops(self, start, widths, steps, x, slack, lo, hi, tol):
+        # band k is [a_k, a_k + widths[k] / 4], band k + 1 starts steps[k] / 4 past it
+        offsets = np.add(widths[:-1], steps[:len(widths) - 1])
+        a = start + np.concatenate([[0], np.cumsum(offsets)]) / 4
+        b = a + np.array(widths) / 4
+        bands = list(zip(a.tolist(), b.tolist()))
+        disjoint = all(p <= q for p, q in bands) and all(
+            prev[1] < nxt[0] for prev, nxt in zip(bands, bands[1:]))
+        if not disjoint:
+            with pytest.raises(InvalidParameter):
+                SpectrumApprox(a, b, max_period_used=1)
+            return
+        s = SpectrumApprox(a, b, max_period_used=1)
+        assert s.covers(x, slack) == _covers_loop(bands, x, slack)
+        lo, hi = min(lo, hi), max(lo, hi)
+        assert covers_interval(s, lo, hi, tol) == _covers_interval_loop(bands, lo, hi, tol)
 
 
 class TestDichotomySpectrumConsistency:
