@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import PeriodicOrbit
 from .errors import DegenerateSingularValues, InvalidParameter
-from .sampling import SamplingFunction, forward_orbit, random_orbits
+from .sampling import SamplingFunction, _finite_energies, forward_orbit, random_orbits
 from .spectrum import _discriminant, _sided_rows
 
 #: the default depth of the stable-direction products of dichotomy_test, and
@@ -31,7 +31,7 @@ DIRECTION_CONV_TOL = 1e-8
 #: exp(-rate * depth); 1e-5 at DEPTH resolves rates down to about 0.2 (the
 #: free case at |E| = 2.05) while leaving in-band energies undetected
 DICHOTOMY_CONV_TOL = 1e-5
-#: dichotomy_test's bound on the invariance residual of A(w) L(w) against L(T w)
+#: dichotomy_test's bound on the invariance residual of L(w) against A(w)^-1 L(T w)
 INVARIANCE_TOL = 1e-6
 #: the smallest norm-growth exponent dichotomy_test accepts as hyperbolic
 RATE_FLOOR = 1e-3
@@ -99,17 +99,13 @@ class Direction:
 
     def distance(self, other: "Direction") -> float:
         """Projective distance min(|da|, pi - |da|)."""
-        return float(_projective_distance(self.angle, other.angle))
+        da = abs(self.angle - other.angle)
+        return min(da, math.pi - da)
 
 
-def _projective_distance(ang1, ang2):
-    da = np.abs(np.asarray(ang1) - np.asarray(ang2)) % np.pi
-    return np.minimum(da, np.pi - da)
-
-
-def _max_line_angle(x1, y1, x2, y2) -> float:
-    """The largest projective distance between the lines through (x1, y1) and (x2, y2),
-    taken elementwise: the arcsine of |x1 y2 - y1 x2| over the product of the norms."""
+def _line_angle(x1, y1, x2, y2) -> np.ndarray:
+    """The angle in [0, pi/2] between the lines through (x1, y1) and (x2, y2), elementwise
+    over arrays: the arcsine of |x1 y2 - y1 x2| over the product of the norms."""
     # in place, so that few arrays of the inputs' size are alive at once
     sine2 = x1 * y2
     sine2 -= y1 * x2
@@ -120,7 +116,8 @@ def _max_line_angle(x1, y1, x2, y2) -> float:
     other += y2 * y2
     norms *= other
     sine2 /= norms
-    return float(np.arcsin(np.sqrt(np.minimum(sine2.max(), 1.0))))
+    np.minimum(sine2, 1.0, out=sine2)
+    return np.arcsin(np.sqrt(sine2, out=sine2), out=sine2)
 
 
 def _rescale_interval(t) -> int:
@@ -153,9 +150,9 @@ def _stable_core(E, windows: np.ndarray, checkpoints=()):
     _rescale_interval steps and before each checkpoint, so its bits do not
     depend on the interval; its true largest singular value is recovered
     from the summed exponents (det = 1 pins the smaller one).
-    Returns unit vectors (batch, 2) spanning the directions, angles, log
-    sigma_max, and per-checkpoint snapshots of (angles, log sigma_max) taken
-    after the given numbers of steps.
+    Returns unit vectors (batch, 2) spanning the directions, log sigma_max,
+    and per-checkpoint snapshots of (unit vectors, log sigma_max) taken after
+    the given numbers of steps.
     """
     windows = np.asarray(windows, dtype=float)
     # row j holds E - v_j of every window
@@ -193,16 +190,15 @@ def _stable_core(E, windows: np.ndarray, checkpoints=()):
         safe = np.where(norms > 0.0, norms, 1.0)
         vec = vec / safe
         vec[norms[:, 0] == 0.0] = np.array([1.0, 0.0])
-        angles = np.mod(np.arctan2(vec[:, 1], vec[:, 0]), np.pi)
         log_smax = exponent * math.log(2.0) + 0.5 * np.log(np.maximum(lmax, np.finfo(float).tiny))
-        return vec, angles, log_smax
+        return vec, log_smax
 
     for j, t in enumerate(steps, 1):
         top, bottom = t * top - bottom, top
         if j in want or j == depth:
             state = current_state()
             if j in want:
-                snaps[j] = state[1:]
+                snaps[j] = state
         elif j % every == 0:
             rescale()
     return (*state, snaps)
@@ -218,19 +214,19 @@ def _degenerate_mask(log_smax):
     return out
 
 
-def _stable_angles(f: SamplingFunction, E: float, omegas, depth: int, checkpoints=()):
-    """_stable_core's angles and snapshots of the depth-step products at each of omegas.
+def _stable_vectors(f: SamplingFunction, E: float, omegas, depth: int, checkpoints=()):
+    """_stable_core's unit vectors and snapshots of the depth-step products at each of omegas.
 
     Raises DegenerateSingularValues if any product has no contracted direction.
     """
     pots = f(np.array([forward_orbit(omega, depth) for omega in omegas]))
-    _, angles, log_smax, snaps = _stable_core(E, pots, checkpoints=checkpoints)
+    vec, log_smax, snaps = _stable_core(E, pots, checkpoints=checkpoints)
     if _degenerate_mask(log_smax).any():
         raise DegenerateSingularValues(
             f"singular values of the depth-{depth} product at E = {E} differ by "
             f"less than {DEGENERACY_GAP}; no contracted direction"
         )
-    return angles, snaps
+    return vec, snaps
 
 
 def most_contracted_direction(
@@ -248,9 +244,9 @@ def most_contracted_direction(
     if depth < 2:
         raise InvalidParameter("depth must be >= 2")
     half = depth // 2
-    angles, snaps = _stable_angles(f, E, [omega], depth, checkpoints=(half,))
-    converged = bool(_projective_distance(angles[0], snaps[half][0][0]) < DIRECTION_CONV_TOL)
-    return Direction(float(angles[0])), converged
+    vec, snaps = _stable_vectors(f, E, [omega], depth, checkpoints=(half,))
+    converged = bool(_line_angle(*vec.T, *snaps[half][0].T)[0] < DIRECTION_CONV_TOL)
+    return Direction.from_vector(*vec[0]), converged
 
 
 @dataclass
@@ -277,14 +273,17 @@ def dichotomy_test(
     directions of depth-step products at each point and its image, and
     declares hyperbolicity iff every sample converges (its depth and depth/2
     direction estimates agree within DICHOTOMY_CONV_TOL), the directions
-    satisfy the invariance identity A(w) L(w) = L(T w) within INVARIANCE_TOL,
-    and the minimal norm-growth exponent clears RATE_FLOOR.  The report always
-    carries the verdict; nothing is raised for a negative answer.
+    satisfy the invariance identity L(w) = A(w)^-1 L(T w) within
+    INVARIANCE_TOL, both as angles between lines by rotation_number's cross
+    product measure (_line_angle), and the minimal norm-growth exponent
+    clears RATE_FLOOR.  The report always carries the verdict; nothing is
+    raised for a negative answer.
 
-    E is one energy or a sequence of them.  A sequence shares one draw of
-    the samples and probes and one pass over the depth sites per CORE_ROWS
-    rows, and gives a list of reports in the order of E, each equal to the
-    report its energy gets alone; a float gives its report as before.
+    E is one energy or a sequence of them, all finite (else InvalidParameter).
+    A sequence shares one draw of the samples and probes and one pass over
+    the depth sites per CORE_ROWS rows, and gives a list of reports in the
+    order of E, each equal to the report its energy gets alone; a float
+    gives its report as before.
 
     Uniform draws alone cannot refute hyperbolicity at energies where the
     almost-sure exponent is positive inside the spectrum (the section exists
@@ -304,7 +303,7 @@ def dichotomy_test(
     """
     if sample_count < 1 or depth < 8:
         raise InvalidParameter("need sample_count >= 1 and depth >= 8")
-    energies = np.ravel(np.asarray(E, dtype=float))
+    energies = _finite_energies(E)
 
     orbits = random_orbits(np.random.default_rng(seed), sample_count, depth + 1)
     rows = [np.asarray(f(orbits), dtype=float)]
@@ -313,8 +312,7 @@ def dichotomy_test(
     pots = np.concatenate(rows)
     total = pots.shape[0]
 
-    half = depth // 2
-    checkpoints = sorted({max(depth // 4, 1), half, max(3 * depth // 4, 1), depth})
+    checkpoints = sorted({max(depth // 4, 1), depth // 2, max(3 * depth // 4, 1), depth})
     windows = np.concatenate([pots[:, :depth], pots[:, 1 : depth + 1]])
     omegas = orbits[:, 0]
     reports = []
@@ -325,30 +323,26 @@ def dichotomy_test(
         batch = _stable_core(chunk[:, None, None], windows, checkpoints=checkpoints)
         for i, e in enumerate(chunk):
             block = slice(2 * total * i, 2 * total * (i + 1))
-            vec, angles, log_smax = (a[block] for a in batch[:3])
-            snaps = {k: (a[block], b[block]) for k, (a, b) in batch[3].items()}
-            reports.append(_dichotomy_report(e, pots, omegas, depth, vec, angles, log_smax, snaps))
+            snaps = {k: (a[block], b[block]) for k, (a, b) in batch[2].items()}
+            reports.append(_dichotomy_report(e, pots, omegas, depth, snaps))
     return reports if np.ndim(E) else reports[0]
 
 
-def _dichotomy_report(E, pots, omegas, depth, vec, angles, log_smax, snaps) -> DichotomyReport:
-    """The verdict at E from _stable_core's rows at E: pots' rows from site 0, then from site 1."""
+def _dichotomy_report(E, pots, omegas, depth, snaps) -> DichotomyReport:
+    """The verdict at E from _stable_core's snapshots at E: pots' rows from site 0, then site 1."""
     total, sample_count = pots.shape[0], len(omegas)
-    ang0, ang1 = angles[:total], angles[total:]
-    vec0 = vec[:total]
+    vec, log_smax = snaps[depth]
     degenerate = bool(_degenerate_mask(log_smax).any())
 
-    half_angles = snaps[depth // 2][0]
     conv = (
-        _projective_distance(angles, half_angles) < DICHOTOMY_CONV_TOL
+        _line_angle(*vec.T, *snaps[depth // 2][0].T) < DICHOTOMY_CONV_TOL
     ).reshape(2, total).all(axis=0)
 
-    # invariance residual: angle of A(w) L(w) against L(T w)
-    t0 = E - pots[:, 0]
-    img_x = t0 * vec0[:, 0] - vec0[:, 1]
-    img_y = vec0[:, 0]
-    img_angles = np.mod(np.arctan2(img_y, img_x), np.pi)
-    residuals = _projective_distance(img_angles, ang1)
+    # invariance residual: L(w) against the pullback (y', (E - v) y' - x') of L(T w) = (x', y'),
+    # which does not cancel as the push-forward does; scaled so that no square overflows
+    x1, y1 = vec[total:].T
+    (pulled,), _ = _pow2_rescaled(np.stack([y1, (E - pots[:, 0]) * y1 - x1]))
+    residuals = _line_angle(*vec[:total].T, *pulled)
 
     rates = log_smax[:total] / depth
     growth_rate = float(rates.min())
@@ -364,7 +358,7 @@ def _dichotomy_report(E, pots, omegas, depth, vec, angles, log_smax, snaps) -> D
     for k, (_, snap_log) in snaps.items():
         prefactor = max(prefactor, float(np.exp(growth_rate * k - snap_log[:total]).max()))
 
-    stable_at = {float(w): Direction(float(a)) for w, a in zip(omegas, ang0[:sample_count])}
+    stable_at = {float(w): Direction.from_vector(*v) for w, v in zip(omegas, vec[:sample_count].tolist())}
     return DichotomyReport(
         is_hyperbolic=is_hyperbolic,
         growth_rate=growth_rate,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyGapGrid, InvalidParameter
-from .sampling import Potential, SamplingFunction, spawned_potentials
+from .sampling import Potential, SamplingFunction, _finite_energies, spawned_potentials
 
 #: pivot substituted for an exact zero in the Sturm recursion (counted negative)
 ZERO_PIVOT = -1e-300
@@ -75,9 +75,9 @@ def _sturm_counts(values: np.ndarray, energies: np.ndarray) -> np.ndarray:
 
 
 def eigen_count(potential, E: float) -> int:
-    """Number of eigenvalues <= E of the truncation with the given potential."""
+    """Number of eigenvalues <= E of the truncation with the given potential; E must be finite."""
     values = potential.array() if isinstance(potential, Potential) else np.asarray(potential, float)
-    return int(_sturm_counts(values, np.array([float(E)]))[0])
+    return int(_sturm_counts(values, _finite_energies(float(E)))[0])
 
 
 def ids_estimate(
@@ -93,11 +93,11 @@ def ids_estimate(
     eigenvalues of its length-N potential window at all grid energies, so each
     sample's contribution is nondecreasing in E and the average is too.
     Deterministic in the seed.  The count is elementwise in E, so k at an
-    energy does not depend on the other energies asked for.
+    energy does not depend on the other energies asked for; each must be finite.
     """
     if truncation_size < 16 or sample_count < 1:
         raise InvalidParameter("need truncation_size >= 16 and sample_count >= 1")
-    energies = np.sort(np.asarray(energies, dtype=float))
+    energies = np.sort(_finite_energies(energies))
     # one contiguous row of samples per site, for the recursion's pass over the sites
     cols = np.ascontiguousarray(spawned_potentials(f, seed, sample_count, truncation_size).T)[:, :, None]
     chunk = max(1, BATCH_ENTRIES // sample_count)

@@ -151,6 +151,14 @@ def _numbers(name: str, xs, kind: type = float) -> tuple:
     return tuple(_number(f"{name} entry", x, kind) for x in xs)
 
 
+def _finite_energies(E) -> np.ndarray:
+    """E, one energy or a sequence of them, as a flat float array; a non-finite one raises."""
+    energies = np.ravel(np.asarray(E, dtype=float))
+    if not np.isfinite(energies).all():
+        raise InvalidParameter(f"energies must be finite, got {energies[~np.isfinite(energies)][0]}")
+    return energies
+
+
 def from_json(obj: dict) -> SamplingFunction:
     """Parse the sampling-function JSON schema; unknown keys and non-finite numbers raise."""
     if not isinstance(obj, dict) or "type" not in obj:

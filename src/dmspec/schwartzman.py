@@ -20,7 +20,7 @@ import numpy as np
 from .cocycle import (
     DEPTH,
     Direction,
-    _max_line_angle,
+    _line_angle,
     _pow2_rescaled,
     _rescale_interval,
     _stable_core,
@@ -30,7 +30,7 @@ from .cocycle import (
     step_matrix,
 )
 from .errors import DmspecError, InvalidParameter, LiftingAmbiguity, NotHyperbolic
-from .sampling import SamplingFunction, spawned_potentials
+from .sampling import SamplingFunction, _finite_energies, spawned_potentials
 
 PI = math.pi
 
@@ -210,11 +210,11 @@ def rotation_number(
     estimate, equal to the one it gets alone, or the error it would raise
     alone (NotHyperbolic, or the DmspecError of its estimate), so one failed
     energy does not sink the others.  A float returns its estimate or raises
-    its error, as before.
+    its error, as before.  A non-finite energy raises InvalidParameter.
     """
     if steps < 1 or omega_samples < 1:
         raise InvalidParameter("steps and omega_samples must be >= 1")
-    energies = np.ravel(np.asarray(E, dtype=float))
+    energies = _finite_energies(E)
     reports = dichotomy_test(f, energies, depth=DEPTH, seed=seed)
     failures = [None if report.is_hyperbolic else (
         f"E = {float(e)} failed the dichotomy pretest "
@@ -270,8 +270,8 @@ def _estimate(E, pots, x, y, steps: int, depth: int, growth_rate: float) -> Rota
     x0, y0 = x[:, :-1], y[:, :-1]
     windows = pots[:, sites[:, None] + np.arange(depth)].reshape(-1, depth)
     vec = _stable_core(E, windows)[0]
-    residual = max(_max_line_angle((E - pots[:, :steps]) * x0 - y0, x0, x[:, 1:], y[:, 1:]),
-                   _max_line_angle(xs, ys, vec[:, 0], vec[:, 1]))
+    residual = max(_line_angle((E - pots[:, :steps]) * x0 - y0, x0, x[:, 1:], y[:, 1:]).max(),
+                   _line_angle(xs, ys, *vec.T).max())
     return RotationEstimate(
         value=float(values.mean()),
         stderr=float(values.std(ddof=1) / math.sqrt(omega_samples)) if omega_samples > 1 else 0.0,

@@ -329,12 +329,9 @@ def check_digit_independence(f: SamplingFunction, hull) -> dict:
         E = hull[1] + 0.5
         w = CirclePoint(372, 1000)
         pres = [extend_backward(w, BackwardDigits([digit]), 1) for digit in (0, 1)]
-        angles, _ = cocycle._stable_angles(f, E, [w, *pres], cocycle.DEPTH)
-        target, *stables = (cocycle.Direction(a) for a in angles.tolist())
-        worst = 0.0
-        for pre, stable in zip(pres, stables):
-            image = cocycle.step_matrix(E, f(float(pre))) @ stable.vector()
-            worst = max(worst, cocycle.Direction.from_vector(*image).distance(target))
+        vec, _ = cocycle._stable_vectors(f, E, [w, *pres], cocycle.DEPTH)
+        image = cocycle.step_matrix(E, f(np.array([float(pre) for pre in pres]))) @ vec[1:, :, None]
+        worst = float(cocycle._line_angle(*image[..., 0].T, *vec[0]).max())
         return worst < cocycle.INVARIANCE_TOL, (
             f"max distance of A(pre) L(pre) to L(w) over both preimages of w = 0.372: {worst:.2e}")
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +227,28 @@ class TestDichotomy:
         rep = dichotomy_test(cosine(0.5), 3.5, sample_count=50, depth=60, seed=2)
         assert rep.is_hyperbolic
         assert rep.diagnostics["max_invariance_residual"] < 1e-6
+
+    @pytest.mark.parametrize("E", [s * e for e in (1e9, 1e12, 1e14, 1e100, 1e300) for s in (1, -1)])
+    @pytest.mark.parametrize("f", [FREE, cosine(0.5), bernoulli(5.0)],
+                             ids=["free", "cos-0.5", "bernoulli-5"])
+    def test_far_energies_are_hyperbolic(self, f, E):
+        # the invariance residual pulls L(T w) back: the push-forward (E - v) x - y
+        # cancels, with an error that grows like |E| eps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = dichotomy_test(f, E, sample_count=20, seed=1)
+        assert rep.is_hyperbolic, rep.diagnostics
+        assert rep.diagnostics["max_invariance_residual"] < 1e-13
+
+    @pytest.mark.parametrize("f, E", [(bernoulli(5.0), 3.5), (bernoulli(5.0), 5.0), (cosine(0.5), 0.0)],
+                             ids=["bernoulli-3.5", "bernoulli-5.0", "cos-0.0"])
+    def test_in_band_energies_are_refuted(self, f, E):
+        assert not dichotomy_test(f, E, sample_count=20, seed=1).is_hyperbolic
+
+    @pytest.mark.parametrize("E", [math.nan, math.inf, [3.0, -math.inf]], ids=["nan", "inf", "list"])
+    def test_a_non_finite_energy_is_refused(self, E):
+        with pytest.raises(InvalidParameter, match="energies must be finite, got (nan|inf|-inf)"):
+            dichotomy_test(FREE, E)
 
     @pytest.mark.parametrize("f", [cosine(0.5), bernoulli(5.0)], ids=["cos-0.5", "bernoulli-5"])
     def test_probes_are_the_sided_potentials(self, f):

@@ -97,3 +97,11 @@ def test_every_cli_option_is_read():
         unread += [f"{name} {action.option_strings[0]}" for action in parser._actions
                    if action.option_strings and action.dest != "help" and action.dest not in read]
     assert unread == []
+
+
+def test_one_angle_measure_for_lines():
+    # lines are compared by cocycle._line_angle on their vectors; only the
+    # winding kernels of schwartzman need true angles
+    users = [path.name for path in sorted(SRC.glob("*.py"))
+             if "np.arctan2" in path.read_text(encoding="utf-8")]
+    assert users == ["schwartzman.py"]

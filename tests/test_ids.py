@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dmspec import (
     EmptyGapGrid,
     IDSTable,
+    InvalidParameter,
     TrigPoly,
     bernoulli,
     cosine,
@@ -79,12 +80,24 @@ class TestEigenCount:
         assert eigen_count(values, 0.0) == 3
         assert ids._sturm_counts(np.array(values)[:, None], np.array([[0.0]]))[0, 0] == 3
 
+    @pytest.mark.parametrize("E", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_energy_is_refused(self, E):
+        with pytest.raises(InvalidParameter, match=f"energies must be finite, got {E}"):
+            eigen_count([0.0] * 8, E)
+
 
 class TestIdsEstimate:
     def test_free_case_midpoint(self):
         grid = np.linspace(-3.0, 3.0, 61)
         table = ids_estimate(FREE, grid, truncation_size=512, sample_count=4, seed=0)
         assert table.value_at(0.0) == pytest.approx(0.5, abs=0.02)
+
+    @pytest.mark.parametrize("E", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_energy_is_refused(self, monkeypatch, E):
+        # before any potential is drawn
+        monkeypatch.setattr(ids, "spawned_potentials", None)
+        with pytest.raises(InvalidParameter, match=f"energies must be finite, got {E}"):
+            ids_estimate(cosine(0.5), [3.5, E, -3.0], truncation_size=16, sample_count=2)
 
     def test_below_spectrum_is_exactly_zero(self):
         grid = np.array([-3.0, 0.0])

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dmspec import (
@@ -27,7 +27,7 @@ from dmspec import (
     rotation_number,
     schwartzman,
 )
-from dmspec.cocycle import _projective_distance, _stable_core
+from dmspec.cocycle import _line_angle, _stable_core
 from dmspec.sampling import random_orbit
 from dmspec.schwartzman import _stable_sweep, _winding_closed, _winding_core
 
@@ -149,8 +149,8 @@ class TestStableSweep:
         pots = np.stack([f(random_orbit(rng, 361)) for _ in range(4)])
         x, y = _stable_sweep(E, pots, 60)
         windows = np.lib.stride_tricks.sliding_window_view(pots, 60, axis=1)[:, : x.shape[1]]
-        _, angles, _, _ = _stable_core(E, windows.reshape(-1, 60))
-        assert _projective_distance(np.arctan2(y, x).ravel(), angles).max() < 1e-12
+        vec, _, _ = _stable_core(E, windows.reshape(-1, 60))
+        assert _line_angle(x.ravel(), y.ravel(), *vec.T).max() < 1e-12
 
     @pytest.mark.parametrize("site", [100, 128], ids=["off-stride", "on-stride"])
     def test_one_perturbed_angle_shows_in_the_residual(self, monkeypatch, site):
@@ -230,8 +230,8 @@ RESCALE_IDS = ["free", "cos-0.5", "cos-3", "bernoulli-5"]
 
 
 def _core_bits(E, windows):
-    vec, angles, log_smax, snaps = _stable_core(E, windows, checkpoints=(15, 100, 200))
-    return [a.tobytes() for a in (vec, angles, log_smax)] + [
+    vec, log_smax, snaps = _stable_core(E, windows, checkpoints=(15, 100, 200))
+    return [a.tobytes() for a in (vec, log_smax)] + [
         (k, a.tobytes(), b.tobytes()) for k, (a, b) in sorted(snaps.items())]
 
 
@@ -262,7 +262,7 @@ class TestRescaledRecursions:
         rng = np.random.default_rng(13)
         pots = np.stack([f(random_orbit(rng, 20)) for _ in range(4)])
         for E in (*energies[:2], 1e12):
-            vec, _, log_smax, _ = _stable_core(E, pots)
+            vec, log_smax, _ = _stable_core(E, pots)
             for row, (x, y), log_s in zip(pots, vec, log_smax):
                 product = np.eye(2)
                 for v in row:
@@ -288,13 +288,33 @@ class TestRescaledRecursions:
     @given(angle=st.floats(-10.0, 10.0), turn=st.floats(-1.0, 1.0),
            r1=st.floats(-1e3, 1e3).filter(lambda r: abs(r) > 1e-3),
            r2=st.floats(-1e3, 1e3).filter(lambda r: abs(r) > 1e-3))
+    # perpendicular lines whose rounded sine is past 1, which arcsin refuses
+    @example(angle=4.429766803881634, turn=math.pi / 2, r1=525.3547971214034, r2=310.2425653170801)
     @settings(max_examples=300, deadline=None)
-    def test_max_line_angle_is_the_projective_distance(self, angle, turn, r1, r2):
+    def test_line_angle_is_the_projective_distance(self, angle, turn, r1, r2):
         # the lines through (x1, y1) and (x2, y2) whatever the lengths and signs
         x1, y1 = r1 * math.cos(angle), r1 * math.sin(angle)
         x2, y2 = r2 * math.cos(angle + turn), r2 * math.sin(angle + turn)
-        line_angle = cocycle._max_line_angle(*(np.array([c]) for c in (x1, y1, x2, y2)))
-        assert line_angle == pytest.approx(float(_projective_distance(angle, angle + turn)), abs=1e-12)
+        (line_angle,) = _line_angle(*(np.array([c]) for c in (x1, y1, x2, y2)))
+        assert line_angle == pytest.approx(Direction(angle).distance(Direction(angle + turn)), abs=1e-12)
+
+    @given(coords=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4),
+           k=st.integers(-1000, 1000), first=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_line_angle_ignores_power_of_two_scalings(self, coords, k, first):
+        args = [np.array([c]) for c in coords]
+        scaled = list(args)
+        at = slice(0, 2) if first else slice(2, 4)
+        scaled[at] = [np.ldexp(a, k) for a in args[at]]
+        # where no square under- or overflows, scaling by 2 ** k rounds nothing
+        with np.errstate(all="raise"):
+            try:
+                _line_angle(*args), _line_angle(*scaled)
+            except FloatingPointError:
+                assume(False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _line_angle(*scaled).tobytes() == _line_angle(*args).tobytes()
 
 
 def _rotation_or_error(f, E, **kwargs):
@@ -373,6 +393,13 @@ class TestRotationNumber:
     def test_not_hyperbolic_inside_spectrum(self):
         with pytest.raises(NotHyperbolic):
             rotation_number(FREE, 0.0, omega_samples=4, steps=100, seed=0)
+
+    @pytest.mark.parametrize("E", [math.nan, [3.0, math.inf], [-math.inf]], ids=["nan", "list", "-inf"])
+    def test_a_non_finite_energy_is_refused(self, monkeypatch, E):
+        # before the pretest, and not as a per-energy NotHyperbolic
+        monkeypatch.setattr(schwartzman, "dichotomy_test", None)
+        with pytest.raises(InvalidParameter, match="energies must be finite, got (nan|inf|-inf)"):
+            rotation_number(FREE, E, omega_samples=4, steps=100, seed=0)
 
     def test_cosine_gap_values(self):
         est_hi = rotation_number(cosine(0.5), 3.5, omega_samples=8, steps=600, seed=1)
