@@ -10,6 +10,7 @@ matrix to the identity that underlies rotation-number computations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -139,6 +140,17 @@ def _pow2_rescaled(*rows):
     return [np.ldexp(r, -e) for r in rows], e
 
 
+def _site_rows(E, pots) -> np.ndarray:
+    """E - pots as a C-contiguous (sites, rows) array, built in one pass: row n holds
+    E - v_n of every row of pots (rows, sites).  E is one energy, or K energies of
+    shape (K, 1, 1), which take the rows once per energy, energy by energy."""
+    pots = np.asarray(pots, dtype=float)
+    rows, sites = pots.shape
+    out = np.empty((sites, np.size(E) * rows))
+    np.subtract(np.reshape(E, (1, -1, 1)), pots.T[:, None, :], out=out.reshape(sites, -1, rows))
+    return out
+
+
 def _stable_core(E, windows: np.ndarray, checkpoints=()):
     """Most-contracted directions of depth-step products, batched over rows.
 
@@ -154,14 +166,14 @@ def _stable_core(E, windows: np.ndarray, checkpoints=()):
     and per-checkpoint snapshots of (unit vectors, log sigma_max) taken after
     the given numbers of steps.
     """
-    windows = np.asarray(windows, dtype=float)
-    # row j holds E - v_j of every window
-    steps = (E - windows).reshape(-1, windows.shape[1]).T
+    steps = _site_rows(E, windows)  # row j holds E - v_j of every window
     depth, batch = steps.shape
     every = _rescale_interval(steps)
-    # the running product [[a, b], [c, d]] as its rows (a, b) and (c, d)
+    # the running product [[a, b], [c, d]] as its rows (a, b) and (c, d); a step
+    # writes the new top into the third buffer, and the three rotate
     top = np.stack([np.ones(batch), np.zeros(batch)])
     bottom = top[::-1].copy()
+    spare = np.empty_like(top)
     exponent = np.zeros(batch, dtype=np.int64)
     snaps = {}
     want = set(checkpoints)
@@ -194,7 +206,9 @@ def _stable_core(E, windows: np.ndarray, checkpoints=()):
         return vec, log_smax
 
     for j, t in enumerate(steps, 1):
-        top, bottom = t * top - bottom, top
+        np.multiply(t, top, spare)
+        np.subtract(spare, bottom, spare)
+        top, bottom, spare = spare, top, bottom
         if j in want or j == depth:
             state = current_state()
             if j in want:
@@ -256,8 +270,15 @@ class DichotomyReport:
     is_hyperbolic: bool
     growth_rate: float
     prefactor: float
-    stable_direction_at: dict[float, Direction]
     diagnostics: dict = field(default_factory=dict)
+    #: the sample points and their stable unit vectors (samples, 2), read by stable_direction_at
+    _stable: tuple = field(default=((), np.empty((0, 2))), repr=False, compare=False)
+
+    @functools.cached_property
+    def stable_direction_at(self) -> dict[float, Direction]:
+        """The stable direction at each sample point, built on first read."""
+        omegas, vec = self._stable
+        return {float(w): Direction.from_vector(*v) for w, v in zip(omegas, vec.tolist())}
 
 
 def dichotomy_test(
@@ -358,12 +379,11 @@ def _dichotomy_report(E, pots, omegas, depth, snaps) -> DichotomyReport:
     for k, (_, snap_log) in snaps.items():
         prefactor = max(prefactor, float(np.exp(growth_rate * k - snap_log[:total]).max()))
 
-    stable_at = {float(w): Direction.from_vector(*v) for w, v in zip(omegas, vec[:sample_count].tolist())}
     return DichotomyReport(
         is_hyperbolic=is_hyperbolic,
         growth_rate=growth_rate,
         prefactor=prefactor,
-        stable_direction_at=stable_at,
+        _stable=(omegas, vec[:sample_count]),
         diagnostics={
             "depth": depth,
             "sample_count": sample_count,

@@ -19,8 +19,10 @@ from .sampling import Potential, SamplingFunction, _finite_energies, spawned_pot
 #: pivot substituted for an exact zero in the Sturm recursion (counted negative)
 ZERO_PIVOT = -1e-300
 #: ids_estimate runs its M samples in one Sturm recursion over chunks of
-#: energies whose (M, chunk) state has at most this many entries
+#: energies whose (chunk, M) state has at most this many entries
 BATCH_ENTRIES = 2 ** 15
+#: sites whose negative pivots _sturm_counts sums in its uint8 counter
+_COUNT_BLOCK = 255
 
 
 @dataclass
@@ -59,18 +61,31 @@ def _sturm_counts(values: np.ndarray, energies: np.ndarray) -> np.ndarray:
     equals the count of eigenvalues below E (Sylvester inertia).  Zero pivots
     take the ZERO_PIVOT convention.  Each values[i] may be an array that
     broadcasts against energies, e.g. one column of sites per row of E.
+    The pivots step in place in one buffer, and the negative ones are summed
+    in blocks of _COUNT_BLOCK sites in a narrow counter.
     """
     E = np.asarray(energies, dtype=float)
-    d = np.full_like(E, np.inf)  # so the first step has no 1/d term
-    counts = np.zeros(E.shape, dtype=np.int64)
+    shape = np.broadcast_shapes(E.shape, np.shape(values)[1:])
+    d = np.full(shape, np.inf)  # so the first step has no 1/d term
+    inverse = np.empty(shape)
+    below = np.empty(shape, dtype=bool)
+    block = np.zeros(shape, dtype=np.uint8)
+    counts = np.zeros(shape, dtype=np.int64)
     # a subnormal pivot overflows 1/d to +-inf; the next pivot is then -+inf,
     # of the sign the exact recursion gives, and the one after it sees
     # 1/d = -0.0, as it would see a pivot too large to matter
     with np.errstate(over="ignore"):
-        for v in values:
-            d = v - E - 1.0 / d
-            d[d == 0.0] = ZERO_PIVOT
-            counts += d < 0.0
+        for i, v in enumerate(values, 1):
+            np.divide(1.0, d, inverse)
+            np.subtract(v, E, d)
+            np.subtract(d, inverse, d)
+            if np.equal(d, 0.0, below).any():
+                d[below] = ZERO_PIVOT
+            np.add(block, np.less(d, 0.0, below), block)
+            if i % _COUNT_BLOCK == 0:
+                counts += block
+                block[...] = 0
+    counts += block
     return counts
 
 
@@ -94,15 +109,29 @@ def ids_estimate(
     sample's contribution is nondecreasing in E and the average is too.
     Deterministic in the seed.  The count is elementwise in E, so k at an
     energy does not depend on the other energies asked for; each must be finite.
+    Energies at least 2 below or above the range of f take k = 0 or 1 without
+    a draw: there the count is exact by Gershgorin, and equals the sampled one
+    bit for bit.
     """
     if truncation_size < 16 or sample_count < 1:
         raise InvalidParameter("need truncation_size >= 16 and sample_count >= 1")
     energies = np.sort(_finite_energies(energies))
-    # one contiguous row of samples per site, for the recursion's pass over the sites
-    cols = np.ascontiguousarray(spawned_potentials(f, seed, sample_count, truncation_size).T)[:, :, None]
-    chunk = max(1, BATCH_ENTRIES // sample_count)
-    total = np.concatenate([_sturm_counts(cols, np.broadcast_to(e, (sample_count, len(e)))).sum(axis=0)
-                            for e in np.split(energies, range(chunk, len(energies), chunk))])
+    # Gershgorin: every computed value v of f lies in [lo, hi], so where lo - E >= 2
+    # every pivot is >= fl(2 - 1) = 1 by monotone rounding (1/d <= 1), and where
+    # hi - E <= -2 every pivot is <= -1; no pivot is zero, and the count is 0 or N
+    # for every sample.  Those energies are a prefix and a suffix of the sorted ones.
+    lo, hi = f._range()
+    start = int(np.count_nonzero(lo - energies >= 2.0))
+    stop = len(energies) - int(np.count_nonzero(hi - energies <= -2.0))
+    total = np.zeros(len(energies), dtype=np.int64)
+    total[stop:] = sample_count * truncation_size
+    if start < stop:
+        # one contiguous row of samples per site; the state is (energies, samples)
+        sites = np.ascontiguousarray(spawned_potentials(f, seed, sample_count, truncation_size).T)
+        inside, counted = energies[start:stop, None], total[start:stop]
+        chunk = max(1, BATCH_ENTRIES // sample_count)
+        for i in range(0, len(inside), chunk):
+            counted[i:i + chunk] = _sturm_counts(sites, inside[i:i + chunk]).sum(axis=1)
     k = total / float(sample_count * truncation_size)
     return IDSTable(
         energies=energies,

@@ -27,6 +27,14 @@ _MANTISSA_BITS = 53
 _SPAWN_DIGITS = 2 ** 15
 
 
+def _fraction(omega):
+    """omega modulo 1 as floats, elementwise: w - floor(w), which is numpy's remainder
+    by 1.0 bit for bit (-0 gives +0, a tiny negative w 1.0, +-inf and nan nan) and
+    cheaper, as it takes no division."""
+    w = np.asarray(omega, dtype=float)
+    return w - np.floor(w)
+
+
 @dataclass(frozen=True)
 class TrigPoly:
     """f(w) = constant + sum_k cos_k * cos(2 pi (k+1) w) + sin_k * sin(2 pi (k+1) w)."""
@@ -49,7 +57,7 @@ class TrigPoly:
                 f"(const {self.constant!r}, cos {list(self.cos_coeffs)}, sin {list(self.sin_coeffs)})")
 
     def __call__(self, omega):
-        w = np.mod(np.asarray(omega, dtype=float), 1.0)
+        w = _fraction(omega)
         out = np.full_like(w, self.constant)
         for k, c in enumerate(self.cos_coeffs):
             if c:
@@ -58,6 +66,20 @@ class TrigPoly:
             if c:
                 out += c * np.sin(2 * np.pi * (k + 1) * w)
         return out if out.ndim else float(out)
+
+    def _range(self) -> tuple[float, float]:
+        """Bounds (lo, hi) on every value __call__ computes.
+
+        lo - |c| and hi + |c| accumulate over the nonzero cos and then sin
+        coefficients in __call__'s order; rounding is monotone and
+        |fl(c cos)|, |fl(c sin)| <= |c|, so each computed partial sum stays
+        within them, with no slack.
+        """
+        lo = hi = self.constant
+        for c in self.cos_coeffs + self.sin_coeffs:
+            if c:
+                lo, hi = lo - abs(c), hi + abs(c)
+        return lo, hi
 
     def left_limit(self, omega):
         """f(omega-); f is continuous, so this is f itself."""
@@ -96,7 +118,7 @@ class Step:
         object.__setattr__(self, "values", vals)
 
     def __call__(self, omega):
-        w = np.mod(np.asarray(omega, dtype=float), 1.0)
+        w = _fraction(omega)
         idx = np.searchsorted(self.breakpoints, w, side="right") - 1
         out = np.asarray(self.values)[idx]
         return out if out.ndim else float(out)
@@ -107,15 +129,18 @@ class Step:
         At omega = 0 the index -1 wraps to values[-1], the value on the last
         interval [breakpoints[-1], 1).
         """
-        w = np.mod(np.asarray(omega, dtype=float), 1.0)
+        w = _fraction(omega)
         idx = np.searchsorted(self.breakpoints, w, side="left") - 1
         out = np.asarray(self.values)[idx]
         return out if out.ndim else float(out)
 
     def breakpoint_mask(self, omega) -> np.ndarray:
         """Which points of omega are exactly a breakpoint, elementwise."""
-        w = np.mod(np.asarray(omega, dtype=float), 1.0)
-        return np.isin(w, self.breakpoints)
+        return np.isin(_fraction(omega), self.breakpoints)
+
+    def _range(self) -> tuple[float, float]:
+        """Bounds (lo, hi) on every value __call__ computes: the least and largest value."""
+        return min(self.values), max(self.values)
 
 
 SamplingFunction = TrigPoly | Step
@@ -277,12 +302,12 @@ def forward_orbit(omega, count: int) -> np.ndarray:
 
 def _float_orbits(anchors: np.ndarray, count: int) -> np.ndarray:
     """forward_orbit of each float anchor, one row each, the doubling done on all rows at once."""
-    anchors = np.mod(anchors, 1.0)
+    anchors = _fraction(anchors)
     out = np.empty((len(anchors), count))
     x = anchors
     for k in range(min(count, FLOAT_ITERATION_LIMIT)):
         out[:, k] = x
-        x = 2 * x % 1.0
+        x = _fraction(2 * x)
     if count > FLOAT_ITERATION_LIMIT:
         shifts = np.arange(_MANTISSA_BITS - 1, -1, -1)
         lead = (anchors * 2 ** _MANTISSA_BITS).astype(np.int64)[:, None] >> shifts & 1

@@ -23,6 +23,7 @@ from .cocycle import (
     _line_angle,
     _pow2_rescaled,
     _rescale_interval,
+    _site_rows,
     _stable_core,
     dichotomy_test,
     rotation_profile,
@@ -86,21 +87,26 @@ def _winding_core(E, pots, x, y, substeps):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     t = np.linspace(0.0, 1.0, substeps + 1)
-    rot = t <= 0.5
-    theta = rotation_profile(t[rot])
-    lam = scaling_profile(t[~rot])
+    half = int(np.count_nonzero(t <= 0.5))  # the rotation half is t[:half]
+    theta = rotation_profile(t[:half])
+    lam = scaling_profile(t[half:])
 
     out = np.empty(len(pots))
     rows = max(1, ORACLE_ENTRIES // substeps)
     for start in range(0, len(pots), rows):
         v, xs, ys = (a[start:start + rows] for a in (pots, x, y))
         angles = np.empty((len(v), substeps + 1))
-        angles[:, rot] = np.arctan2(ys, xs)[:, None] + theta[None, :]
+        angles[:, :half] = np.arctan2(ys, xs)[:, None] + theta[None, :]
         u = lam[None, :] * ((E - v) * xs)[:, None] - ys[:, None]
-        angles[:, ~rot] = np.arctan2(np.broadcast_to(xs[:, None], u.shape), u)
+        angles[:, half:] = np.arctan2(np.broadcast_to(xs[:, None], u.shape), u)
 
+        # d = pi/2 - mod(pi/2 - d, pi), in place; the mod is taken only outside
+        # [0, pi), as inside it only turns -0 into +0, which pi/2 - . ignores
         d = np.diff(angles, axis=1)
-        d = PI / 2 - np.mod(PI / 2 - d, PI)
+        np.subtract(PI / 2, d, out=d)
+        wrap = (d < 0.0) | (d >= PI)
+        d[wrap] = np.mod(d[wrap], PI)
+        np.subtract(PI / 2, d, out=d)
         bad = np.argwhere(np.abs(d) >= AMBIGUITY_FRACTION * PI / 2)
         if len(bad):
             n, j = bad[0]
@@ -154,14 +160,16 @@ def _stable_sweep(E, pots: np.ndarray, depth: int):
     not depend on the interval.
     """
     # row n holds t_n of every row until the sweep puts u_n in its place
-    u = (E - pots).reshape(-1, pots.shape[1]).T
+    u = _site_rows(E, pots)
     m = u.shape[0] - depth
     every = _rescale_interval(u)
     u[m], u[m - 1] = _stable_core(E, pots[:, -depth - 1 : -1])[0].T
     # a rescale at n scales u_n, u_{n+1} by 2^-e but not u_{n+2}: site n + 1 is a seam
     seams = []
+    rows = list(u)
     for n in range(m - 2, -1, -1):
-        u[n] = u[n] * u[n + 1] - u[n + 2]
+        np.multiply(rows[n], rows[n + 1], rows[n])
+        np.subtract(rows[n], rows[n + 2], rows[n])
         if (m - 1 - n) % every == 0:
             (pair,), e = _pow2_rescaled(u[n:n + 2])
             u[n:n + 2] = pair
@@ -173,14 +181,15 @@ def _stable_sweep(E, pots: np.ndarray, depth: int):
         r = x * x
         r += y * y
         np.sqrt(r, out=r)
-        unit_x = x / r
-        unit_y = np.divide(y, r, out=r)
+        unit_x, unit_y = np.empty((2, u.shape[1], m))
+        np.divide(x, r, out=unit_x.T)
+        np.divide(y, r, out=unit_y.T)
     if seams:
         at = [n for n, _ in seams]
         a, b = x[at], np.ldexp(y[at], np.array([e for _, e in seams]))
         r = np.sqrt(a * a + b * b)
-        unit_x[at], unit_y[at] = a / r, b / r
-    return unit_x.T, unit_y.T
+        unit_x.T[at], unit_y.T[at] = a / r, b / r
+    return unit_x, unit_y
 
 
 def rotation_number(

@@ -411,12 +411,23 @@ def union_spectrum(
         raise InvalidParameter("tol must be positive")
     lo = hi = np.empty(0)
     for p in range(1, max_period + 1):
-        table, rows, is_left = _sided_rows(f, p)
-        need = ~_inside_union(rows, lo, hi)
-        edges = _paired_edges(table, rows, is_left, need)[need]
-        lo, hi = _merged(np.concatenate([lo, edges[:, 0::2].ravel()]),
-                         np.concatenate([hi, edges[:, 1::2].ravel()]), tol)
+        lo, hi = _union_with_period(f, p, lo, hi, tol)
     return SpectrumApprox(lo, hi, max_period_used=max_period, tol=tol)
+
+
+def _union_with_period(f: SamplingFunction, period: int, lo: np.ndarray, hi: np.ndarray,
+                       tol: float):
+    """The union (lo, hi) of periods 1 .. period - 1 merged with the bands of `period`.
+
+    Rows certified inside one band of the union (_inside_union) are not
+    solved.  Merging every period in turn from the empty union equals
+    merge_bands(bands_by_period(f, period), tol) bit for bit.
+    """
+    table, rows, is_left = _sided_rows(f, period)
+    need = ~_inside_union(rows, lo, hi)
+    edges = _paired_edges(table, rows, is_left, need)[need]
+    return _merged(np.concatenate([lo, edges[:, 0::2].ravel()]),
+                   np.concatenate([hi, edges[:, 1::2].ravel()]), tol)
 
 
 def gap_report(

@@ -351,11 +351,21 @@ def check_containment(f: SamplingFunction, per_period, params: Params) -> dict:
     return _check("fixed_point_containment", run)
 
 
-def check_gap_shrinkage(per_period) -> dict:
+def check_gap_shrinkage(f: SamplingFunction, per_period) -> dict:
+    # the unions past the last period of per_period continue its union period
+    # by period, as union_spectrum does, and equal merge_bands of their periods
     def run():
+        unions = [spectrum.merge_bands(per_period[:period], spectrum.TOL)
+                  for period in SHRINK_PERIODS if period <= len(per_period)]
+        if len(unions) < len(SHRINK_PERIODS):
+            union = spectrum.merge_bands(per_period, spectrum.TOL)
+            lo, hi = union.lo, union.hi
+            for period in range(len(per_period) + 1, SHRINK_PERIODS[-1] + 1):
+                lo, hi = spectrum._union_with_period(f, period, lo, hi, spectrum.TOL)
+                if period in SHRINK_PERIODS:
+                    unions.append(spectrum.SpectrumApprox(lo, hi, period))
         maxgaps = []
-        for period in SHRINK_PERIODS:
-            union = spectrum.merge_bands(per_period[:period], spectrum.TOL)
+        for union in unions:
             report = spectrum.gap_report(union)
             maxgaps.append(report[0][1] if report else 0.0)
         seq = ", ".join(f"{g:.3g}" for g in maxgaps)
@@ -437,14 +447,15 @@ def check_disconnection(f: SamplingFunction, per_period, params: Params) -> dict
 def run_verification(f: SamplingFunction, params: Params = VERIFY_DEFAULTS) -> dict:
     """The full check battery for one sampling function.
 
-    The unmerged edges of every period are found once, and every union
-    below merges a prefix of them at its own tolerance.
+    The unmerged edges of every period up to params.max_period are found
+    once, and every union below merges a prefix of them at its own
+    tolerance; check_gap_shrinkage streams its later periods onto the last
+    of those unions, as union_spectrum does, since they need no edge table.
     check_band_edge_oracle certifies those same edges, for every period up
     to params.max_period, on its own potentials, whose orbits it takes from
     binary Lyndon words, not from the engine's orbit table.
     """
-    periods = max(params.max_period, *SHRINK_PERIODS) if f.continuous else params.max_period
-    per_period = spectrum.bands_by_period(f, periods)
+    per_period = spectrum.bands_by_period(f, params.max_period)
     hull = spectrum.merge_bands(per_period[:min(params.max_period, 8)], spectrum.TOL).hull
     checks = [
         check_sturm_counts(seed=params.seed),
@@ -455,7 +466,7 @@ def run_verification(f: SamplingFunction, params: Params = VERIFY_DEFAULTS) -> d
     ]
     if f.continuous:
         checks.append(check_containment(f, per_period, params))
-        checks.append(check_gap_shrinkage(per_period))
+        checks.append(check_gap_shrinkage(f, per_period))
         checks.append(check_gap_labelling(f, per_period, params))
     else:
         checks.append(check_disconnection(f, per_period, params))

@@ -268,6 +268,28 @@ class TestDichotomy:
         for direction in rep.stable_direction_at.values():
             assert math.tan(direction.angle) == pytest.approx(slope, abs=1e-6)
 
+    def test_stable_directions_are_built_on_first_read(self, monkeypatch):
+        # dichotomy_test and verify's invariance check build no Direction; the
+        # first read of stable_direction_at builds one per sample, the same
+        # ones as from the report's vectors, and later reads reuse them
+        from dmspec import verify
+
+        built = []
+        from_vector = Direction.from_vector.__func__
+
+        def spy(cls, x, y):
+            built.append((x, y))
+            return from_vector(cls, x, y)
+
+        monkeypatch.setattr(Direction, "from_vector", classmethod(spy))
+        reps = dichotomy_test(cosine(0.5), [3.5, -3.0], sample_count=12, seed=4)
+        assert verify.check_invariance(cosine(0.5), (-2.5, 3.0), seed=1)["passed"]
+        assert built == []
+        directions = reps[0].stable_direction_at
+        assert len(built) == 12 and reps[0].stable_direction_at is directions
+        omegas, vec = reps[0]._stable
+        assert directions == {float(w): Direction(math.atan2(y, x)) for w, (x, y) in zip(omegas, vec)}
+
 
 #: configs with energies both hyperbolic and in a band of period <= PROBE_PERIODS
 BATCHES = [(FREE, (3.0, 0.0, -3.0)), (cosine(0.5), (3.5, 0.0, -3.0)),

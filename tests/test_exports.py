@@ -105,3 +105,12 @@ def test_one_angle_measure_for_lines():
     users = [path.name for path in sorted(SRC.glob("*.py"))
              if "np.arctan2" in path.read_text(encoding="utf-8")]
     assert users == ["schwartzman.py"]
+
+
+def test_orbit_points_are_folded_without_mod():
+    # sampling folds points into [0, 1) by w - floor(w) (sampling._fraction), which
+    # is np.mod(w, 1.0) bit for bit and takes no division
+    source = (SRC / "sampling.py").read_text(encoding="utf-8")
+    found = [f"sampling.py:{i}" for i, line in enumerate(source.splitlines(), 1)
+             if "np.mod" in line or "% 1.0" in line]
+    assert found == []

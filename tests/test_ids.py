@@ -11,6 +11,7 @@ from dmspec import (
     EmptyGapGrid,
     IDSTable,
     InvalidParameter,
+    Step,
     TrigPoly,
     bernoulli,
     cosine,
@@ -20,7 +21,7 @@ from dmspec import (
 )
 from dmspec import ids, verify
 from dmspec.ids import default_energy_grid
-from dmspec.sampling import random_orbit
+from dmspec.sampling import random_orbit, spawned_potentials
 
 FREE = TrigPoly()
 
@@ -190,7 +191,9 @@ class TestEnergySubsets:
     def test_subsets_equal_the_full_grid_across_a_chunk_boundary(self):
         M = 64
         edge = ids.BATCH_ENTRIES // M  # energies per chunk
-        grid = np.linspace(-4.0, 4.0, 2 * edge + 1)
+        # inside (-3.4, 3.4), where no count of cosine(0.7) is certified without
+        # sampling, so every energy is counted and edge is a chunk boundary
+        grid = np.linspace(-3.0, 3.0, 2 * edge + 1)
         f = cosine(0.7)
         full = ids_estimate(f, grid, truncation_size=16, sample_count=M, seed=5)
         for pick in (slice(0, edge), slice(0, edge + 1), [3], [0, edge, 2 * edge],
@@ -200,6 +203,56 @@ class TestEnergySubsets:
 
     def test_no_energies(self):
         assert ids_estimate(FREE, [], truncation_size=16, sample_count=2).k_values.shape == (0,)
+
+
+def _plain_counts(f, energies, N, M, seed):
+    """ids_estimate's total counts by the plain path: every energy counted on every
+    sample by the allocating Sturm recursion, with no energy certified."""
+    sites = spawned_potentials(f, seed, M, N).T
+    E = np.broadcast_to(np.asarray(energies, dtype=float), (M, len(energies)))
+    d = np.full_like(E, np.inf)
+    counts = np.zeros(E.shape, dtype=np.int64)
+    with np.errstate(over="ignore"):
+        for v in sites[:, :, None]:
+            d = v - E - 1.0 / d
+            d[d == 0.0] = ids.ZERO_PIVOT
+            counts += d < 0.0
+    return counts.sum(axis=0)
+
+
+RANGED = [cosine(0.5), bernoulli(5.0), FREE, TrigPoly(0.3, (1.0, -0.5), (0.7,)),
+          Step((0.0, 0.25, 0.6), (1.5, -2.0, 0.25))]
+
+
+class TestCertifiedCounts:
+    # counts at energies 2 or more outside the range of f are 0 or N M without
+    # a draw; they equal the counts of the plain path, as do the counted ones
+    @pytest.mark.parametrize("f", RANGED, ids=["cos-0.5", "bernoulli-5", "free", "trig", "step3"])
+    def test_equal_the_plain_path_at_the_edges(self, f):
+        lo, hi = f._range()
+        edges = [lo - 2.0, hi + 2.0]
+        energies = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                                   [lo - 2.5, hi + 7.0, lo - 1e6, hi + 1e6, 0.5 * (lo + hi)]])
+        # N = 600 takes the narrow counter of _sturm_counts past two of its blocks
+        table = ids_estimate(f, energies, truncation_size=600, sample_count=4, seed=2)
+        assert np.array_equal(table.k_values, _plain_counts(f, table.energies, 600, 4, 2) / (600.0 * 4))
+
+    @given(f=st.sampled_from(RANGED), seed=st.integers(0, 2 ** 16),
+           energies=st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_equal_the_plain_path_at_random_energies(self, f, seed, energies):
+        table = ids_estimate(f, energies, truncation_size=32, sample_count=4, seed=seed)
+        want = _plain_counts(f, table.energies, 32, 4, seed) / (32.0 * 4)
+        assert np.array_equal(table.k_values, want)
+
+    def test_no_draw_where_every_count_is_certified(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(ids, "spawned_potentials", refused)
+        monkeypatch.setattr(ids, "_sturm_counts", refused)
+        table = ids_estimate(cosine(0.5), [-3.5, 3.5], truncation_size=512, sample_count=64)
+        assert table.k_values.tolist() == [0.0, 1.0]
 
 
 class TestIdsProperties:

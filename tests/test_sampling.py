@@ -301,6 +301,75 @@ class TestBatchedOrbits:
         assert labels() == batched
 
 
+#: floats where np.mod(w, 1.0) takes a special path: signed zeros, infinities,
+#: nan, subnormals, 2^53 and its neighbours, and values just below an integer
+SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.0 ** -1074 * 3,
+                  2.0 ** 53, -2.0 ** 53, 2.0 ** 53 + 2.0, np.nextafter(2.0 ** 53, 0.0),
+                  -1e-20, np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0), 1e300, -1e300]
+
+
+class TestFraction:
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+                    | st.sampled_from(SPECIAL_FLOATS), min_size=1, max_size=50))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_np_mod_bit_for_bit(self, values):
+        w = np.array(values, dtype=float)
+        with np.errstate(invalid="ignore"):  # +-inf give nan
+            got, want = sampling._fraction(w), np.mod(w, 1.0)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_special_values(self):
+        w = np.array(SPECIAL_FLOATS)
+        with np.errstate(invalid="ignore"):
+            got, want = sampling._fraction(w), np.mod(w, 1.0)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert sampling._fraction(-0.0).view(np.uint64) == 0  # -0 gives +0, as np.mod does
+
+
+def _outside_range(f, lo, hi, seed: int) -> int:
+    """How many values of f at random, quarter and period points fall outside [lo, hi]."""
+    rng = np.random.default_rng(seed)
+    w = [rng.random(2000), rng.uniform(-3.0, 3.0, 500), np.arange(-8, 9) / 4.0]
+    for p in range(1, 11):
+        w.append(np.arange(2 ** p - 1) / (2 ** p - 1))
+    w = np.concatenate(w)
+    values = np.concatenate([np.asarray(f(w)), np.asarray(f.left_limit(w))])
+    return int(np.count_nonzero((values < lo) | (values > hi)))
+
+
+coefficients = st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3).flatmap(
+    lambda c: st.sampled_from([c, -c]))), max_size=8)
+
+
+class TestRange:
+    # every value f computes lies in f._range(), with no slack: ids_estimate
+    # certifies counts from it, so one value outside would change a count
+    @given(const=st.floats(-1e3, 1e3), cos=coefficients, sin=coefficients, seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=200, deadline=None)
+    def test_trigpoly_values_lie_in_its_range(self, const, cos, sin, seed):
+        f = TrigPoly(const, tuple(cos), tuple(sin))
+        assert _outside_range(f, *f._range(), seed) == 0
+
+    @given(values=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=100, deadline=None)
+    def test_step_values_lie_in_its_range(self, values, seed):
+        f = Step(tuple(np.arange(len(values)) / len(values)), tuple(values))
+        assert f._range() == (min(values), max(values))
+        assert _outside_range(f, *f._range(), seed) == 0
+
+    def test_the_range_is_tight(self):
+        # cosine(0.5) reaches both ends of [-1, 1] at w = 1/2 and w = 0
+        f = cosine(0.5)
+        assert f._range() == (-1.0, 1.0) and (f(0.5), f(0.0)) == (-1.0, 1.0)
+
+    def test_a_range_that_drops_the_last_coefficient_fails(self):
+        # the negative control: leaving out the last term's |c| misses values
+        f = TrigPoly(0.25, (1.0, 0.5), (0.75,))
+        lo, hi = TrigPoly(f.constant, f.cos_coeffs, f.sin_coeffs[:-1])._range()
+        assert _outside_range(f, lo, hi, 0) > 0
+        assert _outside_range(f, *f._range(), 0) == 0
+
+
 class TestJson:
     def test_trig_round_trip(self):
         obj = {"type": "trigpoly", "const": 0.5, "cos": [1.0, 0.0, 2.0], "sin": [0.25]}

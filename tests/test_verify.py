@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +233,31 @@ class TestEdgeTable:
             else:
                 want.append([lo, hi])
         assert [[b.lo, b.hi] for b in merge_bands(per_period, tol).bands] == want
+
+
+class TestStreamedShrinkage:
+    # check_gap_shrinkage streams the periods past its edge table onto the
+    # table's last union, and reads the very unions a table of every period gives
+    @pytest.mark.parametrize("f", [cosine(0.5), cosine(3.0)], ids=["cos-0.5", "cos-3"])
+    @pytest.mark.parametrize("table", [1, 5, 10, 12])
+    def test_unions_equal_merges_of_a_full_table(self, monkeypatch, f, table):
+        full = bands_by_period(f, verify.SHRINK_PERIODS[-1])
+        seen = []
+        report = spectrum.gap_report
+        monkeypatch.setattr(spectrum, "gap_report", lambda s: seen.append(s) or report(s))
+        res = verify.check_gap_shrinkage(f, full[:table])
+        assert res["passed"] and [s.max_period_used for s in seen] == list(verify.SHRINK_PERIODS)
+        for s, p in zip(seen, verify.SHRINK_PERIODS):
+            want = merge_bands(full[:p], spectrum.TOL)
+            assert s.lo.tobytes() == want.lo.tobytes() and s.hi.tobytes() == want.hi.tobytes()
+
+    def test_verify_tabulates_only_its_max_period(self, monkeypatch):
+        calls = []
+        tabulate = spectrum.bands_by_period
+        monkeypatch.setattr(spectrum, "bands_by_period", lambda f, p: calls.append(p) or tabulate(f, p))
+        params = replace(verify.VERIFY_DEFAULTS, N=64, M=8, steps=200, omega_samples=4)
+        assert verify.run_verification(cosine(0.5), params)["all_passed"]
+        assert calls == [params.max_period]
 
 
 class TestBandReuse:
