@@ -270,15 +270,15 @@ class DichotomyReport:
     is_hyperbolic: bool
     growth_rate: float
     prefactor: float
-    diagnostics: dict = field(default_factory=dict)
-    #: the sample points and their stable unit vectors (samples, 2), read by stable_direction_at
-    _stable: tuple = field(default=((), np.empty((0, 2))), repr=False, compare=False)
+    diagnostics: dict = field(default_factory=dict, kw_only=True)
+    #: (omega, x, y) per sample: the point and its stable unit vector; keyword-only
+    #: and private, in repr and == so that both see every stable vector's bits
+    _stable: tuple = field(default=(), kw_only=True)
 
     @functools.cached_property
     def stable_direction_at(self) -> dict[float, Direction]:
         """The stable direction at each sample point, built on first read."""
-        omegas, vec = self._stable
-        return {float(w): Direction.from_vector(*v) for w, v in zip(omegas, vec.tolist())}
+        return {w: Direction.from_vector(x, y) for w, x, y in self._stable}
 
 
 def dichotomy_test(
@@ -383,7 +383,6 @@ def _dichotomy_report(E, pots, omegas, depth, snaps) -> DichotomyReport:
         is_hyperbolic=is_hyperbolic,
         growth_rate=growth_rate,
         prefactor=prefactor,
-        _stable=(omegas, vec[:sample_count]),
         diagnostics={
             "depth": depth,
             "sample_count": sample_count,
@@ -394,6 +393,7 @@ def _dichotomy_report(E, pots, omegas, depth, snaps) -> DichotomyReport:
             "max_rate": float(rates.max()),
             "degenerate": degenerate,
         },
+        _stable=tuple(zip(omegas.tolist(), *vec[:sample_count].T.tolist())),
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -287,8 +288,16 @@ class TestDichotomy:
         assert built == []
         directions = reps[0].stable_direction_at
         assert len(built) == 12 and reps[0].stable_direction_at is directions
-        omegas, vec = reps[0]._stable
-        assert directions == {float(w): Direction(math.atan2(y, x)) for w, (x, y) in zip(omegas, vec)}
+        assert directions == {w: Direction(math.atan2(y, x)) for w, x, y in reps[0]._stable}
+
+    def test_repr_and_equality_see_the_stable_vectors(self):
+        # the batched and reversed reports are compared by repr and ==; both must
+        # cover the stable vectors, one float's bits apart
+        rep = dichotomy_test(cosine(0.5), 3.5, sample_count=5, seed=2)
+        w, x, y = rep._stable[-1]
+        moved = dataclasses.replace(rep, _stable=rep._stable[:-1] + ((w, x, math.nextafter(y, 0.0)),))
+        assert moved != rep and repr(moved) != repr(rep)
+        assert dataclasses.replace(rep) == rep and repr(dataclasses.replace(rep)) == repr(rep)
 
 
 #: configs with energies both hyperbolic and in a band of period <= PROBE_PERIODS
