@@ -83,12 +83,12 @@ def _emit(args, payload, rows, header):
         sys.stdout.write(text)
 
 
-def _orbit_bands(per_period, tol):
+def _orbit_bands(per_period):
     """(period, labels, lo, hi, counts) of each PeriodBands, its rows' bands by _row_bands."""
-    return [(pb.period, pb.labels, *spectrum._row_bands(pb.edges, tol)) for pb in per_period]
+    return [(pb.period, pb.labels, *spectrum._row_bands(pb.edges, spectrum.TOL)) for pb in per_period]
 
 
-def _orbits_json(per_period, tol):
+def _orbits_json(per_period):
     """The text of the "orbits" list in the bands document, at its indent: json.dumps of
     [{"bands": [[lo, hi], ...], "period": p, "point": label}, ...] over every row.
 
@@ -97,7 +97,7 @@ def _orbits_json(per_period, tol):
     one per row by its band count, where json.dumps would go token by token.
     Edges are told apart by their bits, so -0.0 and 0.0 stay apart.
     """
-    tables = _orbit_bands(per_period, tol)
+    tables = _orbit_bands(per_period)
     edges = np.concatenate([np.stack([lo, hi], axis=1).ravel() for *_, lo, hi, _ in tables])
     write = float.__repr__ if np.isfinite(edges).all() else json.dumps  # NaN, Infinity
     bits, inverse = np.unique(edges.view(np.int64), return_inverse=True)
@@ -119,9 +119,9 @@ def _orbits_json(per_period, tol):
     return "".join(["[", ",".join([piece[c] for c in counts]), "\n  ]"]) % tuple(values)
 
 
-def _orbit_rows(per_period, tol):
+def _orbit_rows(per_period):
     """The CSV rows of every row's bands, in label order: orbit, period, label, index, lo, hi."""
-    for period, labels, lo, hi, counts in _orbit_bands(per_period, tol):
+    for period, labels, lo, hi, counts in _orbit_bands(per_period):
         lo, hi = map(_fmt, lo.tolist()), map(_fmt, hi.tolist())
         for label, count in zip(labels, counts.tolist()):
             for j in range(count):
@@ -130,22 +130,21 @@ def _orbit_rows(per_period, tol):
 
 def cmd_bands(args) -> int:
     f, params = _load_config(args)
-    max_period, tol = params.max_period, spectrum.TOL
     # a left-limit potential follows its orbit under the label "<point>-"
-    per_period = spectrum.bands_by_period(f, max_period)
-    merged = spectrum.merge_bands(per_period, tol)
+    per_period = spectrum.bands_by_period(f, params.max_period)
+    merged = spectrum.merge_bands(per_period, spectrum.TOL)
 
     def document():  # called by _emit under --format json only
         head = json.dumps({"merged": merged.to_json()}, indent=2, sort_keys=True)
-        return "".join([head[:-2], ',\n  "orbits": ', _orbits_json(per_period, tol), "\n}"])
+        return "".join([head[:-2], ',\n  "orbits": ', _orbits_json(per_period), "\n}"])
 
-    rows = itertools.chain(_orbit_rows(per_period, tol),
-                           (["merged", max_period, "", i, _fmt(a), _fmt(b)]
+    rows = itertools.chain(_orbit_rows(per_period),
+                           (["merged", params.max_period, "", i, _fmt(a), _fmt(b)]
                             for i, (a, b) in enumerate(zip(merged.lo.tolist(), merged.hi.tolist()))))
     _emit(args, document, rows, ["source", "period", "point", "band_index", "lo", "hi"])
     if args.plot:
         rows_by_period = {pb.period: spectrum._merged(pb.edges[:, 0::2].ravel(),
-                                                      pb.edges[:, 1::2].ravel(), tol)
+                                                      pb.edges[:, 1::2].ravel(), spectrum.TOL)
                           for pb in per_period}
         svgplot.band_diagram(rows_by_period, merged, args.plot)
     return 0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ids
-from .dynamics import CirclePoint, PeriodicOrbit, check_period, orbit_table
+from .dynamics import PeriodicOrbit, check_period, orbit_table
 from .errors import InvalidParameter
 from .sampling import SamplingFunction
 
@@ -199,24 +199,21 @@ def _row_bands(edges: np.ndarray, tol: float):
 def _sided_rows(f: SamplingFunction, period: int):
     """The orbit table of `period`, its sided potentials as rows, and which rows are left limits.
 
-    f is called once on the whole table, whose rows come in its order.  Each
-    orbit through a breakpoint is followed by the further potentials of its
-    PeriodicOrbit.sided_potentials: its left-limit potential when the
-    left-limit values differ.
+    f is called once on the whole table, whose rows come in its order, and
+    f.left_limit once on the orbits through a breakpoint.  Each such orbit
+    whose left-limit values differ is followed by them, as in
+    PeriodicOrbit.sided_potentials.
     """
     table = orbit_table(period)
-    d = 2 ** period - 1
-    points = table / d
+    points = table / (2 ** period - 1)
     rows = np.asarray(f(points), dtype=float).reshape(table.shape)
-    at, left = [], []
-    for i in np.flatnonzero(f.breakpoint_mask(points).any(axis=1)).tolist():
-        orbit = PeriodicOrbit(period, tuple(CirclePoint(q, d) for q in table[i].tolist()))
-        for _, pots in orbit.sided_potentials(f)[1:]:
-            at.append(i + 1)
-            left.append(pots)
+    hit = np.flatnonzero(f.breakpoint_mask(points).any(axis=1))
+    left = np.asarray(f.left_limit(points[hit]), dtype=float).reshape(len(hit), period)
+    differ = (left != rows[hit]).any(axis=1)
+    at = hit[differ] + 1
     is_left = np.zeros(len(table), dtype=bool)
-    if at:
-        rows = np.insert(rows, at, left, axis=0)
+    if at.size:
+        rows = np.insert(rows, at, left[differ], axis=0)
         is_left = np.insert(is_left, at, True)
     return table, rows, is_left
 
@@ -401,33 +398,37 @@ def union_spectrum(
     5 * chi_[0,1/2) the left limit at the fixed point 0 is the free potential
     and supplies the band [-2, 2] from period 1 on.
 
-    The union is merged period by period.  A row whose spectrum is
-    certified inside one band of the union so far (_inside_union) is not
-    solved, as its edges could change no band; the result equals
-    merge_bands(bands_by_period(f, max_period), tol) bit for bit.
+    The union is the last of _running_unions, merged period by period; it
+    equals merge_bands(bands_by_period(f, max_period), tol) bit for bit.
     """
     check_period(max_period)
     if tol <= 0.0:
         raise InvalidParameter("tol must be positive")
-    lo = hi = np.empty(0)
-    for p in range(1, max_period + 1):
-        lo, hi = _union_with_period(f, p, lo, hi, tol)
-    return SpectrumApprox(lo, hi, max_period_used=max_period, tol=tol)
+    for union in _running_unions(f, max_period, tol):
+        pass
+    return union
 
 
-def _union_with_period(f: SamplingFunction, period: int, lo: np.ndarray, hi: np.ndarray,
-                       tol: float):
-    """The union (lo, hi) of periods 1 .. period - 1 merged with the bands of `period`.
+def _running_unions(f: SamplingFunction, last: int, tol: float, per_period=()):
+    """The SpectrumApprox of periods 1 .. p for p = 1 .. last, each merged onto the one before.
 
-    Rows certified inside one band of the union (_inside_union) are not
-    solved.  Merging every period in turn from the empty union equals
-    merge_bands(bands_by_period(f, period), tol) bit for bit.
+    A period of per_period (bands_by_period of the first periods) merges its
+    whole edge table.  A later period solves the rows of _sided_rows that
+    _inside_union does not certify inside one band of the union so far, as
+    no other row's edges could change a band; so by _merged, each union
+    equals merge_bands(bands_by_period(f, p), tol) bit for bit.
     """
-    table, rows, is_left = _sided_rows(f, period)
-    need = ~_inside_union(rows, lo, hi)
-    edges = _paired_edges(table, rows, is_left, need)[need]
-    return _merged(np.concatenate([lo, edges[:, 0::2].ravel()]),
-                   np.concatenate([hi, edges[:, 1::2].ravel()]), tol)
+    lo = hi = np.empty(0)
+    for p in range(1, last + 1):
+        if p <= len(per_period):
+            edges = per_period[p - 1].edges
+        else:
+            table, rows, is_left = _sided_rows(f, p)
+            need = ~_inside_union(rows, lo, hi)
+            edges = _paired_edges(table, rows, is_left, need)[need]
+        lo, hi = _merged(np.concatenate([lo, edges[:, 0::2].ravel()]),
+                         np.concatenate([hi, edges[:, 1::2].ravel()]), tol)
+        yield SpectrumApprox(lo, hi, max_period_used=p, tol=tol)
 
 
 def gap_report(

@@ -338,39 +338,29 @@ def check_digit_independence(f: SamplingFunction, hull) -> dict:
     return _check("backward_digit_independence", run)
 
 
-def check_containment(f: SamplingFunction, per_period, params: Params) -> dict:
+def check_containment(f: SamplingFunction, unions) -> dict:
+    # unions: the band unions of periods 1 .. p for p = 1 .. P
     def run():
         center = float(f(0.0))
         lo, hi = center - 2.0, center + 2.0
-        for period in range(1, params.max_period + 1):
-            s = spectrum.merge_bands(per_period[:period], spectrum.TOL)
+        for s in unions:
             if not covers_interval(s, lo, hi, 1e-6):
-                return False, f"union at max_period={period} misses [{lo}, {hi}]"
-        return True, f"[{lo:.3f}, {hi:.3f}] covered at every max_period 1..{params.max_period}"
+                return False, f"union at max_period={s.max_period_used} misses [{lo}, {hi}]"
+        return True, f"[{lo:.3f}, {hi:.3f}] covered at every max_period 1..{len(unions)}"
 
     return _check("fixed_point_containment", run)
 
 
-def check_gap_shrinkage(f: SamplingFunction, per_period) -> dict:
-    # the unions past the last period of per_period continue its union period
-    # by period, as union_spectrum does, and equal merge_bands of their periods
+def check_gap_shrinkage(unions) -> dict:
+    # unions: the band unions of periods 1 .. p for p = 1 .. P, P >= SHRINK_PERIODS[-1]
     def run():
-        unions = [spectrum.merge_bands(per_period[:period], spectrum.TOL)
-                  for period in SHRINK_PERIODS if period <= len(per_period)]
-        if len(unions) < len(SHRINK_PERIODS):
-            union = spectrum.merge_bands(per_period, spectrum.TOL)
-            lo, hi = union.lo, union.hi
-            for period in range(len(per_period) + 1, SHRINK_PERIODS[-1] + 1):
-                lo, hi = spectrum._union_with_period(f, period, lo, hi, spectrum.TOL)
-                if period in SHRINK_PERIODS:
-                    unions.append(spectrum.SpectrumApprox(lo, hi, period))
         maxgaps = []
-        for union in unions:
-            report = spectrum.gap_report(union)
+        for period in SHRINK_PERIODS:
+            report = spectrum.gap_report(unions[period - 1])
             maxgaps.append(report[0][1] if report else 0.0)
         seq = ", ".join(f"{g:.3g}" for g in maxgaps)
         nonincreasing = all(b <= a + 1e-12 for a, b in zip(maxgaps, maxgaps[1:]))
-        halved = maxgaps[-1] <= 0.5 * maxgaps[0] or maxgaps[0] < union.resolution
+        halved = maxgaps[-1] <= 0.5 * maxgaps[0] or maxgaps[0] < unions[0].resolution
         return nonincreasing and halved, f"max interior gaps over periods {SHRINK_PERIODS}: {seq}"
 
     return _check("gap_shrinkage", run)
@@ -392,11 +382,10 @@ def _rotations(f: SamplingFunction, energies, params: Params):
     return out
 
 
-def check_gap_labelling(f: SamplingFunction, per_period, params: Params) -> dict:
+def check_gap_labelling(f: SamplingFunction, union, params: Params) -> dict:
     def run():
-        s = spectrum.merge_bands(per_period[:params.max_period], spectrum.TOL)
-        grid = ids.default_energy_grid(s.hull, params.grid_points)
-        targets = ((s.hull[0] - 0.5, 1), (s.hull[1] + 0.5, 0))
+        grid = ids.default_energy_grid(union.hull, params.grid_points)
+        targets = ((union.hull[0] - 0.5, 1), (union.hull[1] + 0.5, 0))
         # k is read at the grid point nearest to each target only
         near = [int(np.argmin(np.abs(grid - E))) for E, _ in targets]
         table = ids.ids_estimate(f, grid[near], params.N, params.M, seed=params.seed)
@@ -419,13 +408,12 @@ def check_gap_labelling(f: SamplingFunction, per_period, params: Params) -> dict
     return _check("gap_labelling_integrality", run)
 
 
-def check_disconnection(f: SamplingFunction, per_period, params: Params) -> dict:
+def check_disconnection(f: SamplingFunction, coarse, params: Params) -> dict:
     def run():
-        coarse = spectrum.merge_bands(per_period[:params.max_period], COARSE_TOL)
-        # gaps surviving the coarse merge are genuine at that scale; the
-        # below-resolution filter of gap_report is meant for fine tolerances
+        # gaps surviving the merge of coarse at COARSE_TOL are genuine at that
+        # scale; the below-resolution filter of gap_report is meant for fine tolerances
         if len(coarse.lo) < 2:
-            return False, f"no interior gap found at max_period={params.max_period}"
+            return False, f"no interior gap found at max_period={coarse.max_period_used}"
         g0, g1 = max(coarse.gaps, key=lambda g: g[1] - g[0])
         width = g1 - g0
         pad = 0.05 * width
@@ -447,27 +435,31 @@ def check_disconnection(f: SamplingFunction, per_period, params: Params) -> dict
 def run_verification(f: SamplingFunction, params: Params = VERIFY_DEFAULTS) -> dict:
     """The full check battery for one sampling function.
 
-    The unmerged edges of every period up to params.max_period are found
-    once, and every union below merges a prefix of them at its own
-    tolerance; check_gap_shrinkage streams its later periods onto the last
-    of those unions, as union_spectrum does, since they need no edge table.
-    check_band_edge_oracle certifies those same edges, for every period up
-    to params.max_period, on its own potentials, whose orbits it takes from
-    binary Lyndon words, not from the engine's orbit table.
+    The unmerged edges of every period up to P = params.max_period are found
+    once; check_band_edge_oracle certifies them on its own potentials, whose
+    orbits it takes from binary Lyndon words, not from the engine's orbit
+    table.  Each union is built once and handed to the checks that read it:
+    spectrum._running_unions folds the edges into the unions of periods
+    1 .. p, on to period 12 for continuous f (the periods past P streamed as
+    union_spectrum does) and to min(P, 8), the hull's period, for a step
+    function; the disconnection check's COARSE_TOL union merges them once.
     """
-    per_period = spectrum.bands_by_period(f, params.max_period)
-    hull = spectrum.merge_bands(per_period[:min(params.max_period, 8)], spectrum.TOL).hull
+    P = params.max_period
+    per_period = spectrum.bands_by_period(f, P)
+    last = max(P, SHRINK_PERIODS[-1]) if f.continuous else min(P, 8)
+    unions = list(spectrum._running_unions(f, last, spectrum.TOL, per_period))
+    hull = unions[min(P, 8) - 1].hull
     checks = [
         check_sturm_counts(seed=params.seed),
-        check_band_edge_oracle(f, per_period[:params.max_period]),
+        check_band_edge_oracle(f, per_period),
         check_determinants(f, hull, seed=params.seed),
         check_invariance(f, hull, seed=params.seed),
         check_digit_independence(f, hull),
     ]
     if f.continuous:
-        checks.append(check_containment(f, per_period, params))
-        checks.append(check_gap_shrinkage(f, per_period))
-        checks.append(check_gap_labelling(f, per_period, params))
+        checks.append(check_containment(f, unions[:P]))
+        checks.append(check_gap_shrinkage(unions))
+        checks.append(check_gap_labelling(f, unions[P - 1], params))
     else:
-        checks.append(check_disconnection(f, per_period, params))
+        checks.append(check_disconnection(f, spectrum.merge_bands(per_period, COARSE_TOL), params))
     return {"checks": checks, "all_passed": all(c["passed"] for c in checks)}

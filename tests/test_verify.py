@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmspec import (
-    PeriodicOrbit,
     Step,
     TrigPoly,
     bernoulli,
@@ -139,9 +138,13 @@ class TestBandEdgeCheck:
     def test_sees_a_dropped_left_limit(self, monkeypatch):
         # bernoulli-five without its left-limit potential f(0-) = 0 in the
         # engine: the oracle builds its own sided potentials and lists 0/1-
-        original = PeriodicOrbit.sided_potentials
-        monkeypatch.setattr(PeriodicOrbit, "sided_potentials",
-                            lambda self, f: original(self, f)[:1])
+        original = spectrum._sided_rows
+
+        def right_only(f, period):
+            table, rows, is_left = original(f, period)
+            return table, rows[~is_left], is_left[~is_left]
+
+        monkeypatch.setattr(spectrum, "_sided_rows", right_only)
         res = check_band_edge_oracle(bernoulli(5.0), bands_by_period(bernoulli(5.0), 8))
         assert not res["passed"]
         assert res["detail"] == "engine and orbit potentials differ: ['0/1-']"
@@ -236,20 +239,50 @@ class TestEdgeTable:
 
 
 class TestStreamedShrinkage:
-    # check_gap_shrinkage streams the periods past its edge table onto the
-    # table's last union, and reads the very unions a table of every period gives
+    # spectrum._running_unions merges the periods of its edge table in full
+    # and streams the later ones as union_spectrum does: every union it
+    # yields is the one-shot merge_bands of a table of every period
+    @pytest.mark.parametrize("f", [cosine(0.5), cosine(3.0), bernoulli(5.0),
+                                   Step((0.0, 1 / 3), (1.0, -1.0))],
+                             ids=["cos-0.5", "cos-3", "bernoulli-5", "step-1/3"])
+    @pytest.mark.parametrize("table", [0, 1, 5, 10, 12])
+    def test_unions_equal_merges_of_a_full_table(self, f, table):
+        last = verify.SHRINK_PERIODS[-1]
+        full = bands_by_period(f, last)
+        for tol in (spectrum.TOL, verify.COARSE_TOL):
+            unions = list(spectrum._running_unions(f, last, tol, full[:table]))
+            assert [s.max_period_used for s in unions] == list(range(1, last + 1))
+            for p, s in enumerate(unions, 1):
+                want = merge_bands(full[:p], tol)
+                assert s.lo.tobytes() == want.lo.tobytes() and s.hi.tobytes() == want.hi.tobytes()
+                assert s.tol == tol
+
     @pytest.mark.parametrize("f", [cosine(0.5), cosine(3.0)], ids=["cos-0.5", "cos-3"])
-    @pytest.mark.parametrize("table", [1, 5, 10, 12])
-    def test_unions_equal_merges_of_a_full_table(self, monkeypatch, f, table):
-        full = bands_by_period(f, verify.SHRINK_PERIODS[-1])
+    def test_shrinkage_reads_the_unions_of_its_periods(self, monkeypatch, f):
+        unions = list(spectrum._running_unions(f, verify.SHRINK_PERIODS[-1], spectrum.TOL))
         seen = []
         report = spectrum.gap_report
         monkeypatch.setattr(spectrum, "gap_report", lambda s: seen.append(s) or report(s))
-        res = verify.check_gap_shrinkage(f, full[:table])
-        assert res["passed"] and [s.max_period_used for s in seen] == list(verify.SHRINK_PERIODS)
-        for s, p in zip(seen, verify.SHRINK_PERIODS):
-            want = merge_bands(full[:p], spectrum.TOL)
-            assert s.lo.tobytes() == want.lo.tobytes() and s.hi.tobytes() == want.hi.tobytes()
+        assert verify.check_gap_shrinkage(unions)["passed"]
+        assert seen == [unions[p - 1] for p in verify.SHRINK_PERIODS]
+
+    def test_verify_builds_each_union_once(self, monkeypatch):
+        # each union is built once, by the fold: merge_bands runs for the
+        # certificate's period-1 union only, and a step function's unions
+        # stop within its table, so no streamed row is certified or solved
+        merges, certified = [], []
+        merge, inside = spectrum.merge_bands, spectrum._inside_union
+        monkeypatch.setattr(spectrum, "merge_bands",
+                            lambda per_period, tol: merges.append(len(per_period)) or merge(per_period, tol))
+        monkeypatch.setattr(spectrum, "_inside_union",
+                            lambda *a: certified.append(1) or inside(*a))
+        params = replace(verify.VERIFY_DEFAULTS, N=64, M=8, steps=200, omega_samples=4)
+        assert verify.run_verification(cosine(0.5), params)["all_passed"]
+        assert merges == [1] and certified
+        certified.clear()
+        # these sizes are too small for its gap check to pass; only the calls count
+        verify.run_verification(bernoulli(5.0), params)
+        assert certified == []
 
     def test_verify_tabulates_only_its_max_period(self, monkeypatch):
         calls = []
@@ -402,40 +435,42 @@ class TestBatchedChecks:
                             lambda self: (points.append(self), init(self)))
         assert cocycle.dichotomy_test(bernoulli(5.0), [-3.0, 8.0], sample_count=20)[0].is_hyperbolic
         assert labels == []
-        # only the left limit of the fixed point 0 builds its orbit
-        assert len(points) == 1
+        # the left limits come from arrays too: no orbit is built
+        assert points == []
 
 
 class TestRotationEvidence:
     # the gap checks fail when a rotation number's section or winding loses
     # its independent evidence, and name which one
     SMALL = Params(max_period=4, N=64, M=8, grid_points=201, steps=300, omega_samples=4)
-    CHECKS = [(cosine(0.5), check_gap_labelling), (bernoulli(5.0), check_disconnection)]
+    # each check with the tolerance of the union it reads
+    CHECKS = [(cosine(0.5), check_gap_labelling, spectrum.TOL),
+              (bernoulli(5.0), check_disconnection, verify.COARSE_TOL)]
 
-    @pytest.mark.parametrize("f, check", CHECKS, ids=["labelling", "disconnection"])
-    def test_passes(self, f, check):
-        res = check(f, bands_by_period(f, 4), self.SMALL)
+    @pytest.mark.parametrize("f, check, tol", CHECKS, ids=["labelling", "disconnection"])
+    def test_passes(self, f, check, tol):
+        res = check(f, union_spectrum(f, 4, tol), self.SMALL)
         assert res["passed"], res["detail"]
         assert "winding_oracle_dev" not in res["detail"]
 
-    @pytest.mark.parametrize("f, check", CHECKS, ids=["labelling", "disconnection"])
-    def test_fails_on_an_energy_past_the_oracle_budget(self, monkeypatch, f, check):
+    @pytest.mark.parametrize("f, check, tol", CHECKS, ids=["labelling", "disconnection"])
+    def test_fails_on_an_energy_past_the_oracle_budget(self, monkeypatch, f, check, tol):
         # the estimate's error reaches the check, which fails and names it
         monkeypatch.setattr(schwartzman, "ORACLE_ENTRIES", 32)
-        res = check(f, bands_by_period(f, 4), self.SMALL)
+        res = check(f, union_spectrum(f, 4, tol), self.SMALL)
         assert not res["passed"]
         assert res["detail"].startswith("error: E = ")
         assert "winding oracle substeps" in res["detail"]
 
-    @pytest.mark.parametrize("f, check", CHECKS, ids=["labelling", "disconnection"])
-    def test_sees_a_winding_off_its_oracle(self, monkeypatch, f, check):
+    @pytest.mark.parametrize("f, check, tol", CHECKS, ids=["labelling", "disconnection"])
+    def test_sees_a_winding_off_its_oracle(self, monkeypatch, f, check, tol):
         closed = schwartzman._winding_closed
         monkeypatch.setattr(schwartzman, "_winding_closed", lambda *a: closed(*a) + 1e-6)
-        res = check(f, bands_by_period(f, 4), self.SMALL)
+        res = check(f, union_spectrum(f, 4, tol), self.SMALL)
         assert not res["passed"] and "winding_oracle_dev 1.00e-06" in res["detail"]
 
-    @pytest.mark.parametrize("f, check", CHECKS, ids=["labelling", "disconnection"])
-    def test_sees_a_section_off_the_windowed_directions(self, monkeypatch, f, check):
+    @pytest.mark.parametrize("f, check, tol", CHECKS, ids=["labelling", "disconnection"])
+    def test_sees_a_section_off_the_windowed_directions(self, monkeypatch, f, check, tol):
         sweep = schwartzman._stable_sweep
 
         def rotated(E, pots, depth):
@@ -444,5 +479,5 @@ class TestRotationEvidence:
             return c * x - s * y, s * x + c * y
 
         monkeypatch.setattr(schwartzman, "_stable_sweep", rotated)
-        res = check(f, bands_by_period(f, 4), self.SMALL)
+        res = check(f, union_spectrum(f, 4, tol), self.SMALL)
         assert not res["passed"] and "max_reanchor_residual" in res["detail"]
