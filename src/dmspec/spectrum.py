@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ids
-from .dynamics import PeriodicOrbit, check_period, orbit_table
+from .dynamics import CirclePoint, PeriodicOrbit, check_period, orbit_table
 from .errors import InvalidParameter
 from .sampling import SamplingFunction
 
@@ -199,21 +199,24 @@ def _row_bands(edges: np.ndarray, tol: float):
 def _sided_rows(f: SamplingFunction, period: int):
     """The orbit table of `period`, its sided potentials as rows, and which rows are left limits.
 
-    f is called once on the whole table, whose rows come in its order, and
-    f.left_limit once on the orbits through a breakpoint.  Each such orbit
-    whose left-limit values differ is followed by them, as in
-    PeriodicOrbit.sided_potentials.
+    f is called once on the whole table, whose rows come in its order.  Each
+    orbit through a breakpoint is followed by the further potentials of its
+    PeriodicOrbit.sided_potentials: its left-limit potential when the
+    left-limit values differ.
     """
     table = orbit_table(period)
-    points = table / (2 ** period - 1)
+    d = 2 ** period - 1
+    points = table / d
     rows = np.asarray(f(points), dtype=float).reshape(table.shape)
-    hit = np.flatnonzero(f.breakpoint_mask(points).any(axis=1))
-    left = np.asarray(f.left_limit(points[hit]), dtype=float).reshape(len(hit), period)
-    differ = (left != rows[hit]).any(axis=1)
-    at = hit[differ] + 1
+    at, left = [], []
+    for i in np.flatnonzero(f.breakpoint_mask(points).any(axis=1)).tolist():
+        orbit = PeriodicOrbit(period, tuple(CirclePoint(q, d) for q in table[i].tolist()))
+        for _, pots in orbit.sided_potentials(f)[1:]:
+            at.append(i + 1)
+            left.append(pots)
     is_left = np.zeros(len(table), dtype=bool)
-    if at.size:
-        rows = np.insert(rows, at, left[differ], axis=0)
+    if at:
+        rows = np.insert(rows, at, left, axis=0)
         is_left = np.insert(is_left, at, True)
     return table, rows, is_left
 

@@ -239,7 +239,9 @@ def check_band_edge_oracle(f: SamplingFunction, per_period) -> dict:
     # the very edges the unions merge, certified on the potentials of
     # _oracle_potentials, which takes the orbits from Lyndon words and not
     # from the engine's orbit table, and the period-1 union against its
-    # closed form from f(0) and f(0-), which sees a left limit dropped by both
+    # closed form from f(0) and f(0-), which sees a left limit dropped by both;
+    # that union comes from the one-shot merge_bands, as a reference apart
+    # from the fold that builds the unions of the other checks
     def run():
         max_period = per_period[-1].period
         oracle = _oracle_potentials(f, max_period)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmspec import (
+    PeriodicOrbit,
     Step,
     TrigPoly,
     bernoulli,
@@ -138,13 +139,9 @@ class TestBandEdgeCheck:
     def test_sees_a_dropped_left_limit(self, monkeypatch):
         # bernoulli-five without its left-limit potential f(0-) = 0 in the
         # engine: the oracle builds its own sided potentials and lists 0/1-
-        original = spectrum._sided_rows
-
-        def right_only(f, period):
-            table, rows, is_left = original(f, period)
-            return table, rows[~is_left], is_left[~is_left]
-
-        monkeypatch.setattr(spectrum, "_sided_rows", right_only)
+        original = PeriodicOrbit.sided_potentials
+        monkeypatch.setattr(PeriodicOrbit, "sided_potentials",
+                            lambda self, f: original(self, f)[:1])
         res = check_band_edge_oracle(bernoulli(5.0), bands_by_period(bernoulli(5.0), 8))
         assert not res["passed"]
         assert res["detail"] == "engine and orbit potentials differ: ['0/1-']"
@@ -435,8 +432,8 @@ class TestBatchedChecks:
                             lambda self: (points.append(self), init(self)))
         assert cocycle.dichotomy_test(bernoulli(5.0), [-3.0, 8.0], sample_count=20)[0].is_hyperbolic
         assert labels == []
-        # the left limits come from arrays too: no orbit is built
-        assert points == []
+        # only the left limit of the fixed point 0 builds its orbit
+        assert len(points) == 1
 
 
 class TestRotationEvidence:
