@@ -23,8 +23,10 @@ from .errors import InvalidParameter, MissingDigits
 FLOAT_ITERATION_LIMIT = 45
 
 _MANTISSA_BITS = 53
-#: digits spawned_potentials draws and windows at once, whatever the sample count
-_SPAWN_DIGITS = 2 ** 15
+#: the most entries a blocked label kernel holds in one temporary: digits that
+#: spawned_potentials draws and windows at once, (row, site) entries that
+#: rotation_number reads of its sweep, (site, substep) entries of its oracle
+BLOCK_ENTRIES = 2 ** 14
 
 
 def _fraction(omega):
@@ -270,11 +272,12 @@ def random_orbit(rng: np.random.Generator, count: int) -> np.ndarray:
 def spawned_potentials(f, seed: int, samples: int, count: int) -> np.ndarray:
     """f along random_orbit of one generator per child of SeedSequence(seed).spawn(samples), as rows.
 
-    Rows are drawn, windowed and passed to f in blocks of about _SPAWN_DIGITS
-    digits, so the memory they take does not grow with the sample count.
+    Rows are drawn, windowed and passed to f in blocks of at most
+    BLOCK_ENTRIES digits (one row at least), so the memory they take besides
+    the result does not grow with the sample count.
     """
     children = np.random.SeedSequence(seed).spawn(samples)
-    block = max(1, _SPAWN_DIGITS // (count + _MANTISSA_BITS))
+    block = max(1, BLOCK_ENTRIES // (count + _MANTISSA_BITS))
     out = np.empty((samples, count))
     for i in range(0, samples, block):
         digits = [np.random.default_rng(ss).integers(0, 2, size=count + _MANTISSA_BITS, dtype=np.int64)

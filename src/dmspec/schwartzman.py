@@ -31,7 +31,7 @@ from .cocycle import (
     step_matrix,
 )
 from .errors import DmspecError, InvalidParameter, LiftingAmbiguity, NotHyperbolic
-from .sampling import SamplingFunction, _finite_energies, spawned_potentials
+from .sampling import BLOCK_ENTRIES, SamplingFunction, _finite_energies, spawned_potentials
 
 PI = math.pi
 
@@ -45,8 +45,7 @@ RESIDUAL_STRIDE = 64
 #: rotation_number takes, so that its state stays bounded however many
 #: energies a call asks for
 SWEEP_ROWS = 2 ** 7
-#: the most (site, substep) entries _winding_core holds at once, and the most
-#: substeps rotation_number's winding oracle takes
+#: the most substeps rotation_number's winding oracle takes at one site
 ORACLE_ENTRIES = 2 ** 20
 
 
@@ -81,7 +80,7 @@ def _winding_core(E, pots, x, y, substeps):
     on the scaling half angles come from atan2 and increments are folded into
     (-pi/2, pi/2], which is unambiguous while the true motion per substep
     stays below a quarter turn.  The sites are taken in chunks of at most
-    ORACLE_ENTRIES (site, substep) entries.
+    BLOCK_ENTRIES (site, substep) entries.
     """
     pots = np.asarray(pots, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -92,7 +91,7 @@ def _winding_core(E, pots, x, y, substeps):
     lam = scaling_profile(t[half:])
 
     out = np.empty(len(pots))
-    rows = max(1, ORACLE_ENTRIES // substeps)
+    rows = max(1, BLOCK_ENTRIES // substeps)
     for start in range(0, len(pots), rows):
         v, xs, ys = (a[start:start + rows] for a in (pots, x, y))
         angles = np.empty((len(v), substeps + 1))
@@ -147,7 +146,7 @@ def argument_winding_step(
 
 
 def _stable_sweep(E, pots: np.ndarray, depth: int):
-    """Stable directions (x, y) at sites 0 .. L - depth - 1 of each row of pots (rows, L).
+    """The stable directions of each row of pots (rows, L) at sites 0 .. L - depth - 1, unnormalized.
 
     E is one energy, or K energies of shape (K, 1, 1), which sweep the rows
     once per energy, energy by energy, into K * rows rows.  The last site's
@@ -155,9 +154,11 @@ def _stable_sweep(E, pots: np.ndarray, depth: int):
     (_stable_core); the sweep L_n = A_n^-1 L_{n+1} pulls it back to site 0,
     so every site sees at least depth steps ahead.  With t_n = E - v_n it is
     the three-term recurrence u_n = t_n u_{n+1} - u_{n+2}, (x_n, y_n) being
-    (u_{n+1}, u_n) normalized.  u is rescaled by exact powers of two every
-    _rescale_interval steps and normalized once at the end, so its bits do
-    not depend on the interval.
+    (u_{n+1}, u_n) normalized (_unit_directions).  u is rescaled by exact
+    powers of two every _rescale_interval steps, so its directions do not
+    depend on the interval.  Returns the buffer u (L - depth + 1, K * rows),
+    site by site, and the seams: the pairs (n + 1, e) of each rescale at n by
+    2^-e, whose site n + 1 mixes two scales.
     """
     # row n holds t_n of every row until the sweep puts u_n in its place
     u = _site_rows(E, pots)
@@ -174,19 +175,28 @@ def _stable_sweep(E, pots: np.ndarray, depth: int):
             (pair,), e = _pow2_rescaled(u[n:n + 2])
             u[n:n + 2] = pair
             seams.append((n + 1, e))
-    # (x, y) / sqrt(x^2 + y^2), whose bits power-of-two scalings do not change; a
-    # seam mixes two scales, which may under- or overflow here, and is redone below
-    x, y = u[1:m + 1], u[:m]
+    return u[:m + 1], seams
+
+
+def _unit_directions(u, seams, cols):
+    """The unit stable directions (x, y) of the columns cols of _stable_sweep's buffer u, as
+    two (len(cols), len(u) - 1) arrays: (u_{n+1}, u_n) / sqrt(u_{n+1}^2 + u_n^2) at site n.
+
+    Power-of-two scalings change none of their bits.  A seam mixes two scales,
+    which may under- or overflow in the first pass, and is redone from its
+    exponents.
+    """
+    x, y = u[1:, cols], u[:-1, cols]
     with np.errstate(all="ignore"):
         r = x * x
         r += y * y
         np.sqrt(r, out=r)
-        unit_x, unit_y = np.empty((2, u.shape[1], m))
+        unit_x, unit_y = np.empty((2, x.shape[1], x.shape[0]))
         np.divide(x, r, out=unit_x.T)
         np.divide(y, r, out=unit_y.T)
     if seams:
         at = [n for n, _ in seams]
-        a, b = x[at], np.ldexp(y[at], np.array([e for _, e in seams]))
+        a, b = x[at], np.ldexp(y[at], np.array([e[cols] for _, e in seams]))
         r = np.sqrt(a * a + b * b)
         unit_x.T[at], unit_y.T[at] = a / r, b / r
     return unit_x, unit_y
@@ -241,11 +251,10 @@ def rotation_number(
         per_sweep = max(1, SWEEP_ROWS // omega_samples)
         for start in range(0, len(hyperbolic), per_sweep):
             chunk = hyperbolic[start:start + per_sweep]
-            x, y = _stable_sweep(energies[chunk][:, None, None], pots, DEPTH)
+            u, seams = _stable_sweep(energies[chunk][:, None, None], pots, DEPTH)
             for j, i in enumerate(chunk):
-                block = slice(omega_samples * j, omega_samples * (j + 1))
                 try:
-                    out[i] = _estimate(energies[i], pots, x[block], y[block], steps, DEPTH,
+                    out[i] = _estimate(energies[i], pots, u, seams, omega_samples * j, steps, DEPTH,
                                        reports[i].growth_rate)
                 except DmspecError as exc:
                     if np.ndim(E) == 0:
@@ -254,19 +263,39 @@ def rotation_number(
     return out if np.ndim(E) else out[0]
 
 
-def _estimate(E, pots, x, y, steps: int, depth: int, growth_rate: float) -> RotationEstimate:
-    """The winding rate at E of the stable directions (x, y) of _stable_sweep along pots."""
-    omega_samples = pots.shape[0]
-    deltas = _winding_closed(E, pots[:, :steps], x[:, :steps], y[:, :steps])
-    values = deltas.sum(axis=1) / (PI * steps)
+def _estimate(E, pots, u, seams, first, steps: int, depth: int, growth_rate: float) -> RotationEstimate:
+    """The winding rate at E along pots of the stable directions in the columns first ..
+    first + len(pots) - 1 of _stable_sweep's buffer u.
 
+    The rows are read a block of at most BLOCK_ENTRIES (row, site) entries at
+    a time: each block's directions, closed-form windings and row sums, its
+    sites on the stride and its largest invariance residual.  Every step is
+    elementwise or runs over whole rows, so the blocks change no bit.
+    """
+    omega_samples = pots.shape[0]
     sites = np.arange(0, steps, RESIDUAL_STRIDE)
-    v, xs, ys = (a[:, sites].ravel() for a in (pots, x, y))
+    v = pots[:, sites].ravel()
     reach = np.abs(E - v)
     substeps = 64 * (1 + float(reach.max()) // 16)  # nan for an infinite reach
     if not substeps <= ORACLE_ENTRIES:
         raise InvalidParameter(f"E = {E}: max|E - v| = {reach.max():.3g} needs {substeps:.3g} "
                                f"winding oracle substeps, more than {ORACLE_ENTRIES}")
+
+    values = np.empty(omega_samples)
+    closed, xs, ys = np.empty((3, omega_samples, len(sites)))
+    residuals = []
+    rows = max(1, BLOCK_ENTRIES // (steps + 1))
+    for start in range(0, omega_samples, rows):
+        block = slice(start, min(start + rows, omega_samples))
+        x, y = _unit_directions(u, seams, slice(first + block.start, first + block.stop))
+        deltas = _winding_closed(E, pots[block, :steps], x[:, :steps], y[:, :steps])
+        values[block] = deltas.sum(axis=1) / (PI * steps)
+        closed[block], xs[block], ys[block] = deltas[:, sites], x[:, sites], y[:, sites]
+        # the image A_n (x_n, y_n) = (t_n x_n - y_n, x_n) against (x_{n+1}, y_{n+1})
+        x0, y0 = x[:, :-1], y[:, :-1]
+        residuals.append(_line_angle((E - pots[block, :steps]) * x0 - y0, x0, x[:, 1:], y[:, 1:]).max())
+    xs, ys = xs.ravel(), ys.ravel()
+
     # each site takes its own substeps, one _winding_core pass per distinct count
     budgets = 64 * (1 + reach // 16)
     oracle = np.empty(len(v))
@@ -274,13 +303,10 @@ def _estimate(E, pots, x, y, steps: int, depth: int, growth_rate: float) -> Rota
         at = budgets == budget
         oracle[at] = _winding_core(E, v[at], xs[at], ys[at], int(budget))
 
-    # the image A_n (x_n, y_n) = (t_n x_n - y_n, x_n) against (x_{n+1}, y_{n+1}) at every
-    # site, and the windowed directions at the strided sites
-    x0, y0 = x[:, :-1], y[:, :-1]
+    # the windowed directions at the strided sites
     windows = pots[:, sites[:, None] + np.arange(depth)].reshape(-1, depth)
     vec = _stable_core(E, windows)[0]
-    residual = max(_line_angle((E - pots[:, :steps]) * x0 - y0, x0, x[:, 1:], y[:, 1:]).max(),
-                   _line_angle(xs, ys, *vec.T).max())
+    residual = max(np.max(residuals), _line_angle(xs, ys, *vec.T).max())
     return RotationEstimate(
         value=float(values.mean()),
         stderr=float(values.std(ddof=1) / math.sqrt(omega_samples)) if omega_samples > 1 else 0.0,
@@ -290,7 +316,7 @@ def _estimate(E, pots, x, y, steps: int, depth: int, growth_rate: float) -> Rota
             "max_reanchor_residual": float(residual),
             "growth_rate": growth_rate,
             "winding_method": "closed_form",
-            "winding_oracle_dev": float(np.abs(oracle - deltas[:, sites].ravel()).max()),
+            "winding_oracle_dev": float(np.abs(oracle - closed.ravel()).max()),
         },
     )
 

@@ -169,6 +169,28 @@ def test_criterion_4_gap_shrinkage():
     assert elapsed < 300.0
 
 
+def test_criterion_4_gap_shrinkage_at_strong_coupling():
+    # cosine(3.0) keeps interior gaps at every period, so here a union that
+    # stopped shrinking fails; the max gaps read 2.5, 0.975, 0.209, 0.0798, 0.0298
+    t0 = time.perf_counter()
+    f = cosine(3.0)
+    maxgaps = []
+    for max_period in (4, 6, 8, 10, 12):
+        rep = gap_report(union_spectrum(f, max_period))
+        maxgaps.append(rep[0][1] if rep else 0.0)
+    nonzero = all(g > 0.0 for g in maxgaps)
+    shrinking = all(b < a for a, b in zip(maxgaps, maxgaps[1:]))
+    halved = maxgaps[-1] <= 0.5 * maxgaps[0]
+    elapsed = time.perf_counter() - t0
+    ok = nonzero and shrinking and halved and elapsed < 300
+    report("4 gap shrinkage, strong coupling", ok, elapsed, 300,
+           "max gaps " + ", ".join(f"{g:.3g}" for g in maxgaps))
+    assert nonzero
+    assert shrinking
+    assert halved
+    assert elapsed < 300.0
+
+
 def test_criterion_5_free_ids_oracle():
     t0 = time.perf_counter()
     grid = np.linspace(-2.0, 2.0, 101)

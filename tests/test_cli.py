@@ -307,7 +307,7 @@ class TestVerify:
         assert code == 0
 
     @pytest.mark.parametrize("name, checks", [
-        ("free", 8), ("cosine-half", 8), ("bernoulli-five", 6),
+        ("free", 8), ("cosine-half", 8), ("bernoulli-five", 6), ("cosine-strong", 8),
     ])
     def test_shipped_configs_pass(self, name, checks):
         code, out = run_cli(["verify", "--config", str(CONFIGS / f"{name}.json"),

@@ -263,7 +263,7 @@ class TestBatchedOrbits:
     @pytest.mark.parametrize("block_digits", [1, 3 * (70 + 53), 2 ** 15])
     def test_spawned_rows_equal_one_draw_per_child(self, m, block_digits, monkeypatch):
         # one row per spawned child, whether the blocks hold one row, a few or all
-        monkeypatch.setattr(sampling, "_SPAWN_DIGITS", block_digits)
+        monkeypatch.setattr(sampling, "BLOCK_ENTRIES", block_digits)
         f = cosine(0.5)
         orbits = [sampling.random_orbit(np.random.default_rng(ss), 70)
                   for ss in np.random.SeedSequence(4).spawn(7)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,11 +26,12 @@ from dmspec import (
     integrality_check,
     most_contracted_direction,
     rotation_number,
+    sampling,
     schwartzman,
 )
 from dmspec.cocycle import _line_angle, _stable_core
 from dmspec.sampling import random_orbit
-from dmspec.schwartzman import _stable_sweep, _winding_closed, _winding_core
+from dmspec.schwartzman import _stable_sweep, _unit_directions, _winding_closed, _winding_core
 
 FREE = TrigPoly()
 
@@ -105,7 +107,7 @@ class TestWindingStep:
         pots = rng.uniform(-2, 2, size=7)
         xs, ys = np.cos(rng.uniform(0, math.pi, size=7)), np.sin(rng.uniform(0, math.pi, size=7))
         whole = _winding_core(3.7, pots, xs, ys, 64)
-        monkeypatch.setattr(schwartzman, "ORACLE_ENTRIES", 64)
+        monkeypatch.setattr(schwartzman, "BLOCK_ENTRIES", 64)
         assert np.array_equal(_winding_core(3.7, pots, xs, ys, 64), whole)
         # (1, 2.1) at E - v = 100 turns too fast for 64 substeps to lift
         pots[5], xs[5], ys[5] = 3.7 - 100.0, 1.0, 2.1
@@ -147,38 +149,46 @@ class TestStableSweep:
     def test_matches_the_windowed_core(self, f, E):
         rng = np.random.default_rng(11)
         pots = np.stack([f(random_orbit(rng, 361)) for _ in range(4)])
-        x, y = _stable_sweep(E, pots, 60)
+        x, y = _unit_directions(*_stable_sweep(E, pots, 60), slice(None))
         windows = np.lib.stride_tricks.sliding_window_view(pots, 60, axis=1)[:, : x.shape[1]]
         vec, _, _ = _stable_core(E, windows.reshape(-1, 60))
         assert _line_angle(x.ravel(), y.ravel(), *vec.T).max() < 1e-12
 
     @pytest.mark.parametrize("site", [100, 128], ids=["off-stride", "on-stride"])
     def test_one_perturbed_angle_shows_in_the_residual(self, monkeypatch, site):
-        sweep = schwartzman._stable_sweep
+        directions = schwartzman._unit_directions
 
-        def perturbed(E, pots, depth):
-            x, y = sweep(E, pots, depth)
+        def perturbed(u, seams, cols):
+            x, y = directions(u, seams, cols)
             a = math.atan2(y[1, site], x[1, site]) + 1e-4
             x[1, site], y[1, site] = math.cos(a), math.sin(a)
             return x, y
 
-        monkeypatch.setattr(schwartzman, "_stable_sweep", perturbed)
+        monkeypatch.setattr(schwartzman, "_unit_directions", perturbed)
         est = rotation_number(cosine(0.5), 3.5, omega_samples=4, steps=300, seed=3)
         assert est.diagnostics["max_reanchor_residual"] > 1e-6
 
     def test_an_invariant_unstable_section_shows_in_the_residual(self, monkeypatch):
         # a forward sweep is invariant too, but follows the unstable section:
         # only the windowed directions at the strided sites tell it apart
-        def forward(E, pots, depth):
-            t = np.reshape(E - pots, pots.shape)  # E comes as one energy of shape (1, 1, 1)
-            x, y = np.ones((2, pots.shape[0], pots.shape[1] - depth))
+        sweep = schwartzman._stable_sweep
+        seen = {}
+
+        def recorded(E, pots, depth):
+            seen["t"] = np.reshape(E - pots, pots.shape)  # E comes as one energy of shape (1, 1, 1)
+            return sweep(E, pots, depth)
+
+        def forward(u, seams, cols):
+            t = seen["t"][cols]
+            x, y = np.ones((2, t.shape[0], len(u) - 1))
             for n in range(1, x.shape[1]):
                 a, b = t[:, n - 1] * x[:, n - 1] - y[:, n - 1], x[:, n - 1]
                 r = np.hypot(a, b)
                 x[:, n], y[:, n] = a / r, b / r
             return x, y
 
-        monkeypatch.setattr(schwartzman, "_stable_sweep", forward)
+        monkeypatch.setattr(schwartzman, "_stable_sweep", recorded)
+        monkeypatch.setattr(schwartzman, "_unit_directions", forward)
         est = rotation_number(cosine(0.5), 3.5, omega_samples=4, steps=300, seed=3)
         assert est.diagnostics["max_reanchor_residual"] > 1e-6
 
@@ -194,11 +204,11 @@ class TestStableSweep:
         # the origin at lam = 0.021, too fast for 64 substeps to lift; the
         # image of a stable direction passes it near lam = 1, where the
         # ramp is flat
-        def steep(E, pots, depth):
-            shape = (pots.shape[0], pots.shape[1] - depth)
+        def steep(u, seams, cols):
+            shape = (u[0, cols].size, len(u) - 1)
             return np.full(shape, 1.0), np.full(shape, 2.1)
 
-        monkeypatch.setattr(schwartzman, "_stable_sweep", steep)
+        monkeypatch.setattr(schwartzman, "_unit_directions", steep)
         est = rotation_number(FREE, 100.0, omega_samples=2, steps=200, seed=0)
         assert est.diagnostics["winding_oracle_dev"] < 1e-12
 
@@ -248,7 +258,8 @@ class TestRescaledRecursions:
         assert cocycle._rescale_interval(batch - pots) > 1
 
         def run():
-            return [_core_bits(E, pots[:, :200]) + [a.tobytes() for a in _stable_sweep(E, pots, 60)]
+            return [_core_bits(E, pots[:, :200])
+                    + [a.tobytes() for a in _unit_directions(*_stable_sweep(E, pots, 60), slice(None))]
                     for E in (*energies, batch)]
 
         default = run()
@@ -278,7 +289,7 @@ class TestRescaledRecursions:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for E in (1e6, 1e200):
-                x, y = _stable_sweep(E, pots, 60)
+                x, y = _unit_directions(*_stable_sweep(E, pots, 60), slice(None))
                 assert np.allclose(np.hypot(x, y), 1.0, rtol=0, atol=1e-15)
                 assert cocycle.dichotomy_test(FREE, E, sample_count=20).is_hyperbolic
             # 1e6 needs more winding oracle substeps than ORACLE_ENTRIES
@@ -315,6 +326,44 @@ class TestRescaledRecursions:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _line_angle(*scaled).tobytes() == _line_angle(*args).tobytes()
+
+
+class TestBlocks:
+    # rotation_number holds its potentials and one sweep buffer at full size;
+    # every other temporary is a block of at most BLOCK_ENTRIES entries
+
+    @pytest.mark.parametrize("budget", [1, 2 ** 40], ids=["one-entry", "unbounded"])
+    @pytest.mark.parametrize("f, energies", RESCALE_CASES, ids=RESCALE_IDS)
+    def test_no_result_depends_on_the_block_budget(self, monkeypatch, f, energies, budget):
+        # 10 samples of 2,000 steps read the sweep in two blocks at the default
+        def run():
+            out = rotation_number(f, energies, omega_samples=10, steps=2000, seed=7)
+            return [repr(est) for est in out]
+
+        default = run()
+        assert any(est.startswith("RotationEstimate(") for est in default)
+        monkeypatch.setattr(schwartzman, "BLOCK_ENTRIES", budget)
+        monkeypatch.setattr(sampling, "BLOCK_ENTRIES", budget)
+        assert run() == default
+
+    def test_the_traced_peak_is_bounded(self, monkeypatch):
+        # 32 samples of 2,061 sites: 0.5 MiB of potentials and 1 MiB of sweep
+        # buffer for the two energies; unblocked, the peak is past 5 MiB
+        args = cosine(0.5), [-3.0, 3.5], 32, 2000
+
+        def peak():
+            rotation_number(*args, seed=3)  # warm, so that first-call allocations do not count
+            tracemalloc.start()
+            try:
+                rotation_number(*args, seed=3)
+                return tracemalloc.get_traced_memory()[1] / 2 ** 20
+            finally:
+                tracemalloc.stop()
+
+        assert peak() <= 3.5
+        monkeypatch.setattr(schwartzman, "BLOCK_ENTRIES", 2 ** 40)
+        monkeypatch.setattr(sampling, "BLOCK_ENTRIES", 2 ** 40)
+        assert peak() > 3.5
 
 
 def _rotation_or_error(f, E, **kwargs):

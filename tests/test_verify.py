@@ -468,13 +468,13 @@ class TestRotationEvidence:
 
     @pytest.mark.parametrize("f, check, tol", CHECKS, ids=["labelling", "disconnection"])
     def test_sees_a_section_off_the_windowed_directions(self, monkeypatch, f, check, tol):
-        sweep = schwartzman._stable_sweep
+        directions = schwartzman._unit_directions
 
-        def rotated(E, pots, depth):
-            x, y = sweep(E, pots, depth)
+        def rotated(u, seams, cols):
+            x, y = directions(u, seams, cols)
             c, s = np.cos(1e-3), np.sin(1e-3)
             return c * x - s * y, s * x + c * y
 
-        monkeypatch.setattr(schwartzman, "_stable_sweep", rotated)
+        monkeypatch.setattr(schwartzman, "_unit_directions", rotated)
         res = check(f, union_spectrum(f, 4, tol), self.SMALL)
         assert not res["passed"] and "max_reanchor_residual" in res["detail"]
