@@ -223,6 +223,11 @@ def rotation_number(
     (|d angle / dt| <= 4 |E - v|).  An energy whose oracle would need more
     than ORACLE_ENTRIES substeps at a site fails with InvalidParameter.
 
+    Two arrays of (samples, sites) entries are held at full size: the
+    potentials and the sweep buffer.  Every other temporary, in the draw,
+    the estimate and the oracle, is a block of at most BLOCK_ENTRIES
+    entries, and no result depends on that size.
+
     E is one energy or a sequence of them.  A sequence shares one dichotomy
     pretest, one draw of the omega samples and one backward sweep per
     SWEEP_ROWS rows, and gives a list in the order of E: each energy's
@@ -260,6 +265,7 @@ def rotation_number(
                     if np.ndim(E) == 0:
                         raise
                     out[i] = exc
+            del u  # freed before the next sweep builds its buffer
     return out if np.ndim(E) else out[0]
 
 
