@@ -38,9 +38,9 @@ INVARIANCE_TOL = 1e-6
 RATE_FLOOR = 1e-3
 #: dichotomy_test probes every periodic point of minimal period up to this
 PROBE_PERIODS = 8
-#: the most rows one _stable_core pass of dichotomy_test takes, so that its
-#: memory stays bounded however many energies a call asks for
-CORE_ROWS = 2 ** 12
+#: the most entries of the _site_rows buffer of one pass of dichotomy_test or
+#: rotation_number, so that it stays bounded however many energies a call asks for
+PASS_ENTRIES = 2 ** 18
 
 
 def step_matrix(E, v) -> np.ndarray:
@@ -142,8 +142,7 @@ def _pow2_rescaled(*rows):
 
 def _site_rows(E, pots) -> np.ndarray:
     """E - pots as a C-contiguous (sites, rows) array, built in one pass: row n holds
-    E - v_n of every row of pots (rows, sites).  E is one energy, or K energies of
-    shape (K, 1, 1), which take the rows once per energy, energy by energy."""
+    E - v_n of every row of pots (rows, sites), for each energy of E in turn."""
     pots = np.asarray(pots, dtype=float)
     rows, sites = pots.shape
     out = np.empty((sites, np.size(E) * rows))
@@ -156,11 +155,11 @@ def _stable_core(E, windows: np.ndarray, checkpoints=()):
 
     windows has shape (rows, depth): row b holds the potential values
     v_0 .. v_{depth-1} seen along the orbit piece starting at site b.  E is
-    one energy, or K energies of shape (K, 1, 1), which take the rows once
-    per energy, energy by energy, so the batch is K * rows.  The running
-    product steps unscaled and is rescaled by exact powers of two every
-    _rescale_interval steps and before each checkpoint, so its bits do not
-    depend on the interval; its true largest singular value is recovered
+    one energy or K of them, which take the rows once per energy, energy by
+    energy, so the batch is K * rows.  The running product steps unscaled
+    and is rescaled by exact powers of two every _rescale_interval steps and
+    before each checkpoint, so its bits do not depend on the interval; its
+    true largest singular value is recovered
     from the summed exponents (det = 1 pins the smaller one).
     Returns unit vectors (batch, 2) spanning the directions, log sigma_max,
     and per-checkpoint snapshots of (unit vectors, log sigma_max) taken after
@@ -302,9 +301,9 @@ def dichotomy_test(
 
     E is one energy or a sequence of them, all finite (else InvalidParameter).
     A sequence shares one draw of the samples and probes and one pass over
-    the depth sites per CORE_ROWS rows, and gives a list of reports in the
-    order of E, each equal to the report its energy gets alone; a float
-    gives its report as before.
+    the depth sites per PASS_ENTRIES (site, row) entries, and gives a list
+    of reports in the order of E, each equal to the report its energy gets
+    alone; a float gives its report as before.
 
     Uniform draws alone cannot refute hyperbolicity at energies where the
     almost-sure exponent is positive inside the spectrum (the section exists
@@ -337,11 +336,11 @@ def dichotomy_test(
     windows = np.concatenate([pots[:, :depth], pots[:, 1 : depth + 1]])
     omegas = orbits[:, 0]
     reports = []
-    # one block of 2 * total rows per energy, at most CORE_ROWS rows a pass
-    per_pass = max(1, CORE_ROWS // (2 * total))
+    # one block of 2 * total rows per energy, at most PASS_ENTRIES entries a pass
+    per_pass = max(1, PASS_ENTRIES // windows.size)
     for start in range(0, len(energies), per_pass):
         chunk = energies[start:start + per_pass]
-        batch = _stable_core(chunk[:, None, None], windows, checkpoints=checkpoints)
+        batch = _stable_core(chunk, windows, checkpoints=checkpoints)
         for i, e in enumerate(chunk):
             block = slice(2 * total * i, 2 * total * (i + 1))
             snaps = {k: (a[block], b[block]) for k, (a, b) in batch[2].items()}

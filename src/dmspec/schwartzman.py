@@ -19,6 +19,7 @@ import numpy as np
 
 from .cocycle import (
     DEPTH,
+    PASS_ENTRIES,
     Direction,
     _line_angle,
     _pow2_rescaled,
@@ -41,10 +42,6 @@ PI = math.pi
 AMBIGUITY_FRACTION = 0.9
 #: rotation_number checks every RESIDUAL_STRIDE-th site against its oracles
 RESIDUAL_STRIDE = 64
-#: the most rows (omega samples times energies) one backward sweep of
-#: rotation_number takes, so that its state stays bounded however many
-#: energies a call asks for
-SWEEP_ROWS = 2 ** 7
 #: the most substeps rotation_number's winding oracle takes at one site
 ORACLE_ENTRIES = 2 ** 20
 
@@ -145,26 +142,26 @@ def argument_winding_step(
     return Direction.from_vector(out[0], out[1]), delta
 
 
-def _stable_sweep(E, pots: np.ndarray, depth: int):
-    """The stable directions of each row of pots (rows, L) at sites 0 .. L - depth - 1, unnormalized.
+def _stable_sweep(E, pots: np.ndarray):
+    """The stable directions of each row of pots (rows, L) at sites 0 .. L - DEPTH - 1, unnormalized.
 
-    E is one energy, or K energies of shape (K, 1, 1), which sweep the rows
-    once per energy, energy by energy, into K * rows rows.  The last site's
-    direction is the most contracted one of the depth steps from it
-    (_stable_core); the sweep L_n = A_n^-1 L_{n+1} pulls it back to site 0,
-    so every site sees at least depth steps ahead.  With t_n = E - v_n it is
-    the three-term recurrence u_n = t_n u_{n+1} - u_{n+2}, (x_n, y_n) being
-    (u_{n+1}, u_n) normalized (_unit_directions).  u is rescaled by exact
-    powers of two every _rescale_interval steps, so its directions do not
-    depend on the interval.  Returns the buffer u (L - depth + 1, K * rows),
-    site by site, and the seams: the pairs (n + 1, e) of each rescale at n by
-    2^-e, whose site n + 1 mixes two scales.
+    E is one energy or K of them, which sweep the rows once per energy,
+    energy by energy, into K * rows rows.  The last site's direction is the
+    most contracted one of the DEPTH steps from it (_stable_core); the sweep
+    L_n = A_n^-1 L_{n+1} pulls it back to site 0, so every site sees at
+    least DEPTH steps ahead.  With t_n = E - v_n it is the three-term
+    recurrence u_n = t_n u_{n+1} - u_{n+2}, (x_n, y_n) being (u_{n+1}, u_n)
+    normalized (_unit_directions).  u is rescaled by exact powers of two
+    every _rescale_interval steps, so its directions do not depend on the
+    interval.  Returns the buffer u (L - DEPTH + 1, K * rows), site by site,
+    and the seams: the pairs (n + 1, e) of each rescale at n by 2^-e, whose
+    site n + 1 mixes two scales.
     """
     # row n holds t_n of every row until the sweep puts u_n in its place
     u = _site_rows(E, pots)
-    m = u.shape[0] - depth
+    m = u.shape[0] - DEPTH
     every = _rescale_interval(u)
-    u[m], u[m - 1] = _stable_core(E, pots[:, -depth - 1 : -1])[0].T
+    u[m], u[m - 1] = _stable_core(E, pots[:, -DEPTH - 1 : -1])[0].T
     # a rescale at n scales u_n, u_{n+1} by 2^-e but not u_{n+2}: site n + 1 is a seam
     seams = []
     rows = list(u)
@@ -230,16 +227,17 @@ def rotation_number(
 
     E is one energy or a sequence of them.  A sequence shares one dichotomy
     pretest, one draw of the omega samples and one backward sweep per
-    SWEEP_ROWS rows, and gives a list in the order of E: each energy's
-    estimate, equal to the one it gets alone, or the error it would raise
-    alone (NotHyperbolic, or the DmspecError of its estimate), so one failed
-    energy does not sink the others.  A float returns its estimate or raises
-    its error, as before.  A non-finite energy raises InvalidParameter.
+    PASS_ENTRIES (site, row) entries, and gives a list in the order of E:
+    each energy's estimate, equal to the one it gets alone, or the error it
+    would raise alone (NotHyperbolic, or the DmspecError of its estimate),
+    so one failed energy does not sink the others.  A float returns its
+    estimate or raises its error, as before.  A non-finite energy raises
+    InvalidParameter.
     """
     if steps < 1 or omega_samples < 1:
         raise InvalidParameter("steps and omega_samples must be >= 1")
     energies = _finite_energies(E)
-    reports = dichotomy_test(f, energies, depth=DEPTH, seed=seed)
+    reports = dichotomy_test(f, energies, seed=seed)
     failures = [None if report.is_hyperbolic else (
         f"E = {float(e)} failed the dichotomy pretest "
         f"(diagnostics: {report.diagnostics}); the stable section and its "
@@ -252,14 +250,14 @@ def rotation_number(
     if hyperbolic:
         pots = spawned_potentials(f, seed, omega_samples, steps + DEPTH + 1)
         # one block of omega_samples rows per hyperbolic energy, at most
-        # SWEEP_ROWS rows a sweep
-        per_sweep = max(1, SWEEP_ROWS // omega_samples)
+        # PASS_ENTRIES entries a sweep
+        per_sweep = max(1, PASS_ENTRIES // pots.size)
         for start in range(0, len(hyperbolic), per_sweep):
             chunk = hyperbolic[start:start + per_sweep]
-            u, seams = _stable_sweep(energies[chunk][:, None, None], pots, DEPTH)
+            u, seams = _stable_sweep(energies[chunk], pots)
             for j, i in enumerate(chunk):
                 try:
-                    out[i] = _estimate(energies[i], pots, u, seams, omega_samples * j, steps, DEPTH,
+                    out[i] = _estimate(energies[i], pots, u, seams, omega_samples * j,
                                        reports[i].growth_rate)
                 except DmspecError as exc:
                     if np.ndim(E) == 0:
@@ -269,16 +267,16 @@ def rotation_number(
     return out if np.ndim(E) else out[0]
 
 
-def _estimate(E, pots, u, seams, first, steps: int, depth: int, growth_rate: float) -> RotationEstimate:
-    """The winding rate at E along pots of the stable directions in the columns first ..
-    first + len(pots) - 1 of _stable_sweep's buffer u.
+def _estimate(E, pots, u, seams, first, growth_rate: float) -> RotationEstimate:
+    """The winding rate at E along pots (rows, steps + DEPTH + 1) of the stable directions
+    in the columns first .. first + len(pots) - 1 of _stable_sweep's buffer u.
 
     The rows are read a block of at most BLOCK_ENTRIES (row, site) entries at
     a time: each block's directions, closed-form windings and row sums, its
     sites on the stride and its largest invariance residual.  Every step is
     elementwise or runs over whole rows, so the blocks change no bit.
     """
-    omega_samples = pots.shape[0]
+    omega_samples, steps = pots.shape[0], pots.shape[1] - DEPTH - 1
     sites = np.arange(0, steps, RESIDUAL_STRIDE)
     v = pots[:, sites].ravel()
     reach = np.abs(E - v)
@@ -310,7 +308,7 @@ def _estimate(E, pots, u, seams, first, steps: int, depth: int, growth_rate: flo
         oracle[at] = _winding_core(E, v[at], xs[at], ys[at], int(budget))
 
     # the windowed directions at the strided sites
-    windows = pots[:, sites[:, None] + np.arange(depth)].reshape(-1, depth)
+    windows = pots[:, sites[:, None] + np.arange(DEPTH)].reshape(-1, DEPTH)
     vec = _stable_core(E, windows)[0]
     residual = max(np.max(residuals), _line_angle(xs, ys, *vec.T).max())
     return RotationEstimate(

@@ -300,7 +300,7 @@ def check_determinants(f: SamplingFunction, hull, seed: int = 0) -> dict:
             going &= ~(np.abs(Q).max(axis=(1, 2)) > 3e3)  # a NaN product goes on
             if not going.any():
                 break
-            P = np.where(going[:, None, None], Q, P)
+            P[going] = Q[going]
             n += going
         worst = max([0.0, *(np.abs(np.linalg.det(P) - 1.0) / n).tolist()])
         return worst < 1e-9, f"max |det - 1|/n = {worst:.2e} over 26 products with entries <= 3e3"
@@ -442,15 +442,18 @@ def run_verification(f: SamplingFunction, params: Params = VERIFY_DEFAULTS) -> d
     orbits it takes from binary Lyndon words, not from the engine's orbit
     table.  Each union is built once and handed to the checks that read it:
     spectrum._running_unions folds the edges into the unions of periods
-    1 .. p, on to period 12 for continuous f (the periods past P streamed as
-    union_spectrum does) and to min(P, 8), the hull's period, for a step
-    function; the disconnection check's COARSE_TOL union merges them once.
+    1 .. p, to period max(P, 12) for continuous f and PROBE_PERIODS for a
+    step function (past P streamed as union_spectrum does); the COARSE_TOL
+    union of the disconnection check merges them once.  The hull of periods
+    1 .. PROBE_PERIODS, which holds every band dichotomy_test probes, sets
+    the energies of the determinant, invariance and digit checks; gap
+    labelling reads the union of periods 1 .. max(P, PROBE_PERIODS).
     """
     P = params.max_period
     per_period = spectrum.bands_by_period(f, P)
-    last = max(P, SHRINK_PERIODS[-1]) if f.continuous else min(P, 8)
+    last = max(P, SHRINK_PERIODS[-1]) if f.continuous else cocycle.PROBE_PERIODS
     unions = list(spectrum._running_unions(f, last, spectrum.TOL, per_period))
-    hull = unions[min(P, 8) - 1].hull
+    hull = unions[cocycle.PROBE_PERIODS - 1].hull
     checks = [
         check_sturm_counts(seed=params.seed),
         check_band_edge_oracle(f, per_period),
@@ -461,7 +464,7 @@ def run_verification(f: SamplingFunction, params: Params = VERIFY_DEFAULTS) -> d
     if f.continuous:
         checks.append(check_containment(f, unions[:P]))
         checks.append(check_gap_shrinkage(unions))
-        checks.append(check_gap_labelling(f, unions[P - 1], params))
+        checks.append(check_gap_labelling(f, unions[max(P, cocycle.PROBE_PERIODS) - 1], params))
     else:
         checks.append(check_disconnection(f, spectrum.merge_bands(per_period, COARSE_TOL), params))
     return {"checks": checks, "all_passed": all(c["passed"] for c in checks)}

@@ -306,6 +306,16 @@ class TestVerify:
         assert payload["all_passed"], [c for c in payload["checks"] if not c["passed"]]
         assert code == 0
 
+    def test_strong_coupling_passes_below_the_probe_periods(self, tmp_path):
+        # at max_period 2 the hull of 6 cos less 0.5, E = -5.5, lies in the
+        # band of orbit 3/17, which dichotomy_test probes; the hull of the probe
+        # periods sets the energies of the checks that must be off every probed band
+        cfg = write_config(tmp_path, {"type": "trigpoly", "cos": [6.0], "command": {"max_period": 2}})
+        code, out = run_cli(["verify", "--config", cfg, "--format", "json"])
+        payload = json.loads(out)
+        assert payload["all_passed"], [c for c in payload["checks"] if not c["passed"]]
+        assert code == 0
+
     @pytest.mark.parametrize("name, checks", [
         ("free", 8), ("cosine-half", 8), ("bernoulli-five", 6), ("cosine-strong", 8),
     ])

@@ -114,3 +114,23 @@ def test_orbit_points_are_folded_without_mod():
     found = [f"sampling.py:{i}" for i, line in enumerate(source.splitlines(), 1)
              if "np.mod" in line or "% 1.0" in line]
     assert found == []
+
+
+def test_every_constant_is_read():
+    # a module-level UPPERCASE name is loaded, by name or as an attribute,
+    # somewhere in src/dmspec; a constant nothing reads has outlived its use
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    defined = [(stem, target.id) for stem, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.Assign, ast.AnnAssign))
+               for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+               if isinstance(target, ast.Name) and target.id.isupper()
+               and not target.id.startswith("__")]
+    assert len(defined) >= 30
+    assert [f"{stem}.{name}" for stem, name in defined if name not in read] == []

@@ -1,10 +1,10 @@
 """Every CLI output of the shipped configs, pinned by its SHA-256.
 
 Runs the six subcommands in both formats on each file of configs/ at
---seed 3, with --plot where a subcommand takes it, and compares the digest
-of stdout and of the figure, the exit code and stderr with
-tests/output_digests.json.  A change that alters output bytes on purpose
-regenerates the table with
+--seed 3, with --plot where a subcommand takes it, and bands and verify on
+the step of LEFT_LIMITS, and compares the digest of stdout and of the
+figure, the exit code and stderr with tests/output_digests.json.  A change
+that alters output bytes on purpose regenerates the table with
 
     PYTHONPATH=src python tests/test_output_digests.py
 
@@ -36,6 +36,10 @@ TABLE = Path(__file__).resolve().parent / "output_digests.json"
 SEED = "3"
 COMMANDS = ("bands", "spectrum", "gaps", "ids", "rotation", "verify")
 PLOTTED = ("bands", "spectrum", "ids")
+#: a step with the left-limit rows 0/1- and 1/3- and no gap, so that verify
+#: fails its disconnection check; configs/ holds only configs that pass
+LEFT_LIMITS = {"type": "step", "breaks": [0.0, 1 / 3, 0.5], "values": [1.0, -1.0, 2.0],
+               "command": {"max_period": 9}}
 
 
 def build() -> dict:
@@ -56,8 +60,11 @@ def outputs() -> dict:
     """{"<command> <config> <format>": {"code", "stdout", "stderr"[, "plot"]}} of every run."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for config in sorted(CONFIGS.glob("*.json")):
-            for command in COMMANDS:
+        left = Path(tmp) / "step-left-limits.json"
+        left.write_text(json.dumps(LEFT_LIMITS), encoding="utf-8")
+        runs = [(config, COMMANDS) for config in sorted(CONFIGS.glob("*.json"))]
+        for config, commands in runs + [(left, ("bands", "verify"))]:
+            for command in commands:
                 for fmt in ("json", "csv"):
                     argv = [command, "--config", str(config), "--seed", SEED, "--format", fmt]
                     plot = Path(tmp) / "figure.svg"

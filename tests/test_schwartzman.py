@@ -149,7 +149,7 @@ class TestStableSweep:
     def test_matches_the_windowed_core(self, f, E):
         rng = np.random.default_rng(11)
         pots = np.stack([f(random_orbit(rng, 361)) for _ in range(4)])
-        x, y = _unit_directions(*_stable_sweep(E, pots, 60), slice(None))
+        x, y = _unit_directions(*_stable_sweep(E, pots), slice(None))
         windows = np.lib.stride_tricks.sliding_window_view(pots, 60, axis=1)[:, : x.shape[1]]
         vec, _, _ = _stable_core(E, windows.reshape(-1, 60))
         assert _line_angle(x.ravel(), y.ravel(), *vec.T).max() < 1e-12
@@ -174,9 +174,9 @@ class TestStableSweep:
         sweep = schwartzman._stable_sweep
         seen = {}
 
-        def recorded(E, pots, depth):
-            seen["t"] = np.reshape(E - pots, pots.shape)  # E comes as one energy of shape (1, 1, 1)
-            return sweep(E, pots, depth)
+        def recorded(E, pots):
+            seen["t"] = E - pots  # E comes as an array of one energy
+            return sweep(E, pots)
 
         def forward(u, seams, cols):
             t = seen["t"][cols]
@@ -254,12 +254,12 @@ class TestRescaledRecursions:
     def test_the_rescale_interval_changes_no_bit(self, monkeypatch, f, energies):
         rng = np.random.default_rng(12)
         pots = np.stack([f(random_orbit(rng, 361)) for _ in range(3)])
-        batch = np.array(energies)[:, None, None]
-        assert cocycle._rescale_interval(batch - pots) > 1
+        batch = np.array(energies)
+        assert cocycle._rescale_interval(batch[:, None, None] - pots) > 1
 
         def run():
             return [_core_bits(E, pots[:, :200])
-                    + [a.tobytes() for a in _unit_directions(*_stable_sweep(E, pots, 60), slice(None))]
+                    + [a.tobytes() for a in _unit_directions(*_stable_sweep(E, pots), slice(None))]
                     for E in (*energies, batch)]
 
         default = run()
@@ -289,7 +289,7 @@ class TestRescaledRecursions:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for E in (1e6, 1e200):
-                x, y = _unit_directions(*_stable_sweep(E, pots, 60), slice(None))
+                x, y = _unit_directions(*_stable_sweep(E, pots), slice(None))
                 assert np.allclose(np.hypot(x, y), 1.0, rtol=0, atol=1e-15)
                 assert cocycle.dichotomy_test(FREE, E, sample_count=20).is_hyperbolic
             # 1e6 needs more winding oracle substeps than ORACLE_ENTRIES
@@ -397,14 +397,16 @@ class TestRotationOverEnergies:
         backward = rotation_number(f, energies[::-1], omega_samples=3, steps=200, seed=6)
         assert [repr(est) for est in backward] == [repr(est) for est in forward][::-1]
 
-    @pytest.mark.parametrize("sweep_rows, core_rows", [(1, 1), (8, 2 ** 11), (2 ** 7, 2 ** 12)],
-                             ids=["one-energy", "a-few-energies", "all"])
-    def test_passes_of_any_size_give_the_same_estimates(self, monkeypatch, sweep_rows, core_rows):
+    # an energy takes 540 x 60 entries of a pretest pass and 4 x 261 of a sweep:
+    # 2 ** 12 sweeps 3 energies at a time, 2 ** 16 pretests 2 at a time
+    @pytest.mark.parametrize("pass_entries", [1, 2 ** 12, 2 ** 16, 2 ** 18],
+                             ids=["one-energy", "a-few-energies", "two-pretest-energies", "all"])
+    def test_passes_of_any_size_give_the_same_estimates(self, monkeypatch, pass_entries):
         # energies split over several pretest passes and sweeps, or all in one
         f, energies = cosine(3.0), (0.323, 6.0, 9.0, -3.0, 1.752)
         alone = [_rotation_or_error(f, E, omega_samples=4, steps=200, seed=9) for E in energies]
-        monkeypatch.setattr(schwartzman, "SWEEP_ROWS", sweep_rows)
-        monkeypatch.setattr(cocycle, "CORE_ROWS", core_rows)
+        monkeypatch.setattr(schwartzman, "PASS_ENTRIES", pass_entries)
+        monkeypatch.setattr(cocycle, "PASS_ENTRIES", pass_entries)
         batch = rotation_number(f, energies, omega_samples=4, steps=200, seed=9)
         assert [repr(est) for est in batch] == [repr(est) for est in alone]
 

@@ -478,3 +478,109 @@ class TestRotationEvidence:
         monkeypatch.setattr(schwartzman, "_unit_directions", rotated)
         res = check(f, union_spectrum(f, 4, tol), self.SMALL)
         assert not res["passed"] and "max_reanchor_residual" in res["detail"]
+
+
+class TestBelowTheProbePeriods:
+    # the determinant, invariance and digit checks take energies off every
+    # band dichotomy_test probes, so their hull is that of the probe periods
+    # at every max_period; at 1 and 2 the hull of max_period alone put them
+    # inside a probed band (E = -5.5 lies in the band of orbit 3/17 of 6 cos)
+    @pytest.mark.parametrize("f", [cosine(3.0), cosine(1.5), TrigPoly(0.3, (1, 0.5), (0.7,))],
+                             ids=["cos-3", "cos-1.5", "trig"])
+    @pytest.mark.parametrize("max_period", range(1, cocycle.PROBE_PERIODS))
+    def test_passes(self, f, max_period):
+        res = verify.run_verification(f, Params(max_period=max_period))
+        assert res["all_passed"], [c for c in res["checks"] if not c["passed"]]
+
+
+def _faulty_fold(monkeypatch, fault):
+    """Make spectrum._running_unions give fault(f, the list of its unions)."""
+    fold = spectrum._running_unions
+    monkeypatch.setattr(spectrum, "_running_unions", lambda f, *args: fault(f, list(fold(f, *args))))
+
+
+def _drop_the_band_of_f0(f, unions):
+    # a union of one band keeps it, so that it is still a union
+    center, out = float(f(0.0)), []
+    for s in unions:
+        keep = ~((s.lo <= center) & (center <= s.hi))
+        out.append(replace(s, lo=s.lo[keep], hi=s.hi[keep]) if keep.any() else s)
+    return out
+
+
+def _turned_stable_core(monkeypatch):
+    """Make cocycle._stable_core turn every vector it gives, checkpoints too, by 1e-5."""
+    core = cocycle._stable_core
+    c, s = np.cos(1e-5), np.sin(1e-5)
+
+    def turn(vec):
+        return np.stack([c * vec[:, 0] - s * vec[:, 1], s * vec[:, 0] + c * vec[:, 1]], axis=1)
+
+    def turned(E, windows, checkpoints=()):
+        vec, log_smax, snaps = core(E, windows, checkpoints)
+        return turn(vec), log_smax, {k: (turn(v), log) for k, (v, log) in snaps.items()}
+
+    monkeypatch.setattr(cocycle, "_stable_core", turned)
+
+
+def _shifted_rotations(monkeypatch):
+    rotation = schwartzman.rotation_number
+    monkeypatch.setattr(schwartzman, "rotation_number", lambda *a, **k: [
+        replace(est, value=est.value + 0.5) for est in rotation(*a, **k)])
+
+
+def _raise_every_top_edge(monkeypatch):
+    def shift(edges):
+        edges[:, -1] += 1e-5
+        return edges
+
+    _faulty_edges(monkeypatch, shift)
+
+
+#: one row per check of verify: a shipped config on which it can fail, a fault
+#: on its primary path, and the text the failing detail shows.  The Sturm
+#: fault drops the first site, as the 20 cases at seed 0 all end in padding
+FAULTS = [
+    ("sturm_vs_dense", "free", lambda mp: mp.setattr(
+        ids, "_sturm_counts", lambda values, E, count=ids._sturm_counts: count(values[1:], E)),
+     "Sturm 21 != dense 22 at N=55"),
+    ("band_edges_vs_eigen_oracle", "cosine-half", _raise_every_top_edge,
+     "orbit 0/1: disc 2.00001 at edge 1, want +2: off by 1.00e-05"),
+    ("unimodularity", "free", lambda mp: mp.setattr(
+        cocycle, "step_matrix", lambda E, v, step=cocycle.step_matrix: step(E, v) * (1.0 + 1e-6)),
+     "max |det - 1|/n = 2.00e-06"),
+    ("stable_section_invariance", "free", _turned_stable_core, "E=-2.5 not detected hyperbolic"),
+    ("backward_digit_independence", "cosine-half", _turned_stable_core, "w = 0.372: 1.23e-04"),
+    ("fixed_point_containment", "cosine-strong", lambda mp: _faulty_fold(mp, _drop_the_band_of_f0),
+     "union at max_period=2 misses [4.0, 8.0]"),
+    ("gap_shrinkage", "cosine-strong",
+     lambda mp: _faulty_fold(mp, lambda f, unions: [unions[7]] * len(unions)),
+     "(4, 6, 8, 10, 12): 0.209, 0.209, 0.209, 0.209, 0.209"),
+    ("gap_labelling_integrality", "cosine-half", lambda mp: mp.setattr(
+        ids.IDSTable, "value_at", lambda self, E, at=ids.IDSTable.value_at: at(self, E) + 0.05),
+     "E=-3.000: rot=1.00000, 1-k=0.95000"),
+    ("disconnection_and_gap_label", "bernoulli-five", _shifted_rotations, "rotation 1.0004 -> integer"),
+]
+
+
+class TestFaultTable:
+    # every check fails on a fault of the path it checks, and passes without it
+    @staticmethod
+    def _check(config: str, name: str) -> dict:
+        obj = json.loads((CONFIGS / f"{config}.json").read_text())
+        params = verify.VERIFY_DEFAULTS.updated(obj.pop("command"))
+        return next(c for c in verify.run_verification(from_json(obj), params)["checks"]
+                    if c["name"] == name)
+
+    def test_every_check_has_a_row(self):
+        names = {c["name"] for f in (TrigPoly(), bernoulli(5.0))
+                 for c in verify.run_verification(f, Params(max_period=1, N=16, steps=8))["checks"]}
+        assert sorted(names) == sorted(name for name, *_ in FAULTS)
+
+    @pytest.mark.parametrize("name, config, fault, shows", FAULTS, ids=[row[0] for row in FAULTS])
+    def test_the_fault_fails_the_check(self, monkeypatch, name, config, fault, shows):
+        sound = self._check(config, name)
+        assert sound["passed"], sound["detail"]
+        fault(monkeypatch)
+        res = self._check(config, name)
+        assert not res["passed"] and shows in res["detail"], res["detail"]
