@@ -12,8 +12,9 @@ or configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
+import functools
 import itertools
 import json
 import math
@@ -63,65 +64,72 @@ def _energy_list(text: str) -> tuple[float, ...]:
 
 
 def _emit(args, payload, rows, header):
-    """Write either the JSON payload or CSV rows, to --out or stdout.
+    """Write either the JSON payload or CSV rows to --out or stdout, as they are made.
 
-    payload is a dict, or a function of no arguments that returns the JSON text.
+    payload is a dict, or an iterable of the pieces of the JSON text.
     """
-    if args.format == "json":
-        text = payload() if callable(payload) else json.dumps(payload, indent=2, sort_keys=True)
-        text += "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with (open(args.out, "w", encoding="utf-8", newline="") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        if args.format == "json":
+            fh.writelines([json.dumps(payload, indent=2, sort_keys=True)]
+                          if isinstance(payload, dict) else payload)
+            fh.write("\n")
+        else:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
 
 
-def _orbit_bands(per_period):
-    """(period, labels, lo, hi, counts) of each PeriodBands, its rows' bands by _row_bands."""
-    return [(pb.period, pb.labels, *spectrum._row_bands(pb.edges, spectrum.TOL)) for pb in per_period]
+def _row_blocks(per_period):
+    """(period, labels, lo, hi, counts) of each block of at most EIGEN_BLOCK rows of each
+    PeriodBands, in order: the block's bands by _row_bands."""
+    for pb in per_period:
+        for start in range(0, len(pb.labels), spectrum.EIGEN_BLOCK):
+            stop = start + spectrum.EIGEN_BLOCK
+            yield (pb.period, pb.labels[start:stop],
+                   *spectrum._row_bands(pb.edges[start:stop], spectrum.TOL))
+
+
+@functools.cache
+def _orbit_template(count: int) -> str:
+    """The % template of one row of the "orbits" list with `count` bands, at its indent."""
+    i1, i2, i3, i4 = ("\n" + "  " * k for k in range(2, 6))
+    band = i3 + "[" + i4 + "%s," + i4 + "%s" + i3 + "]"
+    return (i1 + "{" + i2 + '"bands": [' + ",".join([band] * count) + i2 + "],"
+            + i2 + '"period": %s,' + i2 + '"point": %s' + i1 + "}")
 
 
 def _orbits_json(per_period):
-    """The text of the "orbits" list in the bands document, at its indent: json.dumps of
+    """The pieces of the "orbits" list in the bands document, at its indent: json.dumps of
     [{"bands": [[lo, hi], ...], "period": p, "point": label}, ...] over every row.
 
-    Written straight from the edge tables: one float.__repr__ of each
-    distinct edge fills one % template, whose pieces are constant strings,
-    one per row by its band count, where json.dumps would go token by token.
-    Edges are told apart by their bits, so -0.0 and 0.0 stay apart.
+    Written straight from the edge tables, one block of _row_blocks at a
+    time: one float.__repr__ of each distinct edge of the block fills the %
+    templates of its rows, whose pieces are constant strings, where
+    json.dumps would go token by token.  Edges are told apart by their
+    bits, so -0.0 and 0.0 stay apart.
     """
-    tables = _orbit_bands(per_period)
-    edges = np.concatenate([np.stack([lo, hi], axis=1).ravel() for *_, lo, hi, _ in tables])
-    write = float.__repr__ if np.isfinite(edges).all() else json.dumps  # NaN, Infinity
-    bits, inverse = np.unique(edges.view(np.int64), return_inverse=True)
-    distinct = list(map(write, bits.view(np.float64).tolist()))
-    text = np.array(distinct, dtype=object)[inverse].tolist()
-    i1, i2, i3, i4 = ("\n" + "  " * k for k in range(2, 6))
-    band = i3 + "[" + i4 + "%s," + i4 + "%s" + i3 + "]"
-    tail = "," + i2 + '"period": %s,' + i2 + '"point": %s' + i1 + "}"
-    counts, values, start = [], [], 0
-    for period, labels, _, _, row_counts in tables:
-        period = int.__repr__(period)
-        for label, count in zip(labels, row_counts.tolist()):
+    sep = "["
+    for period, labels, lo, hi, counts in _row_blocks(per_period):
+        edges = np.stack([lo, hi], axis=1).ravel()
+        write = float.__repr__ if np.isfinite(edges).all() else json.dumps  # NaN, Infinity
+        bits, inverse = np.unique(edges.view(np.int64), return_inverse=True)
+        distinct = list(map(write, bits.view(np.float64).tolist()))
+        text = np.array(distinct, dtype=object)[inverse].tolist()
+        period, values, start = int.__repr__(period), [], 0
+        counts = counts.tolist()
+        for label, count in zip(labels, counts):
             values += text[start:start + 2 * count]
             values += (period, encode_basestring_ascii(label))
-            counts.append(count)
             start += 2 * count
-    piece = {c: i1 + "{" + i2 + '"bands": [' + ",".join([band] * c) + i2 + "]" + tail
-             for c in set(counts)}
-    return "".join(["[", ",".join([piece[c] for c in counts]), "\n  ]"]) % tuple(values)
+        yield sep + ",".join(map(_orbit_template, counts)) % tuple(values)
+        sep = ","
+    yield "\n  ]"
 
 
 def _orbit_rows(per_period):
     """The CSV rows of every row's bands, in label order: orbit, period, label, index, lo, hi."""
-    for period, labels, lo, hi, counts in _orbit_bands(per_period):
+    for period, labels, lo, hi, counts in _row_blocks(per_period):
         lo, hi = map(_fmt, lo.tolist()), map(_fmt, hi.tolist())
         for label, count in zip(labels, counts.tolist()):
             for j in range(count):
@@ -134,14 +142,16 @@ def cmd_bands(args) -> int:
     per_period = spectrum.bands_by_period(f, params.max_period)
     merged = spectrum.merge_bands(per_period, spectrum.TOL)
 
-    def document():  # called by _emit under --format json only
+    def document():  # run by _emit under --format json only
         head = json.dumps({"merged": merged.to_json()}, indent=2, sort_keys=True)
-        return "".join([head[:-2], ',\n  "orbits": ', _orbits_json(per_period), "\n}"])
+        yield head[:-2] + ',\n  "orbits": '
+        yield from _orbits_json(per_period)
+        yield "\n}"
 
     rows = itertools.chain(_orbit_rows(per_period),
                            (["merged", params.max_period, "", i, _fmt(a), _fmt(b)]
                             for i, (a, b) in enumerate(zip(merged.lo.tolist(), merged.hi.tolist()))))
-    _emit(args, document, rows, ["source", "period", "point", "band_index", "lo", "hi"])
+    _emit(args, document(), rows, ["source", "period", "point", "band_index", "lo", "hi"])
     if args.plot:
         rows_by_period = {pb.period: spectrum._merged(pb.edges[:, 0::2].ravel(),
                                                       pb.edges[:, 1::2].ravel(), spectrum.TOL)
@@ -236,7 +246,9 @@ def cmd_verify(args) -> int:
     return 0 if report["all_passed"] else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; each parse_args makes a new namespace."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config (sampling schema + 'command' object)")
     common.add_argument("--seed", type=int, default=None, help="64-bit seed (overrides config)")
@@ -269,8 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (DmspecError, OSError) as exc:

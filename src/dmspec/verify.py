@@ -361,9 +361,10 @@ def check_gap_shrinkage(unions) -> dict:
             report = spectrum.gap_report(unions[period - 1])
             maxgaps.append(report[0][1] if report else 0.0)
         seq = ", ".join(f"{g:.3g}" for g in maxgaps)
-        nonincreasing = all(b <= a + 1e-12 for a, b in zip(maxgaps, maxgaps[1:]))
-        halved = maxgaps[-1] <= 0.5 * maxgaps[0] or maxgaps[0] < unions[0].resolution
-        return nonincreasing and halved, f"max interior gaps over periods {SHRINK_PERIODS}: {seq}"
+        # each max gap at least halves from one shrink period to the next, or is unresolved
+        halving = all(b <= 0.5 * a or b < unions[p - 1].resolution
+                      for a, b, p in zip(maxgaps, maxgaps[1:], SHRINK_PERIODS[1:]))
+        return halving, f"max interior gaps over periods {SHRINK_PERIODS}: {seq}"
 
     return _check("gap_shrinkage", run)
 

@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stdout
@@ -408,6 +409,60 @@ class TestOrbitsWriter:
         payload = json.loads(out)
         assert code == 0 and len(payload["orbits"]) > 700
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("config", [
+        BERNOULLI_CFG, {"type": "trigpoly", "const": 0.3, "cos": [1.0, 0.5], "sin": [0.7]},
+    ], ids=["bernoulli-five", "sine-term"])
+    def test_the_row_block_changes_no_byte(self, tmp_path, monkeypatch, config):
+        # the orbits are written one spectrum.EIGEN_BLOCK of rows at a time
+        cfg = write_config(tmp_path, {**config, "command": {"max_period": 10}})
+        runs = []
+        for block in (spectrum.EIGEN_BLOCK, 1, 2 ** 40):
+            monkeypatch.setattr(spectrum, "EIGEN_BLOCK", block)
+            runs.append([run_cli(["bands", "--config", cfg, "--format", fmt])
+                         for fmt in ("json", "csv")])
+        assert runs[0] == runs[1] == runs[2]
+
+
+class TestOutputMemory:
+    # bands writes its output as it is made, so its traced peak is that of
+    # the band engine; holding the whole document takes 2.8 (JSON) and 1.5
+    # (CSV) times that peak at max_period 14
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_bands_peaks_with_its_band_engine(self, tmp_path, fmt):
+        cfg = write_config(tmp_path, {**BERNOULLI_CFG, "command": {"max_period": 14}})
+        out = str(tmp_path / "bands.out")
+        main(["bands", "--config", write_config(tmp_path, BERNOULLI_CFG, "small.json"),
+              "--format", fmt, "--out", out])
+        peaks = []
+        for run in (lambda: spectrum.bands_by_period(sampling.bernoulli(5.0), 14),
+                    lambda: main(["bands", "--config", cfg, "--format", fmt, "--out", out])):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], [p / 2 ** 20 for p in peaks]
+
+
+class TestParser:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_option_leaks_into_the_next_call(self):
+        # the calls through the one parser against a fresh parser for each
+        config = str(CONFIGS / "cosine-strong.json")
+        argvs = [["rotation", "--config", config, "--energies", "3.5,-3", "--format", "csv"],
+                 ["bands", "--config", config, "--seed", "5"],
+                 ["rotation", "--config", config]]
+        shared = [run_cli(argv) for argv in argvs]
+        fresh = []
+        for argv in argvs:
+            cli.build_parser.cache_clear()
+            fresh.append(run_cli(argv))
+        assert shared == fresh
+        assert shared[0] != shared[2]
 
 
 class TestErrors:

@@ -1,10 +1,11 @@
 """Every CLI output of the shipped configs, pinned by its SHA-256.
 
 Runs the six subcommands in both formats on each file of configs/ at
---seed 3, with --plot where a subcommand takes it, and bands and verify on
-the step of LEFT_LIMITS, and compares the digest of stdout and of the
-figure, the exit code and stderr with tests/output_digests.json.  A change
-that alters output bytes on purpose regenerates the table with
+--seed 3, with --plot where a subcommand takes it, bands and verify on the
+step of LEFT_LIMITS and bands on each config of DEEP_BANDS, and compares
+the digest of stdout and of the figure, the exit code and stderr with
+tests/output_digests.json.  A change that alters output bytes on purpose
+regenerates the table with
 
     PYTHONPATH=src python tests/test_output_digests.py
 
@@ -40,6 +41,14 @@ PLOTTED = ("bands", "spectrum", "ids")
 #: fails its disconnection check; configs/ holds only configs that pass
 LEFT_LIMITS = {"type": "step", "breaks": [0.0, 1 / 3, 0.5], "values": [1.0, -1.0, 2.0],
                "command": {"max_period": 9}}
+#: bands at max_period 14, whose periods 13 and 14 span several spectrum.EIGEN_BLOCK
+#: blocks of rows: the Bernoulli step and a TrigPoly with a sine term
+DEEP_BANDS = {
+    "bernoulli-five-p14": {"type": "step", "breaks": [0.0, 0.5], "values": [5.0, 0.0],
+                           "command": {"max_period": 14}},
+    "trigpoly-sine-p14": {"type": "trigpoly", "const": 0.3, "cos": [1.0, 0.5], "sin": [0.7],
+                          "command": {"max_period": 14}},
+}
 
 
 def build() -> dict:
@@ -63,7 +72,12 @@ def outputs() -> dict:
         left = Path(tmp) / "step-left-limits.json"
         left.write_text(json.dumps(LEFT_LIMITS), encoding="utf-8")
         runs = [(config, COMMANDS) for config in sorted(CONFIGS.glob("*.json"))]
-        for config, commands in runs + [(left, ("bands", "verify"))]:
+        runs.append((left, ("bands", "verify")))
+        for name, obj in DEEP_BANDS.items():
+            deep = Path(tmp) / f"{name}.json"
+            deep.write_text(json.dumps(obj), encoding="utf-8")
+            runs.append((deep, ("bands",)))
+        for config, commands in runs:
             for command in commands:
                 for fmt in ("json", "csv"):
                     argv = [command, "--config", str(config), "--seed", SEED, "--format", fmt]
